@@ -18,6 +18,14 @@ relation and no per-candidate re-check is needed.  The weak forms
 the corresponding one-sided exact intervals.  The partner operator
 contributes an interval plus a per-candidate identity filter, because
 partnership is not a function of timestamps alone.
+
+On a *gapped* index (a shed stream, ``index.gaps > 0``) a remote
+least-successor column can have missed the receive that first raised
+it, so ``LS`` may read too late or not at all.  ``GP`` comes from the
+assigned event's own clock and stays exact.  :func:`restrict` then
+drops the remote ``LS`` *lower* bounds and keeps the ``LS`` upper
+bounds, which can only be too wide: every interval is a superset of
+the exact one and the caller verifies each candidate causally.
 """
 
 from __future__ import annotations
@@ -79,12 +87,14 @@ def restrict(
 
     gp = index.gp(assigned, trace)
     ls = index.ls(assigned, trace)
+    # as a lower bound, a gapped remote LS is unsound (see module doc)
+    ls_floor = 1 if index.gaps and trace != assigned.trace else ls
 
     if constraint in (Constraint.BEFORE, Constraint.LIMITED):
         # assigned -> candidate
-        if ls is None:
+        if ls_floor is None:
             return False
-        interval.intersect(ls, INF)
+        interval.intersect(ls_floor, INF)
     elif constraint in (Constraint.AFTER, Constraint.LIMITED_REV):
         # candidate -> assigned
         interval.intersect(1, gp)
@@ -108,9 +118,9 @@ def restrict(
         elif assigned.kind is EventKind.SEND:
             # The matching receive causally follows the send; identity
             # is checked per candidate by the matcher.
-            if ls is None:
+            if ls_floor is None:
                 return False
-            interval.intersect(ls, INF)
+            interval.intersect(ls_floor, INF)
         else:
             return False  # a unary event has no partner
     else:

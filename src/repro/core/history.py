@@ -23,6 +23,7 @@ from __future__ import annotations
 import bisect
 from typing import Iterator, List, Optional, Sequence
 
+from repro.core.gpls import CausalIndex
 from repro.events.event import Event
 
 
@@ -136,27 +137,44 @@ class LeafHistory:
         events = self._by_trace[trace]
         return events[-1] if events else None
 
-    def has_between(self, low_event: Event, high_event: Event) -> bool:
+    def between(
+        self,
+        low: Event,
+        high: Event,
+        trace: int,
+        index: CausalIndex,
+        text: Optional[str] = None,
+    ) -> Sequence[Event]:
+        """Stored events ``x`` on ``trace`` with ``low -> x -> high``
+        (carrying exactly ``text`` when given), oldest first: the
+        Figure-4 interval ``[LS(low, trace), GP(high, trace)]``, so the
+        cost is two binary searches plus the events returned.
+
+        ``GP`` is read off ``high``'s own clock and is always exact.
+        A gapped index (shed stream) may have missed the receive that
+        first raised a remote clock column and so place ``LS`` too
+        late; there the slice starts at position 1 and each event is
+        verified against ``low``, which keeps the answer exact."""
+        hi = index.gp(high, trace)
+        exact = not index.gaps or trace == low.trace
+        lo = index.ls(low, trace) if exact else 1
+        if lo is None or lo > hi:
+            return ()
+        if text is None:
+            events = self.slice(trace, lo, hi)
+        else:
+            events = self.slice_by_text(trace, lo, hi, text)
+        if not exact:
+            events = [x for x in events if low.happens_before(x)]
+        return events
+
+    def has_between(self, low: Event, high: Event, index: CausalIndex) -> bool:
         """True when some stored event ``x`` satisfies
-        ``low_event -> x -> high_event`` — the side condition of the
+        ``low -> x -> high`` — the side condition of the
         limited-precedence operator."""
-        for trace in range(len(self._by_trace)):
-            if not self._by_trace[trace]:
-                continue
-            lo = _ls_bound(low_event, trace)
-            hi = _gp_bound(high_event, trace)
-            if lo is None or hi is None or lo > hi:
-                continue
-            # The bounds are exact on the endpoints' own traces and
-            # conservative supersets elsewhere, so each candidate is
-            # verified causally.
-            for candidate in self.slice(trace, lo, hi):
-                if candidate == low_event or candidate == high_event:
-                    continue
-                if low_event.happens_before(candidate) and candidate.happens_before(
-                    high_event
-                ):
-                    return True
+        for trace in self._nonempty:
+            if self.between(low, high, trace, index):
+                return True
         return False
 
     @property
@@ -226,29 +244,6 @@ def _position_slice(
         return events[left:]
     right = bisect.bisect_right(events, hi, key=lambda e: e.index)
     return events[left:right]
-
-
-def _ls_bound(event: Event, trace: int) -> Optional[int]:
-    """Smallest position on ``trace`` that ``event`` happens before.
-
-    Self-contained variant for same-or-cross trace checks that only
-    needs a lower bound: on the event's own trace it is the successor
-    position; on a remote trace we cannot know LS from the event's own
-    clock, so callers combine this with an upper bound from the other
-    endpoint (both bounds are exact when the two endpoints share the
-    trace; cross-trace intervals here are conservative supersets and
-    the caller re-verifies candidates causally).
-    """
-    if trace == event.trace:
-        return event.index + 1
-    return 1
-
-
-def _gp_bound(event: Event, trace: int) -> Optional[int]:
-    """Largest position on ``trace`` happening before ``event``."""
-    if trace == event.trace:
-        return event.index - 1
-    return event.clock[trace]
 
 
 class HistorySet:

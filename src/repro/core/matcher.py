@@ -40,6 +40,7 @@ from bisect import bisect_left as _bisect_left
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.config import MatcherConfig, SweepMode
+from repro.core.domain import Interval, restrict
 from repro.core.gpls import CausalIndex
 from repro.core.history import HistorySet, LeafHistory
 from repro.core.subset import RepresentativeSubset
@@ -48,7 +49,7 @@ from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import NULL_TRACER, SpanTracer
 from repro.obs.trace import SearchTrace
-from repro.patterns.ast import AttrVar, Exact
+from repro.patterns.ast import Exact
 from repro.patterns.classes import Bindings
 from repro.patterns.compile import CompiledPattern, Constraint
 from repro.patterns.errors import PatternError
@@ -236,32 +237,13 @@ class OCEPMatcher:
             if pattern.leaves else ()
         )
         self._trace_name_table = table
-        self._leaf_filters = []
-        for leaf in pattern.leaves:
-            event_class = leaf.event_class
-            exact_process = (
-                event_class.process.value
-                if isinstance(event_class.process, Exact)
-                and event_class.trace_names == table
-                else None
-            )
-            exact_text = (
-                event_class.text.value
-                if isinstance(event_class.text, Exact) else None
-            )
-            # A Kleene leaf's history is never pruned: any class event
-            # may later join a reported maximal group, and pruning
-            # keeps only causally interchangeable representatives.
-            allow_prune = not leaf.kleene
-            self._leaf_filters.append(
-                (
-                    leaf,
-                    event_class.exact_etype(),
-                    exact_process,
-                    exact_text,
-                    allow_prune,
-                )
-            )
+        # A Kleene leaf's history is never pruned (last field): any
+        # class event may later join a reported maximal group, and
+        # pruning keeps only causally interchangeable representatives.
+        self._leaf_filters = [
+            (leaf, *_exact_keys(leaf.event_class, table), not leaf.kleene)
+            for leaf in pattern.leaves
+        ]
         # -- v2 operator state -----------------------------------------
         self._v2 = pattern.has_v2_features
         self._kleene_leaves: Tuple[int, ...] = tuple(
@@ -275,15 +257,8 @@ class OCEPMatcher:
             HistorySet(len(self._negations), num_traces)
             if self._negations else None
         )
-        self._negation_has_vars = tuple(
-            any(
-                isinstance(spec, AttrVar)
-                for spec in (
-                    neg.event_class.process,
-                    neg.event_class.etype,
-                    neg.event_class.text,
-                )
-            )
+        self._negation_filters = tuple(
+            (neg.event_class, *_exact_keys(neg.event_class, table))
             for neg in self._negations
         )
         self._has_windows = bool(pattern.windows)
@@ -381,10 +356,20 @@ class OCEPMatcher:
             if leaf.leaf_id in self._terminating:
                 triggered.append((leaf.leaf_id, env))
 
-        if self.negation_history is not None:
-            for d, spec in enumerate(self._negations):
-                if spec.event_class.could_match(event):
-                    self.negation_history.append(d, event, prune=False)
+        for d, (
+            event_class, exact_etype, exact_process, exact_text
+        ) in enumerate(self._negation_filters):
+            # the same prefilter, for potential negation witnesses
+            if (
+                (exact_etype is None or exact_etype == etype)
+                and (exact_text is None or exact_text == text)
+                and (
+                    exact_process is None
+                    or exact_process in (trace_name, str_trace)
+                )
+                and event_class.could_match(event)
+            ):
+                self.negation_history.append(d, event, prune=False)
 
         reports: List[MatchReport] = []
         for leaf_id, env in triggered:
@@ -718,50 +703,64 @@ class OCEPMatcher:
         class event (Kleene histories are unpruned) that matches under
         the final bindings, is distinct from the other bound events,
         satisfies the anchor leaf's pairwise constraints against every
-        other bound leaf, and respects the window guards.  Members are
-        admitted in (trace, index) scan order; the member-member window
-        bound is checked against already-admitted members, which keeps
-        the expansion deterministic."""
+        other bound leaf, and respects the window guards.
+
+        Each swept trace is first restricted, as in the search, to the
+        Figure-4 interval those constraints leave (exact on a complete
+        stream, so only in-interval events are looked at); where the
+        interval is only a superset the per-event causal check stays,
+        as in :meth:`_acceptable`.  Members are admitted in (trace,
+        index) scan order; the member-member window bound is checked
+        against already-admitted members, which keeps the expansion
+        deterministic."""
         anchor = assignment[g]
         history = self.history.leaf(g)
         leaf_class = self.pattern.leaves[g].event_class
-        cmat = self._cmat
+        index = self.index
         others = [
-            (leaf_id, event)
+            (leaf_id, event, self._cmat[leaf_id][g])
             for leaf_id, event in assignment.items()
             if leaf_id != g
         ]
+        verify = (
+            self.config.paranoid
+            or not self.config.restrict_domains
+            or index.gaps > 0
+        )
         self_bound = self._wsim[g][g] if self._has_windows else None
         wall_self_bound = self._wwall[g][g] if self._has_windows else None
         members: List[Event] = [anchor]
-        for trace in history.traces_with_events():
-            for event in history.on_trace(trace):
+        for trace in self._guard_traces(history, leaf_class, env):
+            interval = Interval()
+            if not all(
+                restrict(interval, constraint, other, trace, index)
+                for _, other, constraint in others
+            ):
+                continue
+            for event in history.slice(trace, interval.lo, interval.hi):
                 if event.trace == anchor.trace and event.index == anchor.index:
                     continue
                 if leaf_class.matches(event, env) is None:
                     continue
                 ok = True
-                for leaf_id, other in others:
+                for leaf_id, other, constraint in others:
                     if (
                         event.trace == other.trace
                         and event.index == other.index
                     ):
                         ok = False
                         break
-                    constraint = cmat[leaf_id][g]
-                    if constraint is Constraint.NONE:
-                        pass
-                    elif not _satisfies(constraint, other, event):
+                    if verify and not _satisfies(constraint, other, event):
                         ok = False
                         break
-                    elif constraint is Constraint.LIMITED:
+                    if constraint is Constraint.LIMITED:
                         if self.history.leaf(leaf_id).has_between(
-                            other, event
+                            other, event, index
                         ):
                             ok = False
                             break
                     elif constraint is Constraint.LIMITED_REV:
-                        if history.has_between(event, other):
+                        if history.has_between(event, other, index):
                             ok = False
                             break
                     if self._has_windows and not self._window_ok(
@@ -786,6 +785,19 @@ class OCEPMatcher:
                     members.append(event)
         members.sort(key=lambda e: (e.trace, e.index))
         return tuple(members)
+
+    @staticmethod
+    def _guard_traces(
+        history: LeafHistory, event_class, env: Bindings
+    ) -> Sequence[int]:
+        """Traces a v2 guard has to visit for ``event_class`` under the
+        final bindings: one when the process attribute is exact or
+        bound (none when it names no trace), else every trace holding
+        a class event."""
+        pinned = event_class.pinned_trace(env)
+        if pinned is None:
+            return history.traces_with_events()
+        return (pinned,) if pinned >= 0 else ()
 
     def _window_ok(
         self, leaf_a: int, leaf_b: int, event_a: Event, event_b: Event
@@ -1312,14 +1324,14 @@ class OCEPMatcher:
             elif constraint is Constraint.LIMITED:
                 # assigned ~> candidate: no same-class event between
                 if self.history.leaf(levels[j].leaf_id).has_between(
-                    assigned, candidate
+                    assigned, candidate, self.index
                 ):
                     level.filter_rejected = True
                     return None
             elif constraint is Constraint.LIMITED_REV:
                 # candidate ~> assigned
                 if self.history.leaf(level.leaf_id).has_between(
-                    candidate, assigned
+                    candidate, assigned, self.index
                 ):
                     level.filter_rejected = True
                     return None
@@ -1391,24 +1403,11 @@ class OCEPMatcher:
         between two already-delivered events.
         """
         history = self.negation_history.leaf(d)
-        if not self._negation_has_vars[d]:
-            # class fully determined: the history holds exactly the
-            # class events, so the range-prefiltered check suffices
-            return history.has_between(left, right)
-        left_lamport = left.lamport
-        right_lamport = right.lamport
-        matches = spec.event_class.matches
-        for trace in history.traces_with_events():
-            for event in history.on_trace(trace):
-                # lamport order is a necessary condition for
-                # left -> event -> right: cheap prefilter
-                if not left_lamport < event.lamport < right_lamport:
-                    continue
-                if matches(event, env) is None:
-                    continue
-                if left.happens_before(event) and event.happens_before(
-                    right
-                ):
+        event_class = spec.event_class
+        text = event_class.required_text(env)
+        for trace in self._guard_traces(history, event_class, env):
+            for event in history.between(left, right, trace, self.index, text):
+                if event_class.matches(event, env) is not None:
                     return True
         return False
 
@@ -1469,6 +1468,22 @@ class OCEPMatcher:
                 detail=f"to level {target}",
             )
         return target
+
+
+def _exact_keys(event_class, table) -> Tuple[Optional[str], ...]:
+    """The ``(etype, process, text)`` values ``event_class`` requires
+    exactly (``None`` where an attribute is a wildcard or a variable):
+    the per-event prefilter keys of :meth:`OCEPMatcher.on_event`, valid
+    against trace names from ``table``."""
+    process = event_class.process
+    text = event_class.text
+    return (
+        event_class.exact_etype(),
+        process.value
+        if isinstance(process, Exact) and event_class.trace_names == table
+        else None,
+        text.value if isinstance(text, Exact) else None,
+    )
 
 
 def _bounds_hull(conflicts) -> Tuple[Optional[int], Optional[int]]:

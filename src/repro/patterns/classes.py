@@ -63,34 +63,57 @@ class EventClass:
             return self.trace_names[trace]
         return str(trace)
 
+    @functools.cached_property
+    def _exact_and_vars(self) -> Tuple[tuple, tuple]:
+        """The (process, type, text) values required exactly (``None``
+        where not exact), and ``(attribute position, variable name)``
+        for the variable attributes in that same order."""
+        exact = []
+        variables = []
+        for position, spec in enumerate((self.process, self.etype, self.text)):
+            if not isinstance(spec, (Wildcard, Exact, AttrVar)):
+                raise TypeError(f"unknown attribute spec {spec!r}")
+            exact.append(spec.value if isinstance(spec, Exact) else None)
+            if isinstance(spec, AttrVar):
+                variables.append((position, spec.name))
+        return tuple(exact), tuple(variables)
+
     def matches(self, event: Event, bindings: Optional[Bindings] = None) -> Optional[Bindings]:
         """Match an event against this class under a binding environment.
 
         Returns the (possibly extended) bindings on success, ``None``
-        on mismatch.  The input environment is never mutated.
+        on mismatch.  The input environment is never mutated: it is
+        copied only when a variable is newly bound, and returned as is
+        when the class binds nothing new.
         """
-        env = dict(bindings) if bindings else {}
-        checks = (
-            (self.process, self._trace_name(event.trace), str(event.trace)),
-            (self.etype, event.etype, None),
-            (self.text, event.text, None),
-        )
-        for spec, value, alias in checks:
-            if isinstance(spec, Wildcard):
-                continue
-            if isinstance(spec, Exact):
-                if spec.value != value and spec.value != alias:
-                    return None
-                continue
-            if isinstance(spec, AttrVar):
-                bound = env.get(spec.name)
-                if bound is None:
-                    env[spec.name] = value
-                elif bound != value and bound != alias:
-                    return None
-                continue
-            raise TypeError(f"unknown attribute spec {spec!r}")
-        return env
+        (process, etype, text), variables = self._exact_and_vars
+        # exact attributes first: refuting them needs no environment
+        if etype is not None and etype != event.etype:
+            return None
+        if text is not None and text != event.text:
+            return None
+        trace = event.trace
+        if (
+            process is not None
+            and process != self._trace_name(trace)
+            and process != str(trace)
+        ):
+            return None
+        env = bindings
+        for position, name in variables:
+            if position == 0:
+                value, alias = self._trace_name(trace), str(trace)
+            else:
+                value = event.etype if position == 1 else event.text
+                alias = None
+            bound = env.get(name) if env else None
+            if bound is None:
+                if env is bindings:
+                    env = dict(bindings) if bindings else {}
+                env[name] = value
+            elif bound != value and bound != alias:
+                return None
+        return {} if env is None else env
 
     def could_match(self, event: Event) -> bool:
         """Match ignoring variables (used to size candidate histories)."""
@@ -214,9 +237,9 @@ class UnionClass:
         return self.alternatives[0].event_attrs(event)
 
     def matches(self, event: Event, bindings: Optional[Bindings] = None) -> Optional[Bindings]:
-        """First-match-wins over the alternatives, each against its own
-        copy of the environment (``EventClass.matches`` never mutates
-        its input, which is what makes the branch scoping sound)."""
+        """First-match-wins over the alternatives, each against the
+        incoming environment (``EventClass.matches`` never mutates its
+        input, which is what makes the branch scoping sound)."""
         for branch in self.alternatives:
             env = branch.matches(event, bindings)
             if env is not None:

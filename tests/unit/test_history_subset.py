@@ -1,8 +1,16 @@
 """Unit tests for leaf histories (with pruning) and the representative subset."""
 
 from repro.core import HistorySet, RepresentativeSubset
+from repro.core.gpls import CausalIndex
 from repro.core.history import LeafHistory
 from repro.testing import Weaver
+
+
+def _index_of(weaver: Weaver) -> CausalIndex:
+    index = CausalIndex(weaver.num_traces)
+    for event in weaver.events:
+        index.observe(event)
+    return index
 
 
 class TestLeafHistory:
@@ -54,8 +62,9 @@ class TestLeafHistory:
         history = LeafHistory(0, 1)
         for e in (a, x, b):
             history.append(e, epoch=0, may_prune=False)
-        assert history.has_between(a, b)
-        assert not history.has_between(x, b)
+        index = _index_of(w)
+        assert history.has_between(a, b, index)
+        assert not history.has_between(x, b, index)
 
     def test_has_between_cross_trace(self):
         w = Weaver(2)
@@ -67,7 +76,7 @@ class TestLeafHistory:
         history = LeafHistory(0, 2)
         history.append(a, epoch=0, may_prune=False)
         history.append(x, epoch=0, may_prune=False)
-        assert history.has_between(a, b)
+        assert history.has_between(a, b, _index_of(w))
 
     def test_traces_with_events(self):
         w = Weaver(3)
