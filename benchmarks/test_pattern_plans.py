@@ -9,10 +9,9 @@ bypass the planner entirely via the ``has_v2_features`` guard).
 Methodology
 -----------
 
-* Each case's stream is generated once on the encoded-clock kernel
-  (the scale backend of PR-8) and replayed through fresh watched
-  pipelines with the planner enabled and disabled.  Min-of-repetition
-  wall time / events is the per-event cost.
+* Each case's stream is generated once and replayed through fresh
+  watched pipelines with the planner enabled and disabled.
+  Min-of-repetition wall time / events is the per-event cost.
 * ``hotpath`` is the head-to-head case: its ``Move`` class carries two
   exact attributes, so the static heuristic instantiates the enormous
   hop history right after the trigger, while the planner sees the live
@@ -60,8 +59,7 @@ MAX_ATTEMPTS = 4
 
 #: Event cap for the absence case: every Commit matches every earlier
 #: same-worker Request, so its search cost grows quadratically in the
-#: stream length under BOTH plan orders (same rationale as the
-#: deadlock cap in the encoded-clocks bench).
+#: stream length under BOTH plan orders.
 ABSENCE_CAP = 4000
 
 
@@ -80,7 +78,6 @@ def _cases():
                 num_couriers=8,
                 seed=0,
                 jobs_per_courier=_units(46.0, 8),
-                clock_backend="encoded",
             ),
             head_to_head=True,
             cap=None,
@@ -91,7 +88,6 @@ def _cases():
                 num_workers=8,
                 seed=0,
                 jobs_per_worker=_units(5.0, 8),
-                clock_backend="encoded",
             ),
             head_to_head=False,
             cap=ABSENCE_CAP,
@@ -102,7 +98,6 @@ def _cases():
                 num_traces=16,
                 seed=0,
                 messages_per_sender=_units(4.0, 15),
-                clock_backend="encoded",
             ),
             head_to_head=False,
             cap=None,
@@ -123,7 +118,7 @@ def _replay_us(events, names, case, pattern, planner):
     best = float("inf")
     monitor = None
     for _ in range(REPETITIONS):
-        pipeline = Pipeline.replay(events, names, clock_backend="encoded")
+        pipeline = Pipeline.replay(events, names)
         monitor = pipeline.watch(
             case,
             pattern,

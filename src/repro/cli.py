@@ -89,7 +89,6 @@ import time
 from typing import Optional
 
 from repro.analysis import compute_boxplot, quartile_table
-from repro.clocks import CLOCK_BACKENDS
 from repro.analysis.runner import replay_through_monitor
 from repro.core.config import MatcherConfig
 from repro.engine import CASE_STUDY_NAMES, CASES, Pipeline, case_patterns
@@ -114,10 +113,7 @@ def _print_report(report, names) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    pipeline = Pipeline.for_case(
-        args.case, args.traces, args.seed,
-        clock_backend=args.clock_backend,
-    )
+    pipeline = Pipeline.for_case(args.case, args.traces, args.seed)
     recorder = pipeline.record()
     result = pipeline.run(max_events=args.max_events)
     names = pipeline.trace_names
@@ -132,7 +128,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_match(args: argparse.Namespace) -> int:
     with open(args.pattern, "r", encoding="utf-8") as fh:
         pattern_source = fh.read()
-    pipeline = Pipeline.from_dump(args.dump, clock_backend=args.clock_backend)
+    pipeline = Pipeline.from_dump(args.dump)
     names = pipeline.trace_names
     monitor = pipeline.watch("pattern", pattern_source)
     pipeline.run()
@@ -166,7 +162,6 @@ def cmd_case(args: argparse.Namespace) -> int:
     tracer = SpanTracer() if args.trace_out else None
     pipeline = Pipeline.for_case(
         args.case, args.traces, args.seed, tracer=tracer,
-        clock_backend=args.clock_backend,
     )
     if args.serve_port is not None:
         pipeline.with_server(port=args.serve_port)
@@ -196,10 +191,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     histories, next to the static legacy order it replaces."""
     from repro.patterns.plan import plan_order
 
-    pipeline = Pipeline.for_case(
-        args.case, args.traces, args.seed,
-        clock_backend=args.clock_backend,
-    )
+    pipeline = Pipeline.for_case(args.case, args.traces, args.seed)
     monitor = pipeline.watch_case(on_match=None)
     result = pipeline.run(max_events=args.max_events)
     matcher = monitor.matcher
@@ -226,7 +218,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     tracer = SpanTracer()
     pipeline = Pipeline.for_case(
         args.case, args.traces, args.seed, registry=registry, tracer=tracer,
-        clock_backend=args.clock_backend,
     )
     latency = track_detection_latency(pipeline.kernel, registry)
     monitor = pipeline.watch_case(
@@ -251,10 +242,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    pipeline = Pipeline.for_case(
-        args.case, args.traces, args.seed,
-        clock_backend=args.clock_backend,
-    )
+    pipeline = Pipeline.for_case(args.case, args.traces, args.seed)
     recorder = pipeline.record()
     result = pipeline.run(max_events=args.max_events)
     timings, monitor = replay_through_monitor(
@@ -302,7 +290,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     registry = MetricsRegistry()
     pipeline = Pipeline.for_case(
         args.case, args.traces, args.seed, registry=registry,
-        clock_backend=args.clock_backend,
     )
     if args.serve_port is not None:
         pipeline.with_server(port=args.serve_port)
@@ -374,16 +361,14 @@ def _describe_metrics(registry: MetricsRegistry) -> str:
                 metric.kind,
                 label_names,
                 metric.help,
-                getattr(metric, "alias", None),
             )
     lines = [
         "| metric | kind | labels | help |",
         "| --- | --- | --- | --- |",
     ]
-    for name, kind, labels, help_text, alias in sorted(rows.values()):
-        note = f" (legacy alias: `{alias}`)" if alias else ""
+    for name, kind, labels, help_text in sorted(rows.values()):
         label_cell = f"`{labels}`" if labels else ""
-        lines.append(f"| `{name}` | {kind} | {label_cell} | {help_text}{note} |")
+        lines.append(f"| `{name}` | {kind} | {label_cell} | {help_text} |")
     return "\n".join(lines)
 
 
@@ -392,7 +377,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     tracer = SpanTracer()
     pipeline = Pipeline.for_case(
         args.case, args.traces, args.seed, registry=registry, tracer=tracer,
-        clock_backend=args.clock_backend,
     ).with_server(port=args.port, host=args.host)
     latency = track_detection_latency(pipeline.kernel, registry)
     monitor = pipeline.watch_case(on_match=latency.observe_report)
@@ -426,10 +410,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_profile(args: argparse.Namespace) -> int:
     from repro.obs.profile import SamplingProfiler
 
-    pipeline = Pipeline.for_case(
-        args.case, args.traces, args.seed,
-        clock_backend=args.clock_backend,
-    )
+    pipeline = Pipeline.for_case(args.case, args.traces, args.seed)
     monitor = pipeline.watch_case()
     with SamplingProfiler(interval=args.interval) as profiler:
         result = pipeline.run(max_events=args.max_events)
@@ -517,10 +498,7 @@ def _parse_seeds(text: str) -> list:
 def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.resilience import DEFAULT_PLANS, run_fault_matrix
 
-    pipeline = Pipeline.for_case(
-        args.case, args.traces, args.seed,
-        clock_backend=args.clock_backend,
-    )
+    pipeline = Pipeline.for_case(args.case, args.traces, args.seed)
     recorder = pipeline.record()
     result = pipeline.run(max_events=args.max_events)
     print(
@@ -589,7 +567,6 @@ def cmd_shed(args: argparse.Namespace) -> int:
         rates=args.rates,
         traces=args.traces,
         max_events=args.max_events,
-        clock_backend=args.clock_backend,
     )
     print(report.summary())
     if args.json:
@@ -693,7 +670,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
                 max_events=args.max_events,
                 workers=args.workers,
                 batch_size=args.batch_size,
-                clock_backend=args.clock_backend,
                 kill=args.kill,
             )
             cells.append(cell)
@@ -788,10 +764,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="simulation seed")
         p.add_argument("--max-events", type=int, default=50_000,
                        help="event budget for the simulation")
-        p.add_argument("--clock-backend", choices=CLOCK_BACKENDS,
-                       default="fidge",
-                       help="timestamp scheme: full Fidge/Mattern vectors "
-                            "or O(1) encoded clocks (identical matches)")
 
     p = sub.add_parser("simulate", help="run a case study and dump its events")
     p.add_argument("case", choices=sorted(CASES))
@@ -802,10 +774,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("match", help="replay a dump through a pattern")
     p.add_argument("pattern", help="pattern source file")
     p.add_argument("dump", help="POET dump file")
-    p.add_argument("--clock-backend", choices=CLOCK_BACKENDS,
-                   default="fidge",
-                   help="transcode the dump's clocks before matching "
-                        "(identical matches either way)")
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("case", help="simulate + monitor a case study live")
@@ -969,9 +937,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-events", type=int, default=DEFAULT_SHED_EVENTS,
                    help="event budget per recorded stream (the oracle is "
                         "brute force; keep this small)")
-    p.add_argument("--clock-backend", choices=CLOCK_BACKENDS,
-                   default="fidge",
-                   help="timestamp scheme of the recorded workload")
     p.add_argument("--json", metavar="FILE",
                    help="also write the full report as JSON "
                         "(the BENCH_overload.json payload)")

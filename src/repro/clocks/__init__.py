@@ -24,16 +24,12 @@ from repro.clocks.causality import (
     happens_before,
 )
 from repro.clocks.encoded import (
-    CLOCK_BACKENDS,
     ClockFrame,
     EncodedClock,
     encode_events,
-    make_clock_bank,
-    validate_backend,
 )
 
 __all__ = [
-    "CLOCK_BACKENDS",
     "ClockFrame",
     "EncodedClock",
     "LamportClock",
@@ -44,6 +40,4 @@ __all__ = [
     "concurrent",
     "encode_events",
     "happens_before",
-    "make_clock_bank",
-    "validate_backend",
 ]

@@ -53,19 +53,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.events.event import Event, EventKind
 
-#: The selectable timestamp backends (Pipeline / Kernel / Weaver).
-CLOCK_BACKENDS: Tuple[str, ...] = ("fidge", "encoded")
-
-
-def validate_backend(backend: str) -> str:
-    """Return ``backend`` or raise ``ValueError`` for unknown names."""
-    if backend not in CLOCK_BACKENDS:
-        raise ValueError(
-            f"unknown clock backend {backend!r}; known: {CLOCK_BACKENDS}"
-        )
-    return backend
-
-
 class ClockFrame:
     """The shared knowledge-row table of one monitored computation.
 
@@ -356,22 +343,6 @@ class EncodedClock:
         return f"EncodedClock({', '.join(map(str, self.components))})"
 
 
-def make_clock_bank(backend: str, num_traces: int):
-    """Initial per-trace clock bank for a substrate (Kernel / Weaver).
-
-    Returns ``(clocks, frame)`` where ``frame`` is the shared
-    :class:`ClockFrame` for the encoded backend and ``None`` for full
-    Fidge/Mattern clocks.
-    """
-    from repro.clocks.vector_clock import VectorClock
-
-    validate_backend(backend)
-    if backend == "encoded":
-        frame = ClockFrame(num_traces)
-        return [frame.zero(t) for t in range(num_traces)], frame
-    return [VectorClock.zero(num_traces) for _ in range(num_traces)], None
-
-
 class StreamEncoder:
     """Stateful transcoder: full-clock events in, encoded-clock out.
 
@@ -455,11 +426,8 @@ def encode_events(
 
 
 __all__ = [
-    "CLOCK_BACKENDS",
     "ClockFrame",
     "EncodedClock",
     "StreamEncoder",
     "encode_events",
-    "make_clock_bank",
-    "validate_backend",
 ]

@@ -178,7 +178,6 @@ class ClusterCoordinator:
         events: Sequence[Event],
         trace_names: Sequence[str],
         workers: int = 2,
-        clock_backend: str = "fidge",
         credits: int = DEFAULT_CREDITS,
         registry: Optional[MetricsRegistry] = None,
         worker_obs: bool = False,
@@ -194,7 +193,6 @@ class ClusterCoordinator:
         self.events = list(events)
         self.trace_names = tuple(trace_names)
         self.num_workers = workers
-        self.clock_backend = clock_backend
         self.credits = credits
         self.registry = registry if registry is not None else NULL_REGISTRY
         self.worker_obs = worker_obs
@@ -349,7 +347,6 @@ class ClusterCoordinator:
                 "shards": {
                     name: self._shards[name] for name in handle.shards
                 },
-                "clock_backend": self.clock_backend,
                 "metrics": self.worker_metrics,
                 "obs": self.worker_obs,
             },
@@ -664,14 +661,12 @@ class ClusterPipeline:
         events: Sequence[Event],
         trace_names: Sequence[str],
         workers: int = 2,
-        clock_backend: str = "fidge",
         **cluster_options,
     ):
         self.coordinator = ClusterCoordinator(
             events=events,
             trace_names=trace_names,
             workers=workers,
-            clock_backend=clock_backend,
             **cluster_options,
         )
         self._ran = False

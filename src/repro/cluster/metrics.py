@@ -38,13 +38,10 @@ def import_worker_snapshot(
 ) -> int:
     """Mint every metric of one worker's registry snapshot into
     ``registry`` under an added ``worker`` label; returns the number of
-    series imported.  Back-compat alias entries (marked in the snapshot)
-    are skipped — the canonical series carries the data."""
+    series imported."""
     imported = 0
     worker_label = str(worker_id)
     for metric in snapshot:
-        if metric.get("alias_of"):
-            continue
         labels: Dict[str, str] = dict(metric.get("labels", {}))
         labels["worker"] = worker_label
         name = metric["name"]

@@ -27,9 +27,9 @@ Event-batch codec (all integers big-endian)::
 
 Events always travel as **full vector timestamps** (an
 :class:`~repro.clocks.encoded.EncodedClock` is materialized via its
-``components``): the frame-interning of the encoded backend is a
-per-process memory-sharing optimization, so each worker re-encodes
-locally through its stream pipeline's
+``components``): the frame-interning of encoded clocks is a
+per-process memory-sharing optimization, so every worker re-encodes
+each decoded batch through its stream pipeline's
 :class:`~repro.clocks.encoded.StreamEncoder` instead of shipping frame
 state across the process boundary.
 
@@ -72,7 +72,7 @@ class FrameType(enum.IntEnum):
     except CREDIT/HEARTBEAT, which the worker volunteers."""
 
     HELLO = 1             #: worker -> coord: version + identity
-    CONFIG = 2            #: coord -> worker: traces, shards, backend
+    CONFIG = 2            #: coord -> worker: traces, shards
     READY = 3             #: worker -> coord: shards wired, obs port
     RESTORE = 4           #: coord -> worker: checkpoint to load
     EVENTS = 5            #: coord -> worker: binary event batch

@@ -165,11 +165,7 @@ def _worker_loop(
     registry: Optional[MetricsRegistry] = None
     if config.get("metrics", True):
         registry = MetricsRegistry()
-    pipeline = Pipeline.stream(
-        config["trace_names"],
-        clock_backend=config.get("clock_backend", "fidge"),
-        registry=registry,
-    )
+    pipeline = Pipeline.stream(config["trace_names"], registry=registry)
     shards: Dict[str, str] = dict(config.get("shards", {}))
     for name, pattern_source in shards.items():
         pipeline.watch(name, pattern_source)

@@ -35,15 +35,15 @@ from repro.workloads import (
 class CaseStudy:
     """One named workload + its detection pattern.
 
-    ``build(traces, seed, clock_backend)`` returns a workload result
-    object exposing ``kernel``, ``server`` and ``run(max_events)``
-    (every builder in :mod:`repro.workloads` does);
+    ``build(traces, seed)`` returns a workload result object exposing
+    ``kernel``, ``server`` and ``run(max_events)`` (every builder in
+    :mod:`repro.workloads` does);
     ``pattern(num_traces)`` returns the pattern source compiled
     against the workload's *actual* trace count.
     """
 
     name: str
-    build: Callable[[int, int, str], object]
+    build: Callable[[int, int], object]
     pattern: Callable[[int], str]
 
 
@@ -51,57 +51,55 @@ class CaseStudy:
 CASES: Dict[str, CaseStudy] = {
     "deadlock": CaseStudy(
         name="deadlock",
-        build=lambda traces, seed, backend="fidge": build_random_walk(
+        build=lambda traces, seed: build_random_walk(
             num_traces=traces, seed=seed, skip_probability=0.08,
-            clock_backend=backend,
         ),
         pattern=deadlock_pattern,
     ),
     "race": CaseStudy(
         name="race",
-        build=lambda traces, seed, backend="fidge": build_message_race(
+        build=lambda traces, seed: build_message_race(
             num_traces=traces, seed=seed, messages_per_sender=20,
-            clock_backend=backend,
         ),
         pattern=lambda traces: message_race_pattern(),
     ),
     "atomicity": CaseStudy(
         name="atomicity",
-        build=lambda traces, seed, backend="fidge": build_atomicity(
+        build=lambda traces, seed: build_atomicity(
             num_processes=traces, seed=seed, iterations=40,
-            bypass_probability=0.02, clock_backend=backend,
+            bypass_probability=0.02,
         ),
         pattern=lambda traces: atomicity_pattern(),
     ),
     "ordering": CaseStudy(
         name="ordering",
-        build=lambda traces, seed, backend="fidge": build_ordering_bug(
+        build=lambda traces, seed: build_ordering_bug(
             num_traces=traces, seed=seed, synchs_per_follower=6,
-            bug_probability=0.05, clock_backend=backend,
+            bug_probability=0.05,
         ),
         pattern=lambda traces: ordering_bug_pattern(),
     ),
     "traffic": CaseStudy(
         name="traffic",
-        build=lambda traces, seed, backend="fidge": build_traffic_light(
+        build=lambda traces, seed: build_traffic_light(
             num_lights=max(2, traces - 1), seed=seed, cycles=40,
-            fault_probability=0.05, clock_backend=backend,
+            fault_probability=0.05,
         ),
         pattern=lambda traces: traffic_light_pattern(),
     ),
     "hotpath": CaseStudy(
         name="hotpath",
-        build=lambda traces, seed, backend="fidge": build_hotpath(
+        build=lambda traces, seed: build_hotpath(
             num_couriers=max(1, traces - 1), seed=seed,
-            jobs_per_courier=12, clock_backend=backend,
+            jobs_per_courier=12,
         ),
         pattern=lambda traces: hotpath_pattern(),
     ),
     "absence": CaseStudy(
         name="absence",
-        build=lambda traces, seed, backend="fidge": build_absence(
+        build=lambda traces, seed: build_absence(
             num_workers=max(1, traces - 1), seed=seed,
-            jobs_per_worker=25, clock_backend=backend,
+            jobs_per_worker=25,
         ),
         pattern=lambda traces: absence_pattern(),
     ),
@@ -112,22 +110,15 @@ CASES: Dict[str, CaseStudy] = {
 CASE_STUDY_NAMES: Tuple[str, ...] = ("deadlock", "race", "atomicity", "ordering")
 
 
-def build_case(
-    name: str,
-    traces: int,
-    seed: int,
-    clock_backend: str = "fidge",
-) -> Tuple[object, str]:
+def build_case(name: str, traces: int, seed: int) -> Tuple[object, str]:
     """Build one case's workload and its pattern source.
 
     The pattern is compiled for ``traces`` — matching the historical
     CLI behaviour where the workload's trace count equals the requested
     one for every case whose pattern is trace-parameterized.
-    ``clock_backend`` selects the workload kernel's timestamp scheme
-    (``"fidge"`` full vectors or ``"encoded"`` O(1) encoded clocks).
     """
     case = CASES[name]
-    return case.build(traces, seed, clock_backend), case.pattern(traces)
+    return case.build(traces, seed), case.pattern(traces)
 
 
 def case_patterns(num_traces: int) -> Dict[str, str]:

@@ -39,12 +39,7 @@ import signal
 import threading
 from typing import Dict, List, Optional, Sequence
 
-from repro.clocks.encoded import (
-    EncodedClock,
-    StreamEncoder,
-    encode_events,
-    validate_backend,
-)
+from repro.clocks.encoded import EncodedClock, StreamEncoder
 from repro.core.config import MatcherConfig
 from repro.core.matcher import MatchReport
 from repro.core.monitor import MatchCallback, Monitor, MonitorStats
@@ -191,7 +186,11 @@ class Pipeline:
         self.trace_names = tuple(trace_names)
         self.registry = registry
         self.tracer = tracer
-        self._events = events
+        #: The one transcoder of this pipeline (see :meth:`_transcode`).
+        self._stream_encoder = StreamEncoder(len(self.trace_names))
+        self._events = (
+            None if events is None else self._transcode(list(events))
+        )
         self._dispatcher: Optional[ShardedDispatcher] = None
         self._named_on_match: Optional[NamedMatchCallback] = None
         self._fault_plan: Optional[FaultPlan] = None
@@ -215,7 +214,6 @@ class Pipeline:
         #: Streaming-source state (:meth:`stream` constructor): wired
         #: lazily on the first :meth:`feed`, closed by :meth:`finish`.
         self._streaming = False
-        self._stream_encoder: Optional[StreamEncoder] = None
         self._wired = False
         self._active_injector: Optional[FaultInjector] = None
         self._active_shedder: Optional[LoadShedder] = None
@@ -282,20 +280,16 @@ class Pipeline:
         seed: int = 0,
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[SpanTracer] = None,
-        clock_backend: str = "fidge",
     ) -> "Pipeline":
         """Build a named case study (see :data:`repro.engine.CASES`) as
         the live source; its detection pattern is left unwatched —
         attach it with :meth:`watch_case` (or any pattern with
-        :meth:`watch`).  ``clock_backend`` selects the workload
-        kernel's timestamp scheme (see :data:`repro.clocks.CLOCK_BACKENDS`)."""
+        :meth:`watch`)."""
         if name not in CASES:
             raise KeyError(
                 f"unknown case {name!r}; known: {sorted(CASES)}"
             )
-        workload, pattern_source = build_case(
-            name, traces, seed, clock_backend=clock_backend
-        )
+        workload, pattern_source = build_case(name, traces, seed)
         pipeline = cls.for_workload(workload, registry=registry, tracer=tracer)
         pipeline.case_name = name
         pipeline.case_pattern = pattern_source
@@ -309,34 +303,24 @@ class Pipeline:
         verify: bool = False,
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[SpanTracer] = None,
-        clock_backend: str = "fidge",
     ) -> "Pipeline":
         """Use a recorded stream (a valid linearization, e.g. from
         :meth:`record` or a dump file) as the source; delivery is
         batch-first.
 
-        With ``clock_backend="encoded"`` the recorded stream is
-        transcoded once at construction — every non-receive event gets
-        an O(1) encoded timestamp sharing interned knowledge rows —
-        and the server keeps the struct-of-arrays store.  Matcher
-        output is bit-identical either way.
+        A full-vector recording (a dump file, a
+        :class:`~repro.testing.Weaver` stream) is transcoded once at
+        construction — every non-receive event gets an O(1) encoded
+        timestamp sharing interned knowledge rows; a stream recorded
+        from a kernel is already stamped and passes through untouched.
+        Matcher output is bit-identical either way.
         """
-        backend = validate_backend(clock_backend)
-        events = list(events)
-        event_store = "object"
-        if backend == "encoded":
-            if not (events and isinstance(events[0].clock, EncodedClock)):
-                # Streams recorded from an encoded kernel are already
-                # stamped; only full-clock recordings need transcoding.
-                events, _frame = encode_events(events, len(trace_names))
-            event_store = "array"
         server = POETServer(
             num_traces=len(trace_names),
             trace_names=trace_names,
             verify=verify,
             registry=registry,
             tracer=tracer,
-            event_store=event_store,
         )
         return cls(
             server=server,
@@ -353,14 +337,12 @@ class Pipeline:
         verify: bool = False,
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[SpanTracer] = None,
-        clock_backend: str = "fidge",
     ) -> "Pipeline":
         """Load a POET dump file and replay it (the paper's reload
         methodology)."""
         events, _num_traces, names = load_events(path)
         return cls.replay(
-            events, names, verify=verify, registry=registry, tracer=tracer,
-            clock_backend=clock_backend,
+            events, names, verify=verify, registry=registry, tracer=tracer
         )
 
     @classmethod
@@ -370,7 +352,6 @@ class Pipeline:
         verify: bool = False,
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[SpanTracer] = None,
-        clock_backend: str = "fidge",
     ) -> "Pipeline":
         """A pipeline over an *external* event source: slices of the
         linearization are pushed with :meth:`feed` as they arrive, and
@@ -380,19 +361,17 @@ class Pipeline:
         worker's socket loop cannot hand the pipeline a finite source
         up front.  Stages wire lazily on the first :meth:`feed` (so
         every ``watch``/``with_*`` call still happens strictly before
-        delivery), and ``clock_backend="encoded"`` transcodes each fed
-        slice incrementally through one shared
+        delivery), and full-vector slices (wire batches) are transcoded
+        incrementally through one shared
         :class:`~repro.clocks.encoded.StreamEncoder` — observably
         identical to a one-shot :meth:`replay` of the concatenation.
         """
-        backend = validate_backend(clock_backend)
         server = POETServer(
             num_traces=len(trace_names),
             trace_names=trace_names,
             verify=verify,
             registry=registry,
             tracer=tracer,
-            event_store="array" if backend == "encoded" else "object",
         )
         pipeline = cls(
             server=server,
@@ -401,8 +380,6 @@ class Pipeline:
             tracer=tracer,
         )
         pipeline._streaming = True
-        if backend == "encoded":
-            pipeline._stream_encoder = StreamEncoder(len(trace_names))
         return pipeline
 
     @classmethod
@@ -411,13 +388,12 @@ class Pipeline:
         events: Sequence[Event],
         trace_names: Sequence[str],
         workers: int = 2,
-        clock_backend: str = "fidge",
         **cluster_options,
     ):
         """A multi-process deployment over a recorded stream: the
         :mod:`repro.cluster` coordinator spawns ``workers`` shard
-        processes (each running a :meth:`stream` pipeline with
-        ``clock_backend``), routes watched shards to them with the
+        processes (each running a :meth:`stream` pipeline), routes
+        watched shards to them with the
         :func:`~repro.engine.dispatch.shard_worker` hash policy, and
         streams the events over the length-prefixed POET wire transport
         with credit-based back-pressure.
@@ -433,7 +409,6 @@ class Pipeline:
             events=events,
             trace_names=trace_names,
             workers=workers,
-            clock_backend=clock_backend,
             **cluster_options,
         )
 
@@ -696,6 +671,18 @@ class Pipeline:
     # Execution
     # ------------------------------------------------------------------
 
+    def _transcode(self, events: Sequence[Event]) -> Sequence[Event]:
+        """Stamp a full-vector slice (a dump, a wire batch, a
+        :class:`~repro.testing.Weaver` stream) with encoded clocks
+        through the pipeline's one
+        :class:`~repro.clocks.encoded.StreamEncoder`.  A slice whose
+        first event already carries an
+        :class:`~repro.clocks.encoded.EncodedClock` passes through
+        untouched — read off the input, never a parameter."""
+        if not events or isinstance(events[0].clock, EncodedClock):
+            return events
+        return self._stream_encoder.extend(events)
+
     def _wire(self) -> None:
         """Build and connect the stage chain (exactly once): telemetry,
         shedder, hold-back, fault injector, scrape server — everything
@@ -943,11 +930,9 @@ class Pipeline:
     def feed(self, events: Sequence[Event]) -> int:
         """Deliver the next slice of the linearization (stream mode).
 
-        Wires the stages on first use; a ``clock_backend="encoded"``
-        stream transcodes the slice through the pipeline's
-        :class:`~repro.clocks.encoded.StreamEncoder` unless the events
-        already carry encoded clocks.  Returns the number of events
-        delivered.
+        Wires the stages on first use; a full-vector slice is
+        transcoded first (see :meth:`_transcode`).  Returns the number
+        of events delivered.
         """
         if not self._streaming:
             raise RuntimeError("feed() needs a stream() pipeline")
@@ -956,11 +941,7 @@ class Pipeline:
         self._wire()
         if not events:
             return 0
-        if self._stream_encoder is not None and not isinstance(
-            events[0].clock, EncodedClock
-        ):
-            events = self._stream_encoder.extend(events)
-        self.server.collect_batch(events)
+        self.server.collect_batch(self._transcode(events))
         return len(events)
 
     def finish(self) -> PipelineResult:

@@ -19,7 +19,7 @@ precedence) follow Nichols' framework as summarised in Section III-B.
 from repro.events.event import Event, EventId, EventKind, event_from_record
 from repro.events.trace import Trace
 from repro.events.store import EventStore
-from repro.events.soa import EVENT_STORES, ArrayEventStore, make_event_store
+from repro.events.soa import ArrayEventStore
 from repro.events.compound import (
     CompoundEvent,
     compound_concurrent,
@@ -39,9 +39,7 @@ __all__ = [
     "event_from_record",
     "Trace",
     "EventStore",
-    "EVENT_STORES",
     "ArrayEventStore",
-    "make_event_store",
     "CompoundEvent",
     "overlaps",
     "disjoint",

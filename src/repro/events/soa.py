@@ -15,24 +15,17 @@ information as parallel flat arrays, one set per trace:
   storage is a single integer, and the append-time dominance check is
   O(1) whenever the epoch is unchanged (every non-receive event).
 
-The flat layout is what makes GP/LS domain computation vectorizable:
-:meth:`ArrayEventStore.clock_column` materializes a whole clock column
-along a trace in one pass (as a numpy array when numpy is available),
-and :meth:`ArrayEventStore.least_successors` answers batched LS queries
-with a single ``searchsorted`` over it.  ``Event`` objects are
-materialized lazily and only on access, so the hot ingest path never
-builds them.
+``Event`` objects are materialized lazily and only on access, so the
+hot ingest path never builds them.  This is the store every
+:class:`~repro.poet.server.POETServer` owns; the object
+:class:`~repro.events.store.EventStore` stays as the reference the
+array-store tests diff against.
 """
 
 from __future__ import annotations
 
 from array import array
 from typing import Iterator, List, Optional, Sequence, Tuple
-
-try:  # numpy accelerates the batched column queries; pure-python works
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on minimal installs
-    _np = None
 
 # Module reference, not from-import: repro.clocks imports repro.events
 # (this package) while initializing, so names are resolved at call time
@@ -78,7 +71,6 @@ class ArrayEventStore:
         self._ptrace = [array("q") for _ in range(num_traces)]
         self._pindex = [array("q") for _ in range(num_traces)]
         self._epoch = [array("q") for _ in range(num_traces)]
-        self._count = 0
 
     # ------------------------------------------------------------------
     # Mutation
@@ -154,7 +146,6 @@ class ArrayEventStore:
         else:
             self._ptrace[trace].append(partner.trace)
             self._pindex[trace].append(partner.index)
-        self._count += 1
 
     def add_batch(self, events: Sequence[Event]) -> None:
         """Append a contiguous slice of the linearization.
@@ -181,7 +172,6 @@ class ArrayEventStore:
         encoded_clock = _encoded.EncodedClock
         frame = self._frame
         dominated = frame._dominated if frame is not None else None
-        added = 0
         for event in events:
             clock = event.clock
             if frame is None or not (
@@ -189,8 +179,6 @@ class ArrayEventStore:
             ):
                 # First event (no frame adopted yet) or a foreign
                 # clock: the scalar path handles adoption/interning.
-                self._count += added
-                added = 0
                 self.add(event)
                 frame = self._frame
                 dominated = frame._dominated if frame is not None else None
@@ -247,8 +235,6 @@ class ArrayEventStore:
             else:
                 ptrace_cols[trace].append(partner.trace)
                 pindex_cols[trace].append(partner.index)
-            added += 1
-        self._count += added
 
     # ------------------------------------------------------------------
     # Lookup
@@ -261,8 +247,9 @@ class ArrayEventStore:
 
     @property
     def num_events(self) -> int:
-        """Total number of stored events across all traces."""
-        return self._count
+        """Total number of stored events across all traces (read off
+        the columns, so it is exact even after a rejected append)."""
+        return sum(map(len, self._epoch))
 
     @property
     def frame(self) -> Optional["_encoded.ClockFrame"]:
@@ -324,69 +311,6 @@ class ArrayEventStore:
         )
 
     # ------------------------------------------------------------------
-    # Vectorizable clock-column queries (GP/LS substrate)
-    # ------------------------------------------------------------------
-
-    def clock_value(self, trace: int, position: int, column: int) -> int:
-        """``V[column]`` of the event at 1-based ``position`` on
-        ``trace`` — no Event materialization."""
-        if column == trace:
-            return position
-        return self._frame.row(self._epoch[trace][position - 1])[column]
-
-    def clock_column(self, trace: int, column: int):
-        """The whole clock column ``V[column]`` along ``trace`` as a
-        flat array (non-decreasing by construction).
-
-        Returns a numpy array when numpy is installed, else a list.
-        One gather over the epoch refs — this is the vectorized layout
-        GP/LS domain computation wants, impossible with per-object
-        clock tuples.
-        """
-        epochs = self._epoch[trace]
-        if column == trace:
-            if _np is not None:
-                return _np.arange(1, len(epochs) + 1, dtype=_np.int64)
-            return list(range(1, len(epochs) + 1))
-        if self._frame is None:
-            return _np.empty(0, dtype=_np.int64) if _np is not None else []
-        rows = self._frame._rows
-        if _np is not None:
-            if not epochs:
-                return _np.empty(0, dtype=_np.int64)
-            row_column = _np.fromiter(
-                (r[column] for r in rows), dtype=_np.int64, count=len(rows)
-            )
-            return row_column[_np.frombuffer(epochs, dtype=_np.int64)]
-        return [rows[e][column] for e in epochs]
-
-    def least_successors(self, trace: int, column: int, values):
-        """Batched LS primitive: for each ``v`` in ``values``, the
-        earliest 1-based position on ``trace`` whose clock column
-        ``column`` has reached ``v`` (0 when none has).
-
-        With numpy this is one ``searchsorted`` over the materialized
-        column; the pure-python fallback bisects per value.
-        """
-        col = self.clock_column(trace, column)
-        n = len(col)
-        if _np is not None:
-            positions = _np.searchsorted(col, _np.asarray(values), side="left") + 1
-            positions[positions > n] = 0
-            return positions
-        out = []
-        for v in values:
-            lo, hi = 0, n
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if col[mid] >= v:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            out.append(lo + 1 if lo < n else 0)
-        return out
-
-    # ------------------------------------------------------------------
     # Iteration / sizing
     # ------------------------------------------------------------------
 
@@ -397,18 +321,18 @@ class ArrayEventStore:
                 yield self.materialize(trace, index)
 
     def __len__(self) -> int:
-        return self._count
+        return self.num_events
 
     def __repr__(self) -> str:
-        return f"ArrayEventStore({self._num_traces} traces, {self._count} events)"
+        return f"ArrayEventStore({self._num_traces} traces, {len(self)} events)"
 
 
 class ArrayTraceView:
     """Sequence view over one trace of an :class:`ArrayEventStore`.
 
     Mirrors the query surface of :class:`~repro.events.trace.Trace`
-    (``at``, ``last``, ``first_index_with_column_at_least``, length and
-    iteration); events materialize lazily.
+    (``at``, ``last``, length and iteration); events materialize
+    lazily.
     """
 
     __slots__ = ("_store", "trace_id")
@@ -435,15 +359,6 @@ class ArrayTraceView:
         n = len(self)
         return self._store.materialize(self.trace_id, n) if n else None
 
-    def first_index_with_column_at_least(
-        self, column: int, value: int
-    ) -> Optional[int]:
-        """Binary-search the earliest index whose clock[column] >= value
-        (the least-successor primitive; see
-        :meth:`~repro.events.trace.Trace.first_index_with_column_at_least`)."""
-        position = self._store.least_successors(self.trace_id, column, [value])[0]
-        return int(position) if position else None
-
     def __len__(self) -> int:
         return len(self._store._epoch[self.trace_id])
 
@@ -455,28 +370,7 @@ class ArrayTraceView:
         return f"ArrayTraceView({self.trace_id}, {self.name!r}, {len(self)} events)"
 
 
-#: Selectable event-store layouts (POETServer / Pipeline).
-EVENT_STORES: Tuple[str, ...] = ("object", "array")
-
-
-def make_event_store(
-    layout: str, num_traces: int, trace_names: Optional[Sequence[str]] = None
-):
-    """Build the event store named by ``layout``."""
-    if layout == "object":
-        from repro.events.store import EventStore
-
-        return EventStore(num_traces, trace_names)
-    if layout == "array":
-        return ArrayEventStore(num_traces, trace_names)
-    raise ValueError(
-        f"unknown event store layout {layout!r}; known: {EVENT_STORES}"
-    )
-
-
 __all__ = [
-    "EVENT_STORES",
     "ArrayEventStore",
     "ArrayTraceView",
-    "make_event_store",
 ]

@@ -37,7 +37,6 @@ from repro.obs.export import parse_json, to_json, to_prometheus
 from repro.obs.latency import (
     DETECTION_LATENCY_BUCKETS,
     DETECTION_LATENCY_METRIC,
-    DETECTION_LATENCY_METRIC_LEGACY,
     DetectionLatencyTracker,
     track_detection_latency,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "track_detection_latency",
     "DETECTION_LATENCY_BUCKETS",
     "DETECTION_LATENCY_METRIC",
-    "DETECTION_LATENCY_METRIC_LEGACY",
     "STAGES",
     "BATCH_SIZE_BUCKETS",
     "PipelineTelemetry",

@@ -42,12 +42,8 @@ DETECTION_LATENCY_BUCKETS: Tuple[float, ...] = tuple(
 #: Metric name of the occurrence-to-report histogram (simulated time
 #: units; one unlabelled series plus one per pattern leaf).  The unit
 #: suffix follows the Prometheus convention of naming the measured
-#: unit; the retired spelling is kept as a JSON-snapshot alias.
+#: unit.
 DETECTION_LATENCY_METRIC = "ocep_detection_latency_sim_time_units"
-
-#: Retired name of :data:`DETECTION_LATENCY_METRIC` (pre-conformance
-#: audit); still present in JSON snapshots as an ``alias_of`` entry.
-DETECTION_LATENCY_METRIC_LEGACY = "ocep_detection_latency_sim_time"
 
 #: Default cap on retained occurrence stamps.  Stamps for events that
 #: never appear in a match were historically kept forever (an unbounded
@@ -94,8 +90,7 @@ class DetectionLatencyTracker:
         self.registry = registry if registry is not None else NULL_REGISTRY
         self._occurred: Dict[Tuple[int, int], float] = {}
         self._total = self.registry.histogram(
-            DETECTION_LATENCY_METRIC, _HELP, bounds=DETECTION_LATENCY_BUCKETS,
-            alias=DETECTION_LATENCY_METRIC_LEGACY,
+            DETECTION_LATENCY_METRIC, _HELP, bounds=DETECTION_LATENCY_BUCKETS
         )
         self._per_leaf: Dict[int, object] = {}
         self._reports_counter = self.registry.counter(
@@ -152,7 +147,6 @@ class DetectionLatencyTracker:
                     _HELP,
                     labels={"leaf": str(leaf_id)},
                     bounds=DETECTION_LATENCY_BUCKETS,
-                    alias=DETECTION_LATENCY_METRIC_LEGACY,
                 )
                 self._per_leaf[leaf_id] = histogram
             histogram.observe(latency)

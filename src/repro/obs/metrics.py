@@ -59,7 +59,7 @@ def _labels(labels: Optional[Mapping[str, str]]) -> LabelSet:
 class Counter:
     """A monotonically increasing count."""
 
-    __slots__ = ("name", "help", "labels", "value", "alias")
+    __slots__ = ("name", "help", "labels", "value")
 
     kind = "counter"
 
@@ -68,7 +68,6 @@ class Counter:
         self.help = help
         self.labels = labels
         self.value = 0
-        self.alias: Optional[str] = None
 
     def inc(self, amount: int = 1) -> None:
         if amount < 0:
@@ -97,7 +96,7 @@ class Counter:
 class Gauge:
     """A point-in-time value that can go up and down."""
 
-    __slots__ = ("name", "help", "labels", "value", "alias")
+    __slots__ = ("name", "help", "labels", "value")
 
     kind = "gauge"
 
@@ -106,7 +105,6 @@ class Gauge:
         self.help = help
         self.labels = labels
         self.value = 0.0
-        self.alias: Optional[str] = None
 
     def set(self, value: float) -> None:
         self.value = value
@@ -136,7 +134,7 @@ class Histogram:
     """
 
     __slots__ = ("name", "help", "labels", "bounds", "bucket_counts",
-                 "count", "sum", "min", "max", "alias")
+                 "count", "sum", "min", "max")
 
     kind = "histogram"
 
@@ -159,7 +157,6 @@ class Histogram:
         self.sum = 0.0
         self.min = math.inf
         self.max = -math.inf
-        self.alias: Optional[str] = None
 
     def observe(self, value: float) -> None:
         self.bucket_counts[bisect.bisect_left(self.bounds, value)] += 1
@@ -228,11 +225,6 @@ class MetricsRegistry:
     that).  Individual ``inc``/``set``/``observe`` calls are *not*
     locked — under the GIL a concurrent reader sees a slightly stale
     but structurally valid value, which is the usual scrape bargain.
-
-    ``alias`` names the metric's retired spelling: renamed metrics
-    keep one back-compat entry in the JSON snapshot (marked with
-    ``alias_of``) so downstream dashboards keyed on the old name keep
-    working; the Prometheus exposition only carries the new name.
     """
 
     enabled = True
@@ -241,7 +233,7 @@ class MetricsRegistry:
         self._metrics: Dict[Tuple[str, LabelSet], object] = {}
         self._lock = threading.RLock()
 
-    def _get(self, cls, name, help, labels, alias=None, **kwargs):
+    def _get(self, cls, name, help, labels, **kwargs):
         key = (name, _labels(labels))
         with self._lock:
             existing = self._metrics.get(key)
@@ -253,8 +245,6 @@ class MetricsRegistry:
                     )
                 return existing
             metric = cls(name, help=help, labels=key[1], **kwargs)
-            if alias is not None:
-                metric.alias = alias
             self._metrics[key] = metric
             return metric
 
@@ -263,18 +253,16 @@ class MetricsRegistry:
         name: str,
         help: str = "",
         labels: Optional[Mapping[str, str]] = None,
-        alias: Optional[str] = None,
     ) -> Counter:
-        return self._get(Counter, name, help, labels, alias=alias)
+        return self._get(Counter, name, help, labels)
 
     def gauge(
         self,
         name: str,
         help: str = "",
         labels: Optional[Mapping[str, str]] = None,
-        alias: Optional[str] = None,
     ) -> Gauge:
-        return self._get(Gauge, name, help, labels, alias=alias)
+        return self._get(Gauge, name, help, labels)
 
     def histogram(
         self,
@@ -282,10 +270,8 @@ class MetricsRegistry:
         help: str = "",
         labels: Optional[Mapping[str, str]] = None,
         bounds: Optional[Sequence[float]] = None,
-        alias: Optional[str] = None,
     ) -> Histogram:
-        return self._get(Histogram, name, help, labels, alias=alias,
-                         bounds=bounds)
+        return self._get(Histogram, name, help, labels, bounds=bounds)
 
     def metrics(self) -> List[object]:
         """Every registered metric, in deterministic (name, labels)
@@ -302,18 +288,8 @@ class MetricsRegistry:
             return self._metrics.get((name, _labels(labels)))
 
     def snapshot(self) -> List[dict]:
-        """JSON-ready dump of every metric; renamed metrics contribute
-        one extra entry under their retired name (``alias_of`` marks
-        it) so old dashboards keep resolving."""
-        entries = []
-        for metric in self.metrics():
-            entry = metric.as_dict()
-            entries.append(entry)
-            alias = getattr(metric, "alias", None)
-            if alias:
-                entries.append({**entry, "name": alias,
-                                "alias_of": metric.name})
-        return entries
+        """JSON-ready dump of every metric."""
+        return [metric.as_dict() for metric in self.metrics()]
 
     def __len__(self) -> int:
         with self._lock:
@@ -335,7 +311,6 @@ class _NullMetric:
     value = 0
     count = 0
     sum = 0.0
-    alias = None
 
     def inc(self, amount=1):  # noqa: D102 - no-op
         pass

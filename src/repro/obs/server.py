@@ -15,8 +15,7 @@ probe, or a human with ``curl`` can hit *while the pipeline runs*.
     pipeline telemetry's probe hook first so queue depths are current.
 
 ``GET /snapshot``
-    The JSON document of :func:`~repro.obs.export.to_json`, including
-    the back-compat alias entries for renamed metrics.
+    The JSON document of :func:`~repro.obs.export.to_json`.
 
 ``GET /healthz``
     Liveness + stage health as JSON: run state, per-stage

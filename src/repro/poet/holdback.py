@@ -167,8 +167,7 @@ class HoldbackBuffer(POETClient):
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self.registry = registry if registry is not None else NULL_REGISTRY
         self._depth_gauge = self.registry.gauge(
-            "poet_holdback_pending_events", "events currently held back",
-            alias="poet_holdback_pending",
+            "poet_holdback_pending_events", "events currently held back"
         )
         self._released_counter = self.registry.counter(
             "poet_holdback_released_total", "events released downstream"

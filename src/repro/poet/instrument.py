@@ -22,7 +22,6 @@ def instrument(
     verify: bool = False,
     registry: Optional[MetricsRegistry] = None,
     tracer: Optional[SpanTracer] = None,
-    event_store: Optional[str] = None,
 ) -> POETServer:
     """Create a POET server wired to a simulation kernel.
 
@@ -32,21 +31,13 @@ def instrument(
     forwards to :class:`POETServer` for delivery accounting; ``tracer``
     is installed on both the kernel (simulated-time tracks and
     happens-before flows) and the server (delivery spans).
-
-    ``event_store`` picks the server-side store layout; when omitted,
-    kernels with encoded timestamps get the struct-of-arrays store
-    (whose appends are O(1) for encoded clocks) and full-clock kernels
-    keep the object store.
     """
-    if event_store is None:
-        event_store = "array" if kernel.clock_backend == "encoded" else "object"
     server = POETServer(
         num_traces=kernel.num_traces,
         trace_names=kernel.trace_names(),
         verify=verify,
         registry=registry,
         tracer=tracer,
-        event_store=event_store,
     )
     if tracer is not None:
         kernel.set_tracer(tracer)

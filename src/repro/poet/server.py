@@ -1,11 +1,13 @@
 """POET server: event collection and causally consistent delivery.
 
-The server owns the :class:`~repro.events.store.EventStore` ("a set of
-events grouped by traces", paper Section V-A) and fans every collected
-event out to connected clients.  The collection order produced by the
-simulation substrate is already a linearization; with ``verify=True``
-the server asserts this invariant on every event, which the test suite
-uses to guard the whole pipeline.
+The server owns the event store ("a set of events grouped by traces",
+paper Section V-A) — always the struct-of-arrays
+:class:`~repro.events.soa.ArrayEventStore`, whose appends cost O(1) for
+the encoded clocks every runtime source stamps — and fans every
+collected event out to connected clients.  The collection order
+produced by the simulation substrate is already a linearization; with
+``verify=True`` the server asserts this invariant on every event,
+which the test suite uses to guard the whole pipeline.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.events.event import Event
-from repro.events.soa import make_event_store
+from repro.events.soa import ArrayEventStore
 from repro.obs.log import get_logger
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.obs.spans import NULL_TRACER, SpanTracer
@@ -48,11 +50,6 @@ class POETServer:
         each collected event's fan-out is recorded as a
         ``poet.deliver`` span on the server's wall-clock track.
         Defaults to the no-op tracer.
-    event_store:
-        Server-side store layout: ``"object"`` (one ``Event`` per
-        collected event, the historical default) or ``"array"`` (the
-        struct-of-arrays :class:`~repro.events.soa.ArrayEventStore`,
-        whose appends cost O(1) for encoded clocks).
     """
 
     def __init__(
@@ -62,28 +59,13 @@ class POETServer:
         verify: bool = False,
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[SpanTracer] = None,
-        event_store: str = "object",
     ):
-        self.store = make_event_store(event_store, num_traces, trace_names)
+        self.store = ArrayEventStore(num_traces, trace_names)
         self._clients: List[POETClient] = []
         self._verify = verify
         self._delivered = [0] * num_traces
         self._tracer = tracer if tracer is not None else NULL_TRACER
-        self.registry = registry if registry is not None else NULL_REGISTRY
-        self._collected_counter = self.registry.counter(
-            "poet_events_collected_total", "events ingested by the server"
-        )
-        self._deliveries_counter = self.registry.counter(
-            "poet_deliveries_total",
-            "event deliveries fanned out (events x clients)",
-        )
-        self._errors_counter = self.registry.counter(
-            "poet_delivery_errors_total",
-            "client on_event callbacks that raised",
-        )
-        self._clients_gauge = self.registry.gauge(
-            "poet_clients", "currently connected clients"
-        )
+        self.use_registry(registry if registry is not None else NULL_REGISTRY)
         #: Client callbacks that raised (plain-int mirror of the
         #: registry counter, live even under the no-op registry).
         self.delivery_errors = 0

@@ -57,7 +57,6 @@ def run_cluster_cell(
     max_events: int = 2000,
     workers: int = 2,
     batch_size: int = DEFAULT_CELL_BATCH_SIZE,
-    clock_backend: str = "fidge",
     kill: bool = False,
     credits: Optional[int] = None,
 ) -> dict:
@@ -78,8 +77,7 @@ def run_cluster_cell(
     if credits is not None:
         cluster_options["credits"] = credits
     cluster = Pipeline.distributed(
-        events, names, workers=workers, clock_backend=clock_backend,
-        **cluster_options,
+        events, names, workers=workers, **cluster_options
     )
     for name, pattern in patterns.items():
         cluster.watch(name, pattern)
@@ -127,7 +125,6 @@ def run_cluster_cell(
         "case": case,
         "seed": seed,
         "workers": workers,
-        "clock_backend": clock_backend,
         "kill": kill,
         "events": outcome.num_events,
         "matches": total_matches,

@@ -7,7 +7,7 @@ This module gives the pipeline a third one — *degrade gracefully*:
 * :class:`OverloadDetector` — a hysteresis state machine over smoothed
   detection-latency and backlog observations.  It keeps an EMA (plus an
   exponentially weighted variance) of the
-  ``ocep_detection_latency_sim_time`` samples and of the hold-back
+  ``ocep_detection_latency_sim_time_units`` samples and of the hold-back
   backlog depth, folds them into a scalar *pressure* (observation /
   engage threshold), and flips ``NORMAL -> SHEDDING -> CRITICAL`` one
   step at a time.  Separate engage and disengage (low-water) marks plus

@@ -362,7 +362,6 @@ def run_shedding_sweep(
     traces: int = 4,
     max_events: int = DEFAULT_SHED_EVENTS,
     shed_band: int = BAND_STRUCTURAL,
-    clock_backend: str = "fidge",
 ) -> ShedReport:
     """The full recall/precision grid: case studies x seeds x rates,
     one utility and one count-matched random cell each.
@@ -382,9 +381,7 @@ def run_shedding_sweep(
     )
     for case in case_names:
         for seed in report.seeds:
-            source = Pipeline.for_case(
-                case, traces, seed, clock_backend=clock_backend
-            )
+            source = Pipeline.for_case(case, traces, seed)
             recorder = source.record()
             source.run(max_events=max_events)
             events = recorder.events

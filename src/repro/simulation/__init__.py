@@ -12,8 +12,8 @@ processes* communicate only by message passing, with
 * receives with source selection including a wildcard ``ANY_SOURCE``,
 * semaphores modelled as separate traces (the μC++ POET plugin
   behaviour the atomicity case study relies on), and
-* Fidge/Mattern vector clocks plus Lamport clocks maintained by the
-  kernel and stamped on every emitted event.
+* encoded vector timestamps (:mod:`repro.clocks.encoded`) plus Lamport
+  clocks maintained by the kernel and stamped on every emitted event.
 
 Events are emitted in simulation-time order, which is a valid
 linearization of the happens-before partial order by construction

@@ -2,8 +2,10 @@
 
 The kernel runs a set of generator-based processes
 (:mod:`repro.simulation.process`) over a buffered message-passing
-network (:mod:`repro.simulation.network`), maintains Fidge/Mattern
-vector clocks and Lamport clocks for every trace, and emits one
+network (:mod:`repro.simulation.network`), maintains encoded vector
+timestamps (:mod:`repro.clocks.encoded`, one shared
+:class:`~repro.clocks.encoded.ClockFrame`) and Lamport clocks for every
+trace, and emits one
 :class:`repro.events.Event` per instrumented action to its sinks in
 simulation-time order — a valid linearization of the happens-before
 partial order by construction.
@@ -29,8 +31,7 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.clocks.lamport import LamportClock
-from repro.clocks.encoded import make_clock_bank, validate_backend
-from repro.clocks.vector_clock import VectorClock
+from repro.clocks.encoded import ClockFrame, EncodedClock
 from repro.events.event import Event, EventId, EventKind
 from repro.obs.spans import NULL_TRACER, SpanTracer
 from repro.simulation.errors import DeadlockError, SimulationError
@@ -119,12 +120,6 @@ class Kernel:
     trace_blocking:
         Emit a ``SendBlock`` event when a send enters the blocked
         state (the instrumented activity deadlock patterns match on).
-    clock_backend:
-        Timestamp scheme for emitted events: ``"fidge"`` (full
-        Fidge/Mattern vectors) or ``"encoded"`` (O(1)-per-event
-        encoded clocks, see :mod:`repro.clocks.encoded`).  Both answer
-        the causality predicates identically; only the cost profile
-        differs.
     """
 
     def __init__(
@@ -137,7 +132,6 @@ class Kernel:
         mean_delay: float = 1.0,
         action_delay: float = 0.1,
         trace_blocking: bool = True,
-        clock_backend: str = "fidge",
     ):
         if num_processes <= 0:
             raise ValueError(f"need at least one process, got {num_processes}")
@@ -162,10 +156,10 @@ class Kernel:
             for i in range(num_semaphores)
         ]
 
-        self.clock_backend = validate_backend(clock_backend)
-        self._clocks, self.clock_frame = make_clock_bank(
-            clock_backend, self.num_traces
-        )
+        self.clock_frame = ClockFrame(self.num_traces)
+        self._clocks: List[EncodedClock] = [
+            self.clock_frame.zero(t) for t in range(self.num_traces)
+        ]
         self._lamports: List[LamportClock] = [
             LamportClock() for _ in range(self.num_traces)
         ]
@@ -318,7 +312,7 @@ class Kernel:
         text: str,
         kind: EventKind,
         partner: Optional[EventId] = None,
-        merge_clock: Optional[VectorClock] = None,
+        merge_clock: Optional[EncodedClock] = None,
         merge_lamport: Optional[int] = None,
     ) -> Event:
         clock = self._clocks[trace]

@@ -24,12 +24,34 @@ generator behind the randomized oracle-equivalence and property tests.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from typing import List, Optional, Sequence
 
-from repro.clocks.encoded import make_clock_bank, validate_backend
+from repro.clocks.encoded import ClockFrame
 from repro.clocks.lamport import LamportClock
+from repro.clocks.vector_clock import VectorClock
 from repro.events.event import Event, EventKind
+
+#: The Weaver's two stamping modes.  The runtime (Kernel, Pipeline,
+#: POETServer, cluster) stamps and stores encoded clocks only; the
+#: Weaver is the one producer of full Fidge/Mattern streams, kept so
+#: tests can diff the two representations.
+CLOCK_BACKENDS = ("fidge", "encoded")
+
+
+def make_clock_bank(backend: str, num_traces: int):
+    """Initial per-trace clocks for ``backend``: ``(clocks, frame)``,
+    ``frame`` being the shared :class:`ClockFrame` of the encoded mode
+    and ``None`` for full vectors."""
+    if backend == "encoded":
+        frame = ClockFrame(num_traces)
+        return [frame.zero(t) for t in range(num_traces)], frame
+    if backend == "fidge":
+        return [VectorClock.zero(num_traces) for _ in range(num_traces)], None
+    raise ValueError(
+        f"unknown clock backend {backend!r}; known: {CLOCK_BACKENDS}"
+    )
 
 
 class Weaver:
@@ -44,7 +66,7 @@ class Weaver:
         if num_traces <= 0:
             raise ValueError(f"need at least one trace, got {num_traces}")
         self.num_traces = num_traces
-        self.clock_backend = validate_backend(clock_backend)
+        self.clock_backend = clock_backend
         self._clocks, self.clock_frame = make_clock_bank(
             clock_backend, num_traces
         )
@@ -122,6 +144,15 @@ class Weaver:
         )
         self.events.append(event)
         return event
+
+
+def full_vectors(events: Sequence[Event]) -> List[Event]:
+    """The same stream stamped with full Fidge/Mattern vectors (what a
+    dump file or a wire batch decodes to)."""
+    return [
+        dataclasses.replace(e, clock=VectorClock(e.clock.components))
+        for e in events
+    ]
 
 
 def random_computation(

@@ -60,7 +60,6 @@ def build_absence(
     jobs_per_worker: int = 25,
     skip_probability: float = 0.04,
     verify_delivery: bool = False,
-    clock_backend: str = "fidge",
 ) -> AbsenceResult:
     """Build the skipped-validation workload.
 
@@ -76,7 +75,6 @@ def build_absence(
         num_processes=num_workers + 1,
         seed=seed,
         buffer_capacity=None,
-        clock_backend=clock_backend,
     )
     server = instrument(kernel, verify=verify_delivery)
     gateway = 0

@@ -51,7 +51,6 @@ def build_atomicity(
     iterations: int = 40,
     bypass_probability: float = 0.01,
     verify_delivery: bool = False,
-    clock_backend: str = "fidge",
 ) -> AtomicityResult:
     """Build the atomicity case-study workload.
 
@@ -68,7 +67,6 @@ def build_atomicity(
         num_semaphores=1,
         seed=seed,
         semaphore_counts=[1],
-        clock_backend=clock_backend,
     )
     server = instrument(kernel, verify=verify_delivery)
     semaphore = Semaphore(0)

@@ -75,7 +75,6 @@ def build_hotpath(
     normal_moves: Tuple[int, int] = (30, 60),
     express_moves: Tuple[int, int] = (4, 8),
     verify_delivery: bool = False,
-    clock_backend: str = "fidge",
 ) -> HotpathResult:
     """Build the courier workload.
 
@@ -93,7 +92,6 @@ def build_hotpath(
         num_processes=num_couriers + 1,
         seed=seed,
         buffer_capacity=None,
-        clock_backend=clock_backend,
     )
     server = instrument(kernel, verify=verify_delivery)
     dispatcher = 0

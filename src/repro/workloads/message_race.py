@@ -41,7 +41,6 @@ def build_message_race(
     seed: int = 0,
     messages_per_sender: int = 50,
     verify_delivery: bool = False,
-    clock_backend: str = "fidge",
 ) -> MessageRaceResult:
     """Build the message-race case-study workload.
 
@@ -58,7 +57,6 @@ def build_message_race(
         num_processes=num_traces,
         seed=seed,
         buffer_capacity=None,
-        clock_backend=clock_backend,
     )
     server = instrument(kernel, verify=verify_delivery)
     collector = 0

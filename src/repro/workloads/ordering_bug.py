@@ -53,7 +53,6 @@ def build_ordering_bug(
     bug_probability: float = 0.01,
     updates_between: int = 2,
     verify_delivery: bool = False,
-    clock_backend: str = "fidge",
 ) -> OrderingBugResult:
     """Build the ordering-bug case-study workload.
 
@@ -77,7 +76,6 @@ def build_ordering_bug(
         num_processes=num_traces,
         seed=seed,
         buffer_capacity=None,
-        clock_backend=clock_backend,
     )
     server = instrument(kernel, verify=verify_delivery)
     leader = 0

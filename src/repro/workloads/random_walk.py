@@ -52,7 +52,6 @@ def build_random_walk(
     skip_probability: float = 0.05,
     buffer_capacity: int = 4,
     verify_delivery: bool = False,
-    clock_backend: str = "fidge",
 ) -> RandomWalkResult:
     """Build the deadlock case-study workload.
 
@@ -81,7 +80,6 @@ def build_random_walk(
         num_processes=num_traces,
         seed=seed,
         buffer_capacity=buffer_capacity,
-        clock_backend=clock_backend,
     )
     server = instrument(kernel, verify=verify_delivery)
 

@@ -61,7 +61,6 @@ def build_traffic_light(
     cycles: int = 20,
     fault_probability: float = 0.02,
     verify_delivery: bool = False,
-    clock_backend: str = "fidge",
 ) -> TrafficLightResult:
     """Build the traffic-light workload.
 
@@ -77,7 +76,6 @@ def build_traffic_light(
         num_processes=num_lights + 1,
         seed=seed,
         buffer_capacity=None,
-        clock_backend=clock_backend,
     )
     server = instrument(kernel, verify=verify_delivery)
     controller = 0

@@ -20,6 +20,7 @@ from repro.engine import Pipeline, case_patterns
 from repro.engine.dispatch import shard_worker
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience.cluster_chaos import run_cluster_cell
+from repro.testing import full_vectors
 
 TRACES = 5
 MAX_EVENTS = 500
@@ -82,8 +83,12 @@ class TestClusterEquivalence:
         _assert_equivalent(result, oracle, case_patterns(TRACES))
 
     def test_encoded_backend_bit_identical(self, workload, oracle):
+        # A full-vector recording (what a dump file loads as) shipped to
+        # workers that transcode it, against the in-process run on the
+        # kernel's native encoded stamps.
+        events, names = workload
         result = _cluster(
-            workload, workers=2, clock_backend="encoded"
+            (full_vectors(events), names), workers=2
         ).run(batch_size=128)
         _assert_equivalent(result, oracle, case_patterns(TRACES))
 

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.clocks import EncodedClock
-from repro.events import ArrayEventStore, EventId, EventStore, make_event_store
-from repro.events.soa import EVENT_STORES
+from repro.events import ArrayEventStore, EventId, EventStore
 from repro.testing import random_computation
 
 
@@ -19,13 +18,6 @@ def _filled_store(seed=5, num_traces=4, steps=80, backend="encoded"):
 
 
 class TestConstruction:
-    def test_layout_registry(self):
-        assert EVENT_STORES == ("object", "array")
-        assert isinstance(make_event_store("object", 2), EventStore)
-        assert isinstance(make_event_store("array", 2), ArrayEventStore)
-        with pytest.raises(ValueError, match="unknown event store"):
-            make_event_store("columnar", 2)
-
     def test_trace_count_validation(self):
         with pytest.raises(ValueError):
             ArrayEventStore(0)
@@ -103,6 +95,38 @@ class TestAddValidation:
             store.add_batch([good, bad])
         assert store.num_events == 1  # the valid prefix was kept
 
+    @pytest.mark.parametrize("failure", ["index-gap", "trace-range",
+                                         "non-dominating"])
+    def test_count_exact_after_rejected_batch(self, failure):
+        """A slice rejected part-way keeps its valid prefix, and the
+        count says so — on every exit, like the reference store."""
+        from repro.clocks import ClockFrame
+        from repro.events import Event, EventKind
+
+        # One frame a trace wider than the stores: the bad trace id
+        # then reaches the columnar fast path (same frame) instead of
+        # the scalar fallback for foreign clocks.
+        frame = ClockFrame(3)
+
+        def event(trace, index, components):
+            return Event(trace=trace, index=index, etype="e", text="",
+                         clock=frame.encode(components, trace),
+                         kind=EventKind.UNARY)
+
+        prefix = [event(0, 1, (1, 4, 0)), event(0, 2, (2, 4, 0)),
+                  event(0, 3, (3, 4, 0))]
+        bad = {
+            "index-gap": event(0, 5, (5, 4, 0)),
+            "trace-range": event(2, 1, (3, 4, 1)),
+            "non-dominating": event(0, 4, (4, 3, 0)),
+        }[failure]
+        stores = [ArrayEventStore(2), EventStore(2)]
+        for store in stores:
+            with pytest.raises(ValueError):
+                store.add_batch(prefix + [bad])
+            assert store.num_events == 3
+            assert store.num_events == sum(len(t) for t in store.traces())
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("backend", ["fidge", "encoded"])
@@ -173,43 +197,3 @@ class TestTraceView:
                 assert a is None
             else:
                 assert a.event_id == b.event_id
-
-    def test_least_successor_matches_object_store(self):
-        weaver, store = _filled_store(steps=120)
-        obj = EventStore(store.num_traces)
-        for event in weaver.events:
-            obj.add(event)
-        for t in range(store.num_traces):
-            for column in range(store.num_traces):
-                limit = len(obj.trace(column)) + 2
-                for value in range(1, limit):
-                    assert (
-                        store.trace(t).first_index_with_column_at_least(
-                            column, value)
-                        == obj.trace(t).first_index_with_column_at_least(
-                            column, value)
-                    ), (t, column, value)
-
-
-class TestColumnQueries:
-    def test_clock_column_matches_materialized_clocks(self):
-        weaver, store = _filled_store(steps=100)
-        for t in range(store.num_traces):
-            for column in range(store.num_traces):
-                col = list(store.clock_column(t, column))
-                expect = [e.clock[column] for e in store.trace(t)]
-                assert col == expect
-
-    def test_clock_value_is_lazy(self):
-        weaver, store = _filled_store()
-        for event in weaver.events:
-            for column in range(store.num_traces):
-                assert (
-                    store.clock_value(event.trace, event.index, column)
-                    == event.clock[column]
-                )
-
-    def test_empty_column(self):
-        store = ArrayEventStore(2)
-        assert list(store.clock_column(0, 1)) == []
-        assert list(store.least_successors(0, 1, [1, 2])) == [0, 0]

@@ -319,11 +319,8 @@ class TestStatsTraceInJson:
         assert latency["count"] > 0
         reports = metrics["ocep_detection_reports_total"]["value"]
         assert reports > 0
-        # The pre-rename name stays scrape-compatible in the JSON
-        # snapshot as an alias entry.
-        legacy = metrics["ocep_detection_latency_sim_time"]
-        assert legacy["alias_of"] == "ocep_detection_latency_sim_time_units"
-        assert legacy["count"] == latency["count"]
+        # The pre-rename name is retired from the JSON snapshot too.
+        assert "ocep_detection_latency_sim_time" not in metrics
 
     def test_detection_latency_in_table_output(self, capsys):
         rc = main(self.ARGS)

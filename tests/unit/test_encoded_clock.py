@@ -2,27 +2,26 @@
 
 import pytest
 
-from repro.clocks import (
+from repro.clocks import ClockFrame, EncodedClock, VectorClock, encode_events
+from repro.testing import (
     CLOCK_BACKENDS,
-    ClockFrame,
-    EncodedClock,
-    VectorClock,
-    encode_events,
+    Weaver,
     make_clock_bank,
-    validate_backend,
+    random_computation,
 )
-from repro.testing import Weaver, random_computation
 
 
 class TestBackendSelection:
+    """The Weaver's two stamping modes (the runtime has only one)."""
+
     def test_known_backends(self):
         assert CLOCK_BACKENDS == ("fidge", "encoded")
         for backend in CLOCK_BACKENDS:
-            assert validate_backend(backend) == backend
+            assert Weaver(2, clock_backend=backend).clock_backend == backend
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown clock backend"):
-            validate_backend("matrix")
+            make_clock_bank("matrix", 2)
 
     def test_clock_bank_fidge(self):
         clocks, frame = make_clock_bank("fidge", 3)

@@ -27,6 +27,10 @@ from repro.resilience.overload import OverloadState
 from repro.testing import Weaver
 
 from tests.unit.test_export_prometheus import parse_exposition
+from tests.unit.test_metric_conformance import (
+    RETIRED_METRIC_NAMES,
+    _full_registry,
+)
 
 AB = "A := ['', A, '']; B := ['', B, '']; pattern := A -> B;"
 TRACES = ["P0", "P1", "P2"]
@@ -62,14 +66,14 @@ class TestEndpoints:
         assert values["demo_total"] == 3
         assert types["ocep_obs_requests_total"] == "counter"
 
-    def test_snapshot_carries_alias_entries(self):
-        registry = MetricsRegistry()
-        registry.counter("new_name_total", "renamed", alias="old_name")
-        with ObsServer(registry) as server:
+    def test_snapshot_omits_retired_names(self):
+        with ObsServer(_full_registry()) as server:
             _, _, body = _get(server.url + "/snapshot")
         metrics = {m["name"]: m for m in json.loads(body)["metrics"]}
-        assert "new_name_total" in metrics
-        assert metrics["old_name"]["alias_of"] == "new_name_total"
+        for retired, current in RETIRED_METRIC_NAMES.items():
+            assert current in metrics
+            assert retired not in metrics
+        assert not any("alias_of" in m for m in metrics.values())
 
     def test_unknown_route_is_404(self):
         with ObsServer(MetricsRegistry()) as server:
