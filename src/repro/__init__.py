@@ -26,7 +26,6 @@ from repro.core import (
     MatchReport,
     Monitor,
     MonitorStats,
-    MultiMonitor,
     OCEPMatcher,
     RepresentativeSubset,
     SweepMode,
@@ -112,7 +111,6 @@ __all__ = [
     "OCEPMatcher",
     "Monitor",
     "MonitorStats",
-    "MultiMonitor",
     "MatcherConfig",
     "SweepMode",
     "Match",

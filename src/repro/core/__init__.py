@@ -7,6 +7,9 @@ This package implements the paper's contribution (Section IV):
   restriction;
 * :mod:`~repro.core.domain` — per-trace candidate domains restricted
   by the causality of already-instantiated events (Figure 4);
+* :mod:`~repro.core.front` — the stream front: the one GP/LS index,
+  communication-epoch row and type route table shared by every pattern
+  watching a stream;
 * :mod:`~repro.core.history` — per-leaf event histories grouped by
   trace, with the O(1) same-epoch pruning rule of Section V-D;
 * :mod:`~repro.core.subset` — the representative subset of matches
@@ -28,12 +31,12 @@ from repro.core.checkpoint import (
     save_checkpoint,
 )
 from repro.core.config import MatcherConfig, SweepMode
+from repro.core.front import StreamFront
 from repro.core.gpls import CausalIndex
 from repro.core.history import HistorySet, LeafHistory
 from repro.core.subset import RepresentativeSubset, Slot
 from repro.core.matcher import Match, MatchReport, OCEPMatcher
 from repro.core.monitor import Monitor, MonitorStats
-from repro.core.multi import MultiMonitor
 from repro.core.oracle import enumerate_matches
 
 __all__ = [
@@ -43,6 +46,7 @@ __all__ = [
     "MatcherConfig",
     "SweepMode",
     "CausalIndex",
+    "StreamFront",
     "HistorySet",
     "LeafHistory",
     "RepresentativeSubset",
@@ -52,6 +56,5 @@ __all__ = [
     "OCEPMatcher",
     "Monitor",
     "MonitorStats",
-    "MultiMonitor",
     "enumerate_matches",
 ]

@@ -7,9 +7,10 @@ the stream suffix, and must converge to the identical final state.
 
 The matcher's entire cross-event state is exactly four structures —
 the per-trace delivered counts (readable off the
-:class:`~repro.core.gpls.CausalIndex` trace lengths), the GP/LS index,
-the leaf histories (with their pruning bookkeeping), and the
-representative subset — everything else is recomputed per trigger.
+:class:`~repro.core.gpls.CausalIndex` trace lengths), the GP/LS index
+and communication epochs of the stream front it reads, the leaf
+histories (with their pruning bookkeeping), and the representative
+subset — everything else is recomputed per trigger.
 Serializing those four therefore makes recovery *exact*: a restored
 monitor fed the stream suffix takes the same search decisions as an
 uninterrupted one, so the final representative subsets are equal, not
@@ -59,6 +60,8 @@ class CheckpointError(ValueError):
 
 def matcher_checkpoint(matcher: "OCEPMatcher") -> dict:
     """Snapshot a matcher's complete cross-event state (JSON-ready)."""
+    if matcher.pinned is not None:
+        return matcher.pinned
     return {
         "format": CHECKPOINT_FORMAT,
         "num_traces": matcher.num_traces,
@@ -110,7 +113,15 @@ def restore_matcher(matcher: "OCEPMatcher", state: dict) -> None:
             f"(this one already processed {matcher.events_processed} events)"
         )
     try:
-        matcher.index.restore(state["index"])
+        lengths = [int(n) for n in state["index"]["lengths"]]
+        epochs = [int(e) for e in state["history"]["comm_epoch"]]
+        if len(lengths) != num_traces or len(epochs) != num_traces:
+            raise CheckpointError(
+                f"index/epoch rows are not {num_traces} traces wide"
+            )
+        if matcher._owns_front:
+            matcher.index.restore(state["index"])
+            matcher.front.comm_epoch[:] = epochs
         matcher.history.restore(state["history"])
         matcher.subset.restore(state["subset"])
         if matcher.negation_history is not None:
@@ -122,6 +133,12 @@ def restore_matcher(matcher: "OCEPMatcher", state: dict) -> None:
             # .get: counters added after a checkpoint was taken
             # restore as zero
             setattr(matcher, name, int(counters.get(name, 0)))
+        matcher.watermark = lengths
+        if not matcher._owns_front:
+            # The shared index is rebuilt by replaying the stream, not
+            # loaded: other readers of it may sit at other positions.
+            matcher.pinned = state
+            matcher.front.resuming += 1
     except CheckpointError:
         raise
     except (KeyError, TypeError, ValueError, IndexError) as exc:

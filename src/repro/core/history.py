@@ -249,15 +249,19 @@ def _position_slice(
 class HistorySet:
     """All leaf histories plus the per-trace pruning bookkeeping."""
 
-    def __init__(self, num_leaves: int, num_traces: int):
+    def __init__(
+        self,
+        num_leaves: int,
+        num_traces: int,
+        comm_epoch: Optional[List[int]] = None,
+    ):
         self.histories = [LeafHistory(i, num_traces) for i in range(num_leaves)]
-        self._comm_epoch = [0] * num_traces
+        #: Send/receive events seen per trace: the stream front's row,
+        #: bumped there once for every history set that reads it.
+        self._comm_epoch = (
+            comm_epoch if comm_epoch is not None else [0] * num_traces
+        )
         self._last_append: List[Optional[int]] = [None] * num_traces
-
-    def bump_comm_epoch(self, trace: int) -> None:
-        """Called for every send/receive event on a trace."""
-        self._comm_epoch[trace] += 1
-        self._last_append[trace] = None
 
     def append(self, leaf_id: int, event: Event, prune: bool) -> None:
         """Record a matched event in a leaf history, pruning when the
@@ -279,22 +283,34 @@ class HistorySet:
     def snapshot(self) -> dict:
         """JSON-ready copy of every leaf history and the pruning
         bookkeeping."""
+        epochs = self._comm_epoch
         return {
-            "comm_epoch": list(self._comm_epoch),
-            "last_append": list(self._last_append),
+            "comm_epoch": list(epochs),
+            # a send/receive since the last append clears the slot: the
+            # epoch rule already forbids pruning across it
+            "last_append": [
+                leaf
+                if leaf is not None
+                and self.histories[leaf]._epochs[trace][-1:] == [epochs[trace]]
+                else None
+                for trace, leaf in enumerate(self._last_append)
+            ],
             "leaves": [h.snapshot() for h in self.histories],
         }
 
     def restore(self, state: dict) -> None:
-        """Rebuild from a :meth:`snapshot` (histories must be fresh)."""
+        """Rebuild from a :meth:`snapshot` (histories must be fresh).
+        The epoch row is the front's to restore, not this reader's."""
         if len(state["leaves"]) != len(self.histories):
             raise ValueError(
                 f"snapshot has {len(state['leaves'])} leaves, "
                 f"history set has {len(self.histories)}"
             )
-        self._comm_epoch = [int(e) for e in state["comm_epoch"]]
         self._last_append = [
             None if v is None else int(v) for v in state["last_append"]
         ]
         for history, leaf_state in zip(self.histories, state["leaves"]):
             history.restore(leaf_state)
+        leaves = range(len(self.histories))
+        if any(v is not None and v not in leaves for v in self._last_append):
+            raise ValueError(f"last_append names no leaf: {self._last_append}")

@@ -41,7 +41,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.config import MatcherConfig, SweepMode
 from repro.core.domain import Interval, restrict
-from repro.core.gpls import CausalIndex
+from repro.core.front import StreamFront, TypeRoutes
 from repro.core.history import HistorySet, LeafHistory
 from repro.core.subset import RepresentativeSubset
 from repro.events.event import Event, EventKind
@@ -49,7 +49,6 @@ from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import NULL_TRACER, SpanTracer
 from repro.obs.trace import SearchTrace
-from repro.patterns.ast import Exact
 from repro.patterns.classes import Bindings
 from repro.patterns.compile import CompiledPattern, Constraint
 from repro.patterns.errors import PatternError
@@ -206,10 +205,15 @@ class _Level:
 class OCEPMatcher:
     """Online matcher for one compiled pattern.
 
-    Feed every event of the monitored computation (in linearization
-    order) to :meth:`on_event`; it returns the match reports the event
-    triggered.  The matcher owns the leaf histories, the GP/LS index,
-    and the representative subset.
+    Feed events of the monitored computation (in linearization order)
+    to :meth:`on_event`; it returns the match reports the event
+    triggered.  The matcher owns the leaf histories and the
+    representative subset and reads the GP/LS index and communication
+    epochs of a :class:`~repro.core.front.StreamFront`.  Built without
+    one it makes a private front, admits every event into it itself and
+    must be fed the whole stream; the owner of a shared ``front`` admits
+    each event first and need not feed those whose type no class of the
+    pattern names.
     """
 
     def __init__(
@@ -217,14 +221,38 @@ class OCEPMatcher:
         pattern: CompiledPattern,
         num_traces: int,
         config: Optional[MatcherConfig] = None,
+        front: Optional[StreamFront] = None,
     ):
         self.pattern = pattern
         self.num_traces = num_traces
         self.config = config or MatcherConfig()
-        self.index = CausalIndex(
-            num_traces, allow_gaps=not self.config.complete_stream
+        self._owns_front = front is None
+        if front is None:
+            front = StreamFront(num_traces, self.config.complete_stream)
+            front.attach(pattern, pattern)  # a key, not a back-reference
+        elif (
+            front.index.num_traces != num_traces
+            or front.index.allow_gaps == self.config.complete_stream
+        ):
+            raise ValueError(
+                f"the stream front has {front.index.num_traces} traces, "
+                f"complete_stream={not front.index.allow_gaps}: a matcher "
+                f"for {num_traces} traces, complete_stream="
+                f"{self.config.complete_stream} cannot read it"
+            )
+        self.front = front
+        self.index = front.index
+        #: Per-trace lengths of the checkpoint restored from: the
+        #: front's owner withholds events at or below it.
+        self.watermark: Optional[List[int]] = None
+        #: The checkpoint of this matcher while it does not stand where
+        #: a *shared* front stands: the one it was restored from while
+        #: the front is behind its watermark (it is handed nothing until
+        #: then), or the one taken when it was quarantined.
+        self.pinned: Optional[dict] = None
+        self.history = HistorySet(
+            pattern.num_leaves, num_traces, front.comm_epoch
         )
-        self.history = HistorySet(pattern.num_leaves, num_traces)
         self.subset = RepresentativeSubset(pattern.num_leaves, num_traces)
         self._terminating = frozenset(pattern.terminating_leaves())
         # Hot-path tables: the dense constraint matrix (indexed instead
@@ -232,18 +260,15 @@ class OCEPMatcher:
         # prefilter keys, so on_event skips the full class match for
         # leaves whose exact type/process/text cannot match the event.
         self._cmat = pattern.constraint_matrix
-        table = (
-            pattern.leaves[0].event_class.trace_names
-            if pattern.leaves else ()
-        )
-        self._trace_name_table = table
-        # A Kleene leaf's history is never pruned (last field): any
-        # class event may later join a reported maximal group, and
-        # pruning keeps only causally interchangeable representatives.
-        self._leaf_filters = [
-            (leaf, *_exact_keys(leaf.event_class, table), not leaf.kleene)
-            for leaf in pattern.leaves
-        ]
+        # (leaf, may prune) by the event types the leaf's class names.
+        # A Kleene leaf's history is never pruned: any class event may
+        # later join a reported maximal group, and pruning keeps only
+        # causally interchangeable representatives.
+        self._leaf_routes = TypeRoutes()
+        for leaf in pattern.leaves:
+            self._leaf_routes.attach(
+                (leaf, not leaf.kleene), leaf.event_class.etypes()
+            )
         # -- v2 operator state -----------------------------------------
         self._v2 = pattern.has_v2_features
         self._kleene_leaves: Tuple[int, ...] = tuple(
@@ -254,13 +279,14 @@ class OCEPMatcher:
         #: (events matching the absent class modulo attribute
         #: variables); consulted by the complete-assignment veto.
         self.negation_history = (
-            HistorySet(len(self._negations), num_traces)
+            HistorySet(len(self._negations), num_traces, front.comm_epoch)
             if self._negations else None
         )
-        self._negation_filters = tuple(
-            (neg.event_class, *_exact_keys(neg.event_class, table))
-            for neg in self._negations
-        )
+        self._negation_routes = TypeRoutes()
+        for d, negation in enumerate(self._negations):
+            self._negation_routes.attach(
+                (d, negation.event_class), negation.event_class.etypes()
+            )
         self._has_windows = bool(pattern.windows)
         self._wsim = pattern.window_matrix_sim
         self._wwall = pattern.window_matrix_wall
@@ -312,39 +338,16 @@ class OCEPMatcher:
 
     def on_event(self, event: Event) -> List[MatchReport]:
         """Process the next event; returns any matches it completed."""
+        if self._owns_front:
+            mark = self.watermark
+            if mark is not None and event.index <= mark[event.trace]:
+                return []  # already reflected in the restored state
+            self.front.admit(event)
         self.events_processed += 1
-        self.index.observe(event)
-        if event.kind.is_communication:
-            self.history.bump_comm_epoch(event.trace)
 
         triggered: List[Tuple[int, Bindings]] = []
         etype = event.etype
-        text = event.text
-        trace = event.trace
-        table = self._trace_name_table
-        trace_name = (
-            table[trace] if 0 <= trace < len(table) else str(trace)
-        )
-        str_trace = str(trace)
-        for (
-            leaf,
-            exact_etype,
-            exact_process,
-            exact_text,
-            allow_prune,
-        ) in self._leaf_filters:
-            # Exact-attribute prefilter: replicate the failing checks of
-            # EventClass.matches without building a bindings dict.
-            if exact_etype is not None and exact_etype != etype:
-                continue
-            if exact_text is not None and exact_text != text:
-                continue
-            if (
-                exact_process is not None
-                and exact_process != trace_name
-                and exact_process != str_trace
-            ):
-                continue
+        for leaf, allow_prune in self._leaf_routes.get(etype):
             env = leaf.event_class.matches(event)
             if env is None:
                 continue
@@ -355,20 +358,9 @@ class OCEPMatcher:
             )
             if leaf.leaf_id in self._terminating:
                 triggered.append((leaf.leaf_id, env))
-
-        for d, (
-            event_class, exact_etype, exact_process, exact_text
-        ) in enumerate(self._negation_filters):
-            # the same prefilter, for potential negation witnesses
-            if (
-                (exact_etype is None or exact_etype == etype)
-                and (exact_text is None or exact_text == text)
-                and (
-                    exact_process is None
-                    or exact_process in (trace_name, str_trace)
-                )
-                and event_class.could_match(event)
-            ):
+        # potential negation witnesses, typed the same way
+        for d, event_class in self._negation_routes.get(etype):
+            if event_class.could_match(event):
                 self.negation_history.append(d, event, prune=False)
 
         reports: List[MatchReport] = []
@@ -507,6 +499,18 @@ class OCEPMatcher:
         from repro.core.checkpoint import restore_matcher
 
         restore_matcher(self, state)
+
+    def pin(self) -> None:
+        """Stop following the shared front (quarantine): the checkpoint
+        is the state as it stands now."""
+        if self.watermark is not None:
+            self.unpin()
+        self.pinned = self.checkpoint()
+
+    def unpin(self) -> None:
+        """The shared front has replayed past the watermark."""
+        self.pinned = self.watermark = None
+        self.front.resuming -= 1
 
     # ------------------------------------------------------------------
     # Backtracking search (Algorithms 1-3)
@@ -1468,22 +1472,6 @@ class OCEPMatcher:
                 detail=f"to level {target}",
             )
         return target
-
-
-def _exact_keys(event_class, table) -> Tuple[Optional[str], ...]:
-    """The ``(etype, process, text)`` values ``event_class`` requires
-    exactly (``None`` where an attribute is a wildcard or a variable):
-    the per-event prefilter keys of :meth:`OCEPMatcher.on_event`, valid
-    against trace names from ``table``."""
-    process = event_class.process
-    text = event_class.text
-    return (
-        event_class.exact_etype(),
-        process.value
-        if isinstance(process, Exact) and event_class.trace_names == table
-        else None,
-        text.value if isinstance(text, Exact) else None,
-    )
 
 
 def _bounds_hull(conflicts) -> Tuple[Optional[int], Optional[int]]:

@@ -21,6 +21,7 @@ import time
 from typing import Callable, List, Optional, Sequence
 
 from repro.core.config import MatcherConfig
+from repro.core.front import StreamFront
 from repro.core.matcher import MatchReport, OCEPMatcher
 from repro.events.event import Event
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
@@ -65,7 +66,10 @@ class Monitor(POETClient):
         Optional callback invoked for every reported match.
     record_timings:
         When true (default), record per-event matching wall time in
-        seconds; :attr:`timings` aligns with delivery order and
+        seconds; :attr:`timings` holds one entry per event the monitor
+        was handed, in delivery order — every event of the stream for a
+        standalone monitor, the routed events for a shard of a
+        :class:`~repro.engine.dispatch.ShardedDispatcher` — and
         :attr:`terminating_timings` holds one entry **per search** (an
         event matching several terminating leaves runs several
         searches and contributes several entries, keeping
@@ -81,6 +85,11 @@ class Monitor(POETClient):
         matcher: each triggered search becomes a ``matcher.search``
         span with nested ``goForward``/``goBackward`` children.
         Defaults to the shared no-op tracer.
+    front:
+        The shared :class:`~repro.core.front.StreamFront` when this
+        monitor is a shard: its owner hands over only the routed events
+        and accounts for the rest through :meth:`advance`.  A standalone
+        monitor's matcher keeps a private one.
     """
 
     def __init__(
@@ -93,8 +102,9 @@ class Monitor(POETClient):
         registry: Optional[MetricsRegistry] = None,
         metric_labels: Optional[dict] = None,
         tracer: Optional[SpanTracer] = None,
+        front: Optional[StreamFront] = None,
     ):
-        self.matcher = OCEPMatcher(pattern, num_traces, config)
+        self.matcher = OCEPMatcher(pattern, num_traces, config, front)
         self.pattern = pattern
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.matcher.tracer = self.tracer
@@ -140,12 +150,6 @@ class Monitor(POETClient):
             "events stored across all leaf histories",
             labels=self._metric_labels,
         )
-        #: Armed by :meth:`restore`: deliveries already reflected in the
-        #: restored matcher state (the checkpointed prefix) are skipped,
-        #: so a recovered monitor can be fed the full recorded stream
-        #: and converge exactly (the ``replay_suffix`` rule, applied on
-        #: the normal delivery path).
-        self._skip_delivered = False
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -153,31 +157,13 @@ class Monitor(POETClient):
 
     @classmethod
     def from_source(
-        cls,
-        source: str,
-        trace_names: Sequence[str],
-        config: Optional[MatcherConfig] = None,
-        on_match: Optional[MatchCallback] = None,
-        record_timings: bool = True,
-        registry: Optional[MetricsRegistry] = None,
-        metric_labels: Optional[dict] = None,
-        tracer: Optional[SpanTracer] = None,
+        cls, source: str, trace_names: Sequence[str], **options
     ) -> "Monitor":
         """Parse, build, and compile a pattern, then wrap it in a
-        monitor for a computation with the given trace names."""
-        definition = parse_pattern(source)
-        tree = PatternTree(definition, trace_names)
-        compiled = compile_pattern(tree)
-        return cls(
-            compiled,
-            num_traces=len(trace_names),
-            config=config,
-            on_match=on_match,
-            record_timings=record_timings,
-            registry=registry,
-            metric_labels=metric_labels,
-            tracer=tracer,
-        )
+        monitor for a computation with the given trace names;
+        ``options`` are the constructor's keyword parameters."""
+        tree = PatternTree(parse_pattern(source), trace_names)
+        return cls(compile_pattern(tree), len(trace_names), **options)
 
     # ------------------------------------------------------------------
     # POET client interface
@@ -185,59 +171,24 @@ class Monitor(POETClient):
 
     def on_event(self, event: Event) -> None:
         """Process one delivered event (the POET client hook)."""
-        if self._skip_delivered and event.index <= self.matcher.index.trace_length(
-            event.trace
-        ):
-            return
-        self._events_counter.inc()
-        if self._record_timings:
-            searches_before = len(self.matcher.search_timings)
-            start = time.perf_counter()
-            reports = self.matcher.on_event(event)
-            elapsed = time.perf_counter() - start
-            self.timings.append(elapsed)
-            # One entry per *search*, not per event: an event matching
-            # several terminating leaves runs several searches, and
-            # len(terminating_timings) must track searches_run.
-            per_search = self.matcher.search_timings[searches_before:]
-            self.terminating_timings.extend(per_search)
-            self._event_latency.observe(elapsed)
-            for search_time in per_search:
-                self._search_latency.observe(search_time)
-        else:
-            reports = self.matcher.on_event(event)
-
-        if reports:
-            self.reports.extend(reports)
-            self._matches_counter.inc(len(reports))
-            if self._on_match is not None:
-                for report in reports:
-                    self._on_match(report)
-        self._refresh_size_gauges()
+        self._handle((event,))
 
     def on_batch(self, events: Sequence[Event]) -> None:
-        """Process a contiguous delivery slice with amortized dispatch.
+        """Process a contiguous delivery slice: the same per-event
+        matcher calls in the same order as :meth:`on_event`, with the
+        monitor's own bookkeeping (event counter, gauges, callbacks)
+        paid once."""
+        if events:
+            self._handle(events)
 
-        The matcher sees the same per-event calls in the same order, so
-        match output (reports, subset, counters) is bit-identical to
-        the per-event path; when timings are on, per-event and
-        per-search wall times are still recorded individually.  What is
-        amortized is the monitor-level overhead around the matcher:
-        event counters, gauge refreshes, and callback bookkeeping are
-        paid once per batch instead of once per event.
-        """
-        if not events:
-            return
-        if self._skip_delivered:
-            trace_length = self.matcher.index.trace_length
-            events = [e for e in events if e.index > trace_length(e.trace)]
-            if not events:
-                return
-        matcher_on_event = self.matcher.on_event
-        batch_reports: List[MatchReport] = []
+    def _handle(self, events: Sequence[Event]) -> None:
+        matcher = self.matcher
+        matcher_on_event = matcher.on_event
+        before = matcher.events_processed
+        found: List[MatchReport] = []
         if self._record_timings:
             timings = self.timings
-            search_timings = self.matcher.search_timings
+            search_timings = matcher.search_timings
             perf_counter = time.perf_counter
             for event in events:
                 searches_before = len(search_timings)
@@ -245,31 +196,41 @@ class Monitor(POETClient):
                 reports = matcher_on_event(event)
                 elapsed = perf_counter() - start
                 timings.append(elapsed)
-                per_search = search_timings[searches_before:]
-                self.terminating_timings.extend(per_search)
                 self._event_latency.observe(elapsed)
-                for search_time in per_search:
-                    self._search_latency.observe(search_time)
+                if len(search_timings) > searches_before:
+                    # One entry per *search*, not per event.
+                    per_search = search_timings[searches_before:]
+                    self.terminating_timings.extend(per_search)
+                    for search_time in per_search:
+                        self._search_latency.observe(search_time)
                 if reports:
-                    batch_reports.extend(reports)
+                    found.extend(reports)
         else:
-            extend = batch_reports.extend
             for event in events:
                 reports = matcher_on_event(event)
                 if reports:
-                    extend(reports)
-        self._events_counter.inc(len(events))
-        if batch_reports:
-            self.reports.extend(batch_reports)
-            self._matches_counter.inc(len(batch_reports))
+                    found.extend(reports)
+        # the matcher does not count the replayed prefix of a restore
+        self._events_counter.inc(matcher.events_processed - before)
+        if found:
+            self.reports.extend(found)
+            self._matches_counter.inc(len(found))
             if self._on_match is not None:
-                for report in batch_reports:
+                for report in found:
                     self._on_match(report)
         self._refresh_size_gauges()
 
+    def advance(self, events: int) -> None:
+        """Account for ``events`` stream events this monitor was not
+        handed because their type is none its pattern names: the event
+        counters keep meaning stream position."""
+        self.matcher.events_processed += events
+        self._events_counter.inc(events)
+
     def _refresh_size_gauges(self) -> None:
-        self._subset_gauge.set(len(self.matcher.subset))
-        self._history_gauge.set(self.matcher.history.total_size())
+        if self.registry.enabled:
+            self._subset_gauge.set(len(self.matcher.subset))
+            self._history_gauge.set(self.matcher.history.total_size())
 
     # ------------------------------------------------------------------
     # Checkpoint / recovery
@@ -288,22 +249,23 @@ class Monitor(POETClient):
         """Load a :meth:`checkpoint` (this monitor must be fresh —
         same pattern shape and trace count, no events processed).
 
-        Restoring arms suffix-skipping: deliveries already reflected in
-        the checkpoint are ignored by :meth:`on_event`/:meth:`on_batch`,
-        so the recovered monitor can simply be reconnected to a replay
-        of the full recorded stream.  Size gauges are refreshed
-        immediately — :meth:`stats` and metric scrapes see the restored
-        subset/history sizes without waiting for the next delivery."""
+        Restoring arms suffix-skipping in the stream front: deliveries
+        already reflected in the checkpoint are not processed again, so
+        the recovered monitor can simply be reconnected to a replay of
+        the full recorded stream.  (A shard is restored through its
+        dispatcher, whose front applies the rule.)  Size gauges are
+        refreshed immediately — :meth:`stats` and metric scrapes see the
+        restored subset/history sizes without waiting for the next
+        delivery."""
         self.matcher.restore(state)
-        self._skip_delivered = True
         self._refresh_size_gauges()
 
     def delivered_counts(self) -> List[int]:
         """Events processed so far per trace (the replay watermark)."""
-        return [
-            self.matcher.index.trace_length(t)
-            for t in range(self.matcher.num_traces)
-        ]
+        matcher = self.matcher
+        if matcher.pinned is not None:
+            return list(matcher.pinned["index"]["lengths"])
+        return [matcher.index.trace_length(t) for t in range(matcher.num_traces)]
 
     def replay_suffix(self, events: Sequence[Event]) -> int:
         """Feed a recorded linearization, skipping the prefix already

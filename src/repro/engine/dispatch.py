@@ -1,32 +1,39 @@
-"""Sharded multi-pattern dispatch: one delivery stream, N matchers.
+"""Sharded multi-pattern dispatch: one stream front, N matchers.
 
-The paper's monitor consumes one linearization for one pattern; a
-deployment watches many patterns at once.  :class:`ShardedDispatcher`
-is the pipeline stage doing that fan-out: each watched pattern is a
-*shard* — an independent :class:`~repro.core.monitor.Monitor` with its
-own matcher state, ``pattern=<name>``-labelled metrics, span track,
-and failure quarantine (inherited from
-:class:`~repro.core.multi.MultiMonitor`).  One pass over the
-computation therefore produces exactly the per-pattern matches,
-counters, and subsets that N independent single-pattern runs would —
-an equivalence the engine test suite and the CI pipeline-smoke job
-assert on seeds 0..9.
+A deployment watches many patterns at once.  Each watched pattern of a
+:class:`ShardedDispatcher` is a *shard* — a
+:class:`~repro.core.monitor.Monitor` with its own matcher state,
+``pattern=<name>``-labelled metrics, span track and failure quarantine —
+and all shards read one :class:`~repro.core.front.StreamFront`: an event
+is validated, indexed and typed once, then handed only to the shards
+whose pattern names its type.  One pass still produces exactly the
+matches, counters and subsets of N independent single-pattern runs
+(``tests/property/test_shared_front.py``, CI ``pipeline-smoke``).
 
-On top of the plain multiplexer the dispatcher adds the batch-first
-engine surface: ``dispatch.batch`` spans around each delivered slice,
-and whole-deployment checkpoint/restore so a sharded pipeline can
-crash and resume as one unit.
+    >>> dispatcher = ShardedDispatcher(trace_names)
+    >>> dispatcher.watch("races", race_pattern)
+    >>> server.connect(dispatcher)
+    >>> kernel.run()
+    >>> dispatcher["races"].reports
 """
 
 from __future__ import annotations
 
+import contextlib
 import zlib
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.multi import MultiMonitor, NamedMatchCallback
+from repro.core.config import MatcherConfig
+from repro.core.front import StreamFront
+from repro.core.matcher import MatchReport
+from repro.core.monitor import MatchCallback, Monitor, MonitorStats
 from repro.events.event import Event
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import SpanTracer
+from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
+from repro.obs.spans import NULL_TRACER, SpanTracer
+from repro.poet.client import POETClient
+
+#: Callback receiving (pattern name, report).
+NamedMatchCallback = Callable[[str, MatchReport], None]
 
 #: Format tag of a sharded checkpoint document.
 CHECKPOINT_FORMAT = "ocep-sharded-checkpoint-v1"
@@ -61,21 +68,40 @@ def worker_shards(names: Sequence[str], num_workers: int) -> List[List[str]]:
     return assignment
 
 
-class ShardedDispatcher(MultiMonitor):
-    """A :class:`~repro.core.multi.MultiMonitor` with engine semantics.
+class _Shard:
+    """One watched pattern, as the delivery loop sees it."""
 
-    Everything a ``MultiMonitor`` provides is preserved — ``watch``,
-    per-event and batched fan-out, quarantine isolation, per-shard
-    stats and metrics.  The dispatcher layers on:
+    __slots__ = ("name", "monitor", "synced", "routed", "routed_counter")
 
-    * ``dispatch.batch`` spans (on the ``engine.dispatch`` track) so a
-      trace shows each delivered slice and the shards that consumed it;
-    * :meth:`checkpoint` / :meth:`restore` for the whole shard set as
-      one JSON-ready document, delegating to each shard's monitor
-      (restored shards skip already-delivered events, so resuming is
-      just reconnecting the dispatcher to a replay of the full stream);
-    * :meth:`signatures` — the per-shard representative-subset
-      signatures used by the equivalence checks.
+    def __init__(self, name, monitor, synced, routed_counter):
+        self.name = name
+        self.monitor = monitor
+        #: Stream position the monitor's event counters account for.
+        self.synced = synced
+        #: Events handed to the monitor (published once per slice).
+        self.routed = 0
+        self.routed_counter = routed_counter
+
+
+class ShardedDispatcher(POETClient):
+    """A POET client fanning one stream into several pattern monitors.
+
+    Delivery is event-major: an event is admitted into the shared front,
+    typed by one route-table probe and handed to the routed healthy
+    shards before the next is admitted, so a shard searches with the
+    index exactly where a standalone monitor's would stand.  A shard's
+    ``events_processed`` / ``MonitorStats.events_seen`` /
+    ``ocep_monitor_events_total`` keep meaning *stream position* (events
+    offered while healthy, routed or not).
+
+    A *shard* raising on a routed event is quarantined: detached, state
+    frozen at the failing event and readable, other shards unaffected.
+    A malformed *stream* (per-trace regression or duplicate) is the same
+    for every shard: the front raises it once, to the caller.
+
+    ``on_match(name, report)`` sees every match of every shard;
+    ``registry`` and ``tracer`` are shared by the shards (each under its
+    own ``pattern=<name>`` label / track) and default to the no-op ones.
     """
 
     def __init__(
@@ -85,16 +111,98 @@ class ShardedDispatcher(MultiMonitor):
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[SpanTracer] = None,
     ):
-        super().__init__(
-            trace_names, on_match=on_match, registry=registry, tracer=tracer
-        )
+        self.trace_names = tuple(trace_names)
+        self._on_match = on_match
+        self.registry = registry if registry is not None else NULL_REGISTRY
+        self.tracer = tracer if tracer is not None else NULL_TRACER
+        #: Built by the first :meth:`watch` (with its ``complete_stream``).
+        self.front: Optional[StreamFront] = None
+        self._shards: Dict[str, _Shard] = {}
+        self._live: List[_Shard] = []
+        self.events_seen = 0
         self.batches_seen = 0
+        #: Failure isolation: name -> the exception its monitor raised.
+        self._quarantined: Dict[str, BaseException] = {}
+        self.quarantined_total = 0
+        self._quarantine_counter = self.registry.counter(
+            "ocep_multi_quarantined_total",
+            "pattern shards detached after raising on a routed event",
+        )
+
+    # ------------------------------------------------------------------
+    # Configuration
+    # ------------------------------------------------------------------
+
+    def watch(
+        self,
+        name: str,
+        pattern_source: str,
+        config: Optional[MatcherConfig] = None,
+        record_timings: bool = True,
+        on_match: Optional[MatchCallback] = None,
+    ) -> Monitor:
+        """Add a named pattern; returns its monitor.
+
+        ``on_match`` is a per-shard callback (just the report) beside
+        the dispatcher-level one.  A pattern added after events have
+        flowed joins at the current stream position: the shared index it
+        reads is complete, but its histories — and so its matches — hold
+        only events delivered from now on.  ``config.complete_stream``
+        is a property of the stream: it must agree with earlier shards.
+        """
+        if name in self._shards:
+            raise ValueError(f"already watching a pattern named {name!r}")
+        callback = None
+        if self._on_match is not None or on_match is not None:
+            outer = self._on_match
+            shard_callback = on_match
+
+            def callback(report: MatchReport, _name: str = name) -> None:
+                if outer is not None:
+                    outer(_name, report)
+                if shard_callback is not None:
+                    shard_callback(report)
+
+        front = self.front
+        if front is None:
+            complete = config.complete_stream if config is not None else True
+            front = StreamFront(len(self.trace_names), complete)
+        monitor = Monitor.from_source(
+            pattern_source,
+            self.trace_names,
+            config=config,
+            on_match=callback,
+            record_timings=record_timings,
+            registry=self.registry,
+            metric_labels={"pattern": name},
+            tracer=self.tracer,
+            front=front,
+        )
+        self.front = front
+        routed_counter = self.registry.counter(
+            "ocep_dispatch_routed_events_total",
+            "events handed to the shard: those whose type its pattern "
+            "names, out of the ocep_monitor_events_total offered",
+            labels={"pattern": name},
+        )
+        shard = _Shard(name, monitor, self.events_seen, routed_counter)
+        self._shards[name] = shard
+        self._live.append(shard)
+        # by name: a shard object in the route table would close a
+        # reference cycle through its matcher's front
+        front.attach(name, monitor.pattern)
+        return monitor
 
     # ------------------------------------------------------------------
     # Delivery
     # ------------------------------------------------------------------
 
+    def on_event(self, event: Event) -> None:
+        """Deliver one event: a slice of one."""
+        self._deliver((event,))
+
     def on_batch(self, events: Sequence[Event]) -> None:
+        """Deliver a contiguous slice of the linearization."""
         if not events:
             return
         self.batches_seen += 1
@@ -105,12 +213,121 @@ class ShardedDispatcher(MultiMonitor):
                 args={
                     "events": len(events),
                     "first": repr(events[0].event_id),
-                    "shards": len(self) - len(self.quarantined),
+                    "shards": len(self._live),
                 },
             ):
-                super().on_batch(events)
+                self._deliver(events)
         else:
-            super().on_batch(events)
+            self._deliver(events)
+
+    def _deliver(self, events: Sequence[Event]) -> None:
+        front = self.front
+        if front is None:
+            self.events_seen += len(events)
+            return
+        admit, routes, hand = front.admit, front.routes, self._hand
+        by_type = routes.by_type
+        shards = self._shards
+        # shards restored ahead of a front replaying from the start
+        behind = [
+            s for s in self._live if s.monitor.matcher.watermark is not None
+        ] if front.resuming else None
+        seen = self.events_seen
+        try:
+            for event in events:
+                admit(event)
+                routed = by_type.get(event.etype, routes.wild)
+                if behind:
+                    routed = _past_watermark(event, routed, behind)
+                try:
+                    for name in routed:
+                        hand(shards[name], event, seen)
+                except BaseException:
+                    # An interrupt escaping a shard: the others get the
+                    # event first, so that all stand at one stream
+                    # position when the caller checkpoints.
+                    for name in routed:
+                        if shards[name].synced <= seen:
+                            with contextlib.suppress(BaseException):
+                                hand(shards[name], event, seen)
+                    seen += 1
+                    raise
+                seen += 1
+        finally:
+            self.events_seen = seen
+            publish = self.registry.enabled
+            for shard in self._live:
+                if shard.synced != seen:
+                    shard.monitor.advance(seen - shard.synced)
+                    shard.synced = seen
+                if publish:
+                    shard.routed_counter.set_total(shard.routed)
+            if behind:
+                length = front.index.trace_length
+                for shard in behind:
+                    matcher = shard.monitor.matcher
+                    mark = matcher.watermark
+                    if mark is not None and all(
+                        length(t) >= mark[t] for t in range(len(mark))
+                    ):
+                        matcher.unpin()
+
+    def _hand(self, shard: _Shard, event: Event, seen: int) -> None:
+        """Hand the event at stream position ``seen`` to a routed shard,
+        first accounting for the unrouted events since its last one."""
+        monitor = shard.monitor
+        if shard.synced != seen:
+            monitor.advance(seen - shard.synced)
+        shard.synced = seen + 1
+        shard.routed += 1
+        try:
+            monitor.on_event(event)
+        except Exception as exc:  # noqa: BLE001 - isolation boundary
+            # quarantine, frozen at this event (checkpoint included)
+            monitor.matcher.pin()
+            self.front.routes.detach(shard.name)
+            self._live = [s for s in self._live if s is not shard]
+            self._quarantined[shard.name] = exc
+            self.quarantined_total += 1
+            self._quarantine_counter.inc()
+
+    # ------------------------------------------------------------------
+    # Access
+    # ------------------------------------------------------------------
+
+    def __getitem__(self, name: str) -> Monitor:
+        return self._shards[name].monitor
+
+    def __contains__(self, name: str) -> bool:
+        return name in self._shards
+
+    def __iter__(self) -> Iterator[Tuple[str, Monitor]]:
+        return ((name, s.monitor) for name, s in self._shards.items())
+
+    def __len__(self) -> int:
+        return len(self._shards)
+
+    @property
+    def quarantined(self) -> Dict[str, BaseException]:
+        """Quarantined pattern names mapped to the exception raised."""
+        return dict(self._quarantined)
+
+    def is_quarantined(self, name: str) -> bool:
+        return name in self._quarantined
+
+    def stats(self) -> Dict[str, MonitorStats]:
+        """Per-pattern statistics, keyed by pattern name (quarantined
+        monitors included — their counters froze at the failure)."""
+        return {name: monitor.stats() for name, monitor in self}
+
+    def quarantine_report(self) -> Dict[str, str]:
+        """Quarantined pattern names mapped to ``repr`` of the error
+        (JSON-ready companion to :meth:`stats`)."""
+        return {name: repr(exc) for name, exc in self._quarantined.items()}
+
+    def total_reports(self) -> int:
+        """Matches reported across all patterns."""
+        return sum(len(monitor.reports) for _name, monitor in self)
 
     # ------------------------------------------------------------------
     # Checkpoint / recovery
@@ -166,8 +383,24 @@ class ShardedDispatcher(MultiMonitor):
         return {name: mon.subset.signature() for name, mon in self}
 
 
+def _past_watermark(
+    event: Event, routed: Sequence[str], behind: Sequence[_Shard]
+) -> List[str]:
+    """The routed shard names minus those whose restored state already
+    reflects ``event`` (at or below their checkpoint's per-trace
+    length): for them it was never offered again."""
+    held = []
+    for shard in behind:
+        mark = shard.monitor.matcher.watermark
+        if mark is not None and event.index <= mark[event.trace]:
+            shard.synced += 1
+            held.append(shard.name)
+    return [name for name in routed if name not in held]
+
+
 __all__ = [
     "CHECKPOINT_FORMAT",
+    "NamedMatchCallback",
     "ShardedDispatcher",
     "shard_worker",
     "worker_shards",

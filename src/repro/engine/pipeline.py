@@ -43,9 +43,12 @@ from repro.clocks.encoded import EncodedClock, StreamEncoder
 from repro.core.config import MatcherConfig
 from repro.core.matcher import MatchReport
 from repro.core.monitor import MatchCallback, Monitor, MonitorStats
-from repro.core.multi import NamedMatchCallback
 from repro.engine.cases import CASES, build_case
-from repro.engine.dispatch import CHECKPOINT_FORMAT, ShardedDispatcher
+from repro.engine.dispatch import (
+    CHECKPOINT_FORMAT,
+    NamedMatchCallback,
+    ShardedDispatcher,
+)
 from repro.events.event import Event
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.server import ObsServer

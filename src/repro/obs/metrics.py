@@ -28,8 +28,8 @@ integers and publishing them into the registry at snapshot time — see
 
 Metric identity is ``(name, labels)`` where ``labels`` is a sorted
 tuple of ``(key, value)`` pairs, mirroring the Prometheus data model;
-:class:`~repro.core.multi.MultiMonitor` uses a ``pattern`` label to
-keep per-pattern series apart in one registry.
+:class:`~repro.engine.dispatch.ShardedDispatcher` uses a ``pattern``
+label to keep per-pattern series apart in one registry.
 """
 
 from __future__ import annotations

@@ -39,7 +39,7 @@ STAGE_MODULES: Dict[str, str] = {
     "repro.resilience.faults": "faults",
     "repro.resilience.overload": "shedder",
     "repro.engine.dispatch": "dispatcher",
-    "repro.core.multi": "dispatcher",
+    "repro.core.front": "dispatcher",
     "repro.core": "monitors",
     "repro.clocks": "monitors",
     "repro.events": "monitors",

@@ -148,11 +148,13 @@ class EventClass:
         # -1 = resolved to a nonexistent trace: matches nowhere
         return self._trace_ids.get(value, -1)
 
-    def exact_etype(self) -> Optional[str]:
-        """The exact event type this class requires, or ``None`` when
-        the type attribute is a wildcard or variable — a cheap
-        prefilter key for per-event leaf dispatch."""
-        return self.etype.value if isinstance(self.etype, Exact) else None
+    def etypes(self) -> Optional[frozenset]:
+        """The event types this class names exactly, or ``None`` when
+        the type attribute is a wildcard or variable (any type may
+        match) — the routing key of per-event dispatch."""
+        if isinstance(self.etype, Exact):
+            return frozenset((self.etype.value,))
+        return None
 
     def required_text(self, bindings: Optional[Bindings]) -> Optional[str]:
         """The exact text a candidate must carry, when determinable —
@@ -259,11 +261,10 @@ class UnionClass:
             return pins.pop()
         return None
 
-    def exact_etype(self) -> Optional[str]:
-        etypes = {branch.exact_etype() for branch in self.alternatives}
-        if len(etypes) == 1:
-            return etypes.pop()
-        return None
+    def etypes(self) -> Optional[frozenset]:
+        """Every branch's types; ``None`` when a branch leaves it open."""
+        named = [branch.etypes() for branch in self.alternatives]
+        return None if None in named else frozenset().union(*named)
 
     def required_text(self, bindings: Optional[Bindings]) -> Optional[str]:
         texts = {branch.required_text(bindings) for branch in self.alternatives}

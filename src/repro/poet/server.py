@@ -123,8 +123,8 @@ class POETServer:
         ``delivery_errors``/``poet_delivery_errors_total``, and the
         first error is re-raised once fan-out has completed.  (A client
         that should survive its own failures — e.g. a quarantining
-        :class:`~repro.core.multi.MultiMonitor` — must catch them
-        itself; the server never silently swallows an error.)
+        :class:`~repro.engine.dispatch.ShardedDispatcher` — must catch
+        them itself; the server never silently swallows an error.)
         """
         if self._verify:
             self._check_order(event)

@@ -367,6 +367,7 @@ class EventUtilityScorer:
         if not matchers:
             raise ValueError("scorer needs at least one monitor/matcher")
         self._matchers = matchers
+        self._fronts = list({id(m.front): m.front for m in matchers}.values())
         # Leaves participating in any PARTNER (<>) constraint, per
         # matcher — the "pinned trace" refinement only applies there.
         self._partner_leaves: List[Tuple[int, ...]] = []
@@ -380,48 +381,38 @@ class EventUtilityScorer:
 
     def score(self, event: Event) -> int:
         """The event's utility band (max across watched shards)."""
-        best = BAND_CHAFF
+        communication = event.kind.is_communication
+        best = BAND_STRUCTURAL if communication else BAND_CHAFF
+        # One probe per stream front: a type no bucket names matches no
+        # leaf of any watched pattern, without touching a shard.
+        named = any(front.routes.get(event.etype) for front in self._fronts)
         for position, matcher in enumerate(self._matchers):
-            band = self._score_one(position, matcher, event)
+            band = BAND_CHAFF
+            if named:
+                band = self._leaf_band(matcher, event)
+                if band == BAND_COMPLETING:
+                    return band
+            if (
+                band < BAND_LEAF
+                and communication
+                and self._partner_pinned(position, matcher, event)
+            ):
+                band = BAND_LEAF
             if band > best:
                 best = band
-                if best == BAND_COMPLETING:
-                    break
         return best
 
-    def _score_one(self, position: int, matcher, event: Event) -> int:
-        etype = event.etype
-        text = event.text
-        trace = event.trace
-        table = matcher._trace_name_table
-        trace_name = table[trace] if 0 <= trace < len(table) else str(trace)
-        str_trace = str(trace)
-        hit = False
-        for leaf, exact_etype, exact_process, exact_text, _ in matcher._leaf_filters:
-            if exact_etype is not None and exact_etype != etype:
-                continue
-            if exact_text is not None and exact_text != text:
-                continue
-            if (
-                exact_process is not None
-                and exact_process != trace_name
-                and exact_process != str_trace
-            ):
-                continue
+    def _leaf_band(self, matcher, event: Event) -> int:
+        band = BAND_CHAFF
+        for leaf in matcher.pattern.leaves:
             if leaf.event_class.matches(event) is None:
                 continue
-            hit = True
+            band = BAND_LEAF
             if leaf.leaf_id in matcher._terminating and self._others_nonempty(
                 matcher, leaf.leaf_id
             ):
                 return BAND_COMPLETING
-        if hit:
-            return BAND_LEAF
-        if event.kind.is_communication:
-            if self._partner_pinned(position, matcher, event):
-                return BAND_LEAF
-            return BAND_STRUCTURAL
-        return BAND_CHAFF
+        return band
 
     @staticmethod
     def _others_nonempty(matcher, leaf_id: int) -> bool:

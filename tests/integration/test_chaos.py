@@ -3,7 +3,8 @@ and the chaos matrix end to end."""
 
 import pytest
 
-from repro import Kernel, Monitor, MultiMonitor, instrument
+from repro import Kernel, Monitor, instrument
+from repro.engine import ShardedDispatcher
 from repro.poet import RecordingClient
 from repro.poet.holdback import HoldbackBuffer
 from repro.resilience import (
@@ -138,17 +139,20 @@ class TestChaosMatrix:
 class TestQuarantine:
     def test_failing_pattern_monitor_is_isolated(self):
         events, names = _recorded_stream(seed=1)
-        multi = MultiMonitor(names)
+        multi = ShardedDispatcher(names)
         multi.watch("good", AB)
         bad = multi.watch("bad", AB)
 
-        fail_at = len(events) // 2
+        # the shard is handed only the events its pattern names: fail
+        # on the first of those past the middle of the stream
+        fail_at = next(
+            i for i in range(len(events) // 2, len(events))
+            if events[i].etype in ("A", "B")
+        )
         original = bad.matcher.on_event
-        calls = {"n": 0}
 
         def exploding(event):
-            calls["n"] += 1
-            if calls["n"] == fail_at:
+            if event is events[fail_at]:
                 raise RuntimeError("matcher corrupted")
             return original(event)
 
@@ -164,15 +168,15 @@ class TestQuarantine:
         # The healthy pattern saw the whole stream...
         assert multi["good"].matcher.events_processed == len(events)
         # ...the failed one froze at the failure and stayed readable.
-        assert multi["bad"].matcher.events_processed == fail_at - 1
-        assert multi["bad"].stats().events_seen == fail_at - 1
+        assert multi["bad"].matcher.events_processed == fail_at
+        assert multi["bad"].stats().events_seen == fail_at
 
     def test_quarantined_monitor_counted_in_registry(self):
         from repro.obs import MetricsRegistry
 
         events, names = _recorded_stream(seed=1)
         registry = MetricsRegistry()
-        multi = MultiMonitor(names, registry=registry)
+        multi = ShardedDispatcher(names, registry=registry)
         bad = multi.watch("bad", AB)
         bad.matcher.on_event = lambda event: (_ for _ in ()).throw(
             RuntimeError("dead on arrival")
@@ -188,9 +192,9 @@ class TestQuarantine:
 
     def test_server_survives_when_multi_absorbs_failure(self):
         """End to end: POETServer keeps a verified stream flowing while
-        MultiMonitor quarantines a poisoned pattern."""
+        the dispatcher quarantines a poisoned pattern."""
         kernel, server = _producer_consumer(seed=7)
-        multi = MultiMonitor(kernel.trace_names())
+        multi = ShardedDispatcher(kernel.trace_names())
         multi.watch("good", AB)
         bad = multi.watch("bad", AB)
         bad.matcher.on_event = lambda event: (_ for _ in ()).throw(

@@ -1,7 +1,7 @@
-"""Integration: MultiMonitor over live workloads, with tooling round trips."""
+"""Integration: multi-pattern dispatch over live workloads, with tooling round trips."""
 
-from repro import MultiMonitor
 from repro.analysis import compute_metrics, render_diagram, to_dot
+from repro.engine import ShardedDispatcher
 from repro.poet import RecordingClient
 from repro.workloads import (
     build_traffic_light,
@@ -24,7 +24,7 @@ class TestTrafficLightPipeline:
             fault_probability=fault_probability,
             verify_delivery=True,
         )
-        multi = MultiMonitor(workload.kernel.trace_names())
+        multi = ShardedDispatcher(workload.kernel.trace_names())
         multi.watch("conflict", traffic_light_pattern())
         multi.watch("handshake", HANDSHAKE)
         workload.server.connect(multi)

@@ -133,6 +133,12 @@ class TestValidation:
         with pytest.raises(CheckpointError):
             _monitor().restore(state)
 
+    def test_last_append_naming_no_leaf_rejected(self):
+        state = _run(_events()).checkpoint()
+        state["history"]["last_append"] = [99, None, None]
+        with pytest.raises(CheckpointError, match="last_append"):
+            _monitor().restore(state)
+
     def test_missing_header_rejected(self):
         with pytest.raises(CheckpointError, match="header"):
             _monitor().restore({"index": {}})

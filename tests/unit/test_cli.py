@@ -141,6 +141,13 @@ class TestStatsCommand:
             > 0
         )
 
+    def test_describe_lists_routed_beside_offered(self, capsys):
+        rc = main(self.ARGS + ["--describe"])
+        assert rc == 0
+        table = capsys.readouterr().out
+        assert "| `ocep_dispatch_routed_events_total` | counter | `pattern` |" in table
+        assert "| `ocep_monitor_events_total` | counter | `pattern` |" in table
+
     def test_prometheus_output_to_file(self, tmp_path, capsys):
         out_file = tmp_path / "metrics.prom"
         rc = main(self.ARGS + ["--format", "prometheus",

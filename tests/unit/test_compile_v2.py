@@ -140,7 +140,7 @@ pattern := R -> !V -> C;
         (spec,) = pattern.negations
         assert spec.left_leaf == 0
         assert spec.right_leaf == 1
-        assert spec.event_class.exact_etype() == "Validate"
+        assert spec.event_class.etypes() == {"Validate"}
         # the surviving anchors keep their ordinary precedence edge
         assert pattern.constraint(0, 1) is Constraint.BEFORE
 

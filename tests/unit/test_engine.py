@@ -218,6 +218,151 @@ class TestDispatcherCheckpoint:
             pipeline.restore(state)
 
 
+class TestSharedStreamFront:
+    """One index, one epoch row, one route table per deployment."""
+
+    def _dispatcher(self, *names):
+        dispatcher = ShardedDispatcher(TRACES)
+        for name in names:
+            dispatcher.watch(name, {"ab": AB, "ba": BA}[name])
+        return dispatcher
+
+    def _standalone(self, source, events):
+        monitor = Monitor.from_source(source, TRACES)
+        monitor.on_batch(events)
+        return monitor
+
+    def test_shards_read_one_index_and_one_epoch_row(self):
+        dispatcher = self._dispatcher("ab", "ba")
+        front = dispatcher.front
+        for _name, monitor in dispatcher:
+            assert monitor.matcher.front is front
+            assert monitor.matcher.index is front.index
+            assert monitor.matcher.history._comm_epoch is front.comm_epoch
+        dispatcher.on_batch(_ab_stream())
+        assert sum(front.comm_epoch) == sum(
+            e.kind.is_communication for e in _ab_stream()
+        )
+
+    def test_late_watch_joins_at_the_current_stream_position(self):
+        """Regression: a pattern watched after events had flowed built
+        a fresh index, rejected its first event ('observed event 3,
+        expected 1') and was silently quarantined."""
+        events = _ab_stream()
+        dispatcher = self._dispatcher("ab")
+        dispatcher.on_batch(events[:5])
+        late = dispatcher.watch("late", AB)
+        dispatcher.on_batch(events[5:])
+        assert not dispatcher.quarantined
+        assert late.matcher.events_processed == len(events) - 5
+        # its histories hold the suffix only: A@P0 (7th event) -> B@P1
+        assert [r.trigger_event for r in late.reports] == [events[-1]]
+        assert all(a.index > 1 for r in late.reports
+                   for _leaf, a in r.assignment)
+        assert dispatcher["ab"].matcher.events_processed == len(events)
+
+    def test_restored_shard_next_to_a_fresh_one(self):
+        events = _ab_stream()
+        first = self._dispatcher("ab")
+        first.on_batch(events[:5])
+        state = json.loads(json.dumps(first.checkpoint()))
+
+        mixed = self._dispatcher("ab", "ba")
+        mixed.restore(state)  # "ab" resumes at 5, "ba" starts fresh
+        assert mixed["ab"].delivered_counts() == first["ab"].delivered_counts()
+        assert mixed["ab"].checkpoint() == state["shards"]["ab"]
+        for start in range(0, len(events), 2):
+            mixed.on_batch(events[start:start + 2])
+        for name, source in (("ab", AB), ("ba", BA)):
+            alone = self._standalone(source, events)
+            assert mixed[name].matcher.counters() == alone.matcher.counters()
+            assert mixed[name].subset.signature() == alone.subset.signature()
+            assert mixed[name].checkpoint() == alone.checkpoint()
+        assert mixed["ab"].matcher.events_processed == len(events)
+        assert mixed.front.resuming == 0
+
+    def test_shard_quarantined_mid_slice_keeps_exact_position(self):
+        events = _ab_stream()
+        dispatcher = self._dispatcher("ab", "ba")
+        bad = dispatcher["ba"]
+        victim = events[7]  # the second B: routed to both shards
+        plain = bad.matcher.on_event
+
+        def exploding(event):
+            if event is victim:
+                raise RuntimeError("boom")
+            return plain(event)
+
+        bad.matcher.on_event = exploding
+        dispatcher.on_batch(events)  # one slice; must not raise
+        assert dispatcher.is_quarantined("ba")
+        assert bad.matcher.events_processed == 7  # everything before it
+        assert bad.checkpoint()["delivered"] == [2, 2, 4]
+        good = dispatcher["ab"]
+        alone = self._standalone(AB, events)
+        assert good.reports == alone.reports
+        assert good.matcher.counters() == alone.matcher.counters()
+
+    def test_malformed_stream_is_one_error_to_the_caller(self):
+        events = _ab_stream()
+        dispatcher = self._dispatcher("ab", "ba")
+        dispatcher.on_batch(events[:4])
+        with pytest.raises(ValueError, match="expected"):
+            dispatcher.on_batch([events[7]])  # skips two events of P2
+        assert not dispatcher.quarantined
+        for _name, monitor in dispatcher:
+            assert monitor.matcher.events_processed == 4
+        dispatcher.on_batch(events[4:])  # the stream can continue
+        assert dispatcher["ab"].reports == self._standalone(AB, events).reports
+
+    def test_watch_rejects_a_different_complete_stream(self):
+        dispatcher = self._dispatcher("ab")
+        with pytest.raises(ValueError, match="complete_stream"):
+            dispatcher.watch(
+                "gapped", BA, config=MatcherConfig(complete_stream=False)
+            )
+        assert "gapped" not in dispatcher
+
+    def test_interrupt_leaves_every_shard_at_the_same_position(self):
+        events = _ab_stream()
+
+        def interrupt(name, _report):
+            if name == "ab":
+                raise KeyboardInterrupt
+
+        dispatcher = ShardedDispatcher(TRACES, on_match=interrupt)
+        dispatcher.watch("ab", AB)
+        dispatcher.watch("ba", BA)
+        with pytest.raises(KeyboardInterrupt):
+            dispatcher.on_batch(events)
+        seen = dispatcher.events_seen
+        assert 0 < seen < len(events)
+        assert events[seen - 1].etype == "B"  # the first match's trigger
+        for _name, monitor in dispatcher:
+            assert monitor.matcher.events_processed == seen
+            assert sum(monitor.delivered_counts()) == seen
+        assert dispatcher["ba"].matcher.history.total_size() == 3
+
+    def test_dropped_deployment_is_freed_by_reference_counting(self):
+        """The route table holds shard names, not shards: a cycle through
+        matcher -> front -> shard would keep a dropped deployment's
+        histories alive until the cyclic collector runs."""
+        import gc
+        import weakref
+
+        dispatcher = self._dispatcher("ab")
+        dispatcher.on_batch(_ab_stream())
+        alone = self._standalone(AB, _ab_stream())
+        refs = [weakref.ref(dispatcher["ab"].matcher),
+                weakref.ref(alone.matcher)]
+        gc.disable()
+        try:
+            del dispatcher, alone
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
+
 class TestMonitorStatsFreshness:
     """Regression: subset/history gauges must be fresh on every path."""
 
@@ -321,6 +466,32 @@ class TestShardLabels:
             labels={"pattern": "ab"},
         )
         assert counter.value == len(_ab_stream())
+
+    def test_routed_beside_offered_per_shard(self):
+        """The sharing ratio: both series exist from watch() on, and
+        routed counts only the events the shard was handed."""
+        registry = MetricsRegistry()
+        events = _ab_stream()
+        dispatcher = ShardedDispatcher(TRACES, registry=registry)
+        monitor = dispatcher.watch("ab", AB)
+
+        def value(name):
+            return {
+                (m.name, m.labels): m.value
+                for m in registry.metrics() if m.kind == "counter"
+            }[(name, (("pattern", "ab"),))]
+
+        assert value("ocep_dispatch_routed_events_total") == 0
+        assert value("ocep_monitor_events_total") == 0
+        dispatcher.on_batch(events[:6])
+        for event in events[6:]:
+            dispatcher.on_event(event)
+        named = sum(e.etype in ("A", "B") for e in events)
+        assert 0 < named < len(events)
+        assert value("ocep_dispatch_routed_events_total") == named
+        assert value("ocep_monitor_events_total") == len(events)
+        assert len(monitor.timings) == named
+        assert len(monitor.terminating_timings) == monitor.matcher.searches_run
 
 
 def test_matcher_config_passthrough():

@@ -99,13 +99,23 @@ class TestHistorySet:
 
     def test_comm_epoch_blocks_prune(self):
         w = Weaver(2)
-        hs = HistorySet(num_leaves=1, num_traces=2)
+        epochs = [0, 0]  # the stream front's row; the set only reads it
+        hs = HistorySet(num_leaves=1, num_traces=2, comm_epoch=epochs)
         a = w.local(0)
         hs.append(0, a, prune=True)
-        hs.bump_comm_epoch(0)  # a send/receive occurred on trace 0
+        epochs[0] += 1  # a send/receive occurred on trace 0
         b = w.local(0)
         hs.append(0, b, prune=True)
         assert list(hs.leaf(0).on_trace(0)) == [a, b]
+
+    def test_snapshot_clears_last_append_across_a_comm_event(self):
+        w = Weaver(1)
+        epochs = [0]
+        hs = HistorySet(num_leaves=1, num_traces=1, comm_epoch=epochs)
+        hs.append(0, w.local(0), prune=True)
+        assert hs.snapshot()["last_append"] == [0]
+        epochs[0] += 1
+        assert hs.snapshot()["last_append"] == [None]
 
     def test_consecutive_same_leaf_same_epoch_prunes(self):
         w = Weaver(1)

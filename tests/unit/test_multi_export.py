@@ -1,9 +1,10 @@
-"""Unit tests for MultiMonitor, DOT export, and random_computation."""
+"""Unit tests for dispatcher fan-out, DOT export, and random_computation."""
 
 import pytest
 
-from repro import Kernel, MultiMonitor, instrument
+from repro import Kernel, instrument
 from repro.analysis import causality_edges, to_dot
+from repro.engine import ShardedDispatcher
 from repro.events import EventId
 from repro.testing import Weaver, random_computation
 
@@ -19,10 +20,10 @@ def _stream():
     return w
 
 
-class TestMultiMonitor:
+class TestDispatcherFanOut:
     def test_patterns_run_independently(self):
         w = _stream()
-        multi = MultiMonitor(["P0", "P1"])
+        multi = ShardedDispatcher(["P0", "P1"])
         multi.watch("order", AB)
         multi.watch("conc", CONC)
         for event in w.events:
@@ -35,7 +36,7 @@ class TestMultiMonitor:
     def test_named_callback(self):
         w = _stream()
         seen = []
-        multi = MultiMonitor(["P0", "P1"], on_match=lambda n, r: seen.append(n))
+        multi = ShardedDispatcher(["P0", "P1"], on_match=lambda n, r: seen.append(n))
         multi.watch("order", AB)
         multi.watch("conc", CONC)
         for event in w.events:
@@ -43,13 +44,13 @@ class TestMultiMonitor:
         assert seen == ["order"]
 
     def test_duplicate_name_rejected(self):
-        multi = MultiMonitor(["P0"])
+        multi = ShardedDispatcher(["P0"])
         multi.watch("x", AB)
         with pytest.raises(ValueError):
             multi.watch("x", CONC)
 
     def test_container_protocol(self):
-        multi = MultiMonitor(["P0"])
+        multi = ShardedDispatcher(["P0"])
         multi.watch("x", AB)
         assert "x" in multi
         assert "y" not in multi
@@ -58,7 +59,7 @@ class TestMultiMonitor:
 
     def test_stats_keyed_by_name(self):
         w = _stream()
-        multi = MultiMonitor(["P0", "P1"])
+        multi = ShardedDispatcher(["P0", "P1"])
         multi.watch("order", AB)
         for event in w.events:
             multi.on_event(event)
@@ -68,7 +69,7 @@ class TestMultiMonitor:
     def test_live_pipeline(self):
         kernel = Kernel(num_processes=2, seed=9)
         server = instrument(kernel)
-        multi = MultiMonitor(kernel.trace_names())
+        multi = ShardedDispatcher(kernel.trace_names())
         multi.watch("order", AB)
         server.connect(multi)
 

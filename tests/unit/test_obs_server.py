@@ -194,6 +194,22 @@ class TestMidRunScrape:
         finally:
             result.obs_server.stop()
 
+    def test_snapshot_carries_routed_beside_offered(self):
+        pipeline = Pipeline.replay(_ab_stream(), TRACES).with_server(port=0)
+        pipeline.watch("ab", AB)
+        result = pipeline.run()
+        try:
+            document = json.loads(_get(result.obs_server.url + "/snapshot")[2])
+            values = {
+                m["name"]: m["value"] for m in document["metrics"]
+                if m.get("labels") == {"pattern": "ab"} and "value" in m
+            }
+            offered = values["ocep_monitor_events_total"]
+            assert offered == result.num_events
+            assert 0 < values["ocep_dispatch_routed_events_total"] < offered
+        finally:
+            result.obs_server.stop()
+
     def test_healthz_reflects_overload_state(self):
         pipeline = Pipeline.replay(_ab_stream(), TRACES).with_server(port=0)
         pipeline.with_overload_control()

@@ -89,12 +89,12 @@ class TestHints:
             cdef("A", etype=Exact("E"), process=Exact("P1")),
             cdef("B", etype=Exact("E"), process=Exact("P1")),
         )
-        assert agree.exact_etype() == "E"
+        assert agree.etypes() == {"E"}
         assert agree.pinned_trace({}) == 1
         disagree = union(
             cdef("A", etype=Exact("E")), cdef("B", etype=Exact("F"))
         )
-        assert disagree.exact_etype() is None
+        assert disagree.etypes() == {"E", "F"}  # routed per branch
         assert disagree.pinned_trace({}) is None
 
 
