@@ -21,10 +21,13 @@ on the trace in between, which keeps same-trace pattern constraints
 from __future__ import annotations
 
 import bisect
-from typing import Iterator, List, Optional, Sequence
+import operator
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.gpls import CausalIndex
 from repro.events.event import Event
+
+_event_index = operator.attrgetter("index")
 
 
 class LeafHistory:
@@ -101,25 +104,36 @@ class LeafHistory:
         """All stored events of this leaf on one trace, oldest first."""
         return self._by_trace[trace]
 
-    def slice(self, trace: int, lo: int, hi: Optional[int]) -> Sequence[Event]:
+    def window(
+        self, trace: int, lo: int, hi: Optional[int], text: Optional[str] = None
+    ) -> Tuple[Sequence[Event], int, int]:
         """Stored events on ``trace`` with position in ``[lo, hi]``
-        (``hi=None`` meaning unbounded), oldest first."""
-        indices = self._indices[trace]
-        left = bisect.bisect_left(indices, lo)
+        (``hi=None`` meaning unbounded; carrying exactly ``text`` when
+        given, off the secondary index) as ``(events, left, right)``:
+        the live oldest-first list and a half-open index range in it.
+        No copy — good until the next :meth:`append`, so for a search."""
+        if text is None:
+            events, keys, key = self._by_trace[trace], self._indices[trace], None
+        else:
+            events = keys = self._by_text[trace].get(text, ())
+            key = _event_index
+        left = bisect.bisect_left(keys, lo, key=key)
         if hi is None:
-            return self._by_trace[trace][left:]
-        right = bisect.bisect_right(indices, hi, left)
-        return self._by_trace[trace][left:right]
+            return events, left, len(keys)
+        return events, left, bisect.bisect_right(keys, hi, left, key=key)
+
+    def slice(self, trace: int, lo: int, hi: Optional[int]) -> Sequence[Event]:
+        """A copy of the :meth:`window` ``[lo, hi]``, oldest first."""
+        events, left, right = self.window(trace, lo, hi)
+        return events[left:right]
 
     def slice_by_text(
         self, trace: int, lo: int, hi: Optional[int], text: str
     ) -> Sequence[Event]:
         """Like :meth:`slice`, restricted to events carrying exactly
-        ``text`` — served from the secondary index."""
-        bucket = self._by_text[trace].get(text)
-        if not bucket:
-            return ()
-        return _position_slice(bucket, lo, hi)
+        ``text``."""
+        events, left, right = self.window(trace, lo, hi, text)
+        return events[left:right]
 
     def next_nonempty(self, trace: int) -> Optional[int]:
         """Smallest trace id ``>= trace`` holding at least one stored
@@ -160,10 +174,8 @@ class LeafHistory:
         lo = index.ls(low, trace) if exact else 1
         if lo is None or lo > hi:
             return ()
-        if text is None:
-            events = self.slice(trace, lo, hi)
-        else:
-            events = self.slice_by_text(trace, lo, hi, text)
+        events, left, right = self.window(trace, lo, hi, text)
+        events = events[left:right]
         if not exact:
             events = [x for x in events if low.happens_before(x)]
         return events
@@ -233,17 +245,6 @@ class LeafHistory:
 
     def __len__(self) -> int:
         return self._size
-
-
-def _position_slice(
-    events: Sequence[Event], lo: int, hi: Optional[int]
-) -> Sequence[Event]:
-    """Binary-search a position-ordered event list down to ``[lo, hi]``."""
-    left = bisect.bisect_left(events, lo, key=lambda e: e.index)
-    if hi is None:
-        return events[left:]
-    right = bisect.bisect_right(events, hi, key=lambda e: e.index)
-    return events[left:right]
 
 
 class HistorySet:

@@ -52,7 +52,7 @@ from repro.obs.trace import SearchTrace
 from repro.patterns.classes import Bindings
 from repro.patterns.compile import CompiledPattern, Constraint
 from repro.patterns.errors import PatternError
-from repro.patterns.plan import LeafStats, Plan, plan_order
+from repro.patterns.plan import LeafStats, LevelStep, Plan, plan_order
 
 #: A complete match: leaf id -> event.
 Match = Dict[int, Event]
@@ -120,27 +120,23 @@ class _LazyConflict:
     the common never-consulted case.
     """
 
-    __slots__ = ("level", "_matcher", "_constraint", "_assigned", "_leaf_id",
+    __slots__ = ("level", "_matcher", "_constraint", "_assigned", "_history",
                  "_trace", "_bounds")
 
-    def __init__(self, level, matcher, constraint, assigned, leaf_id, trace):
+    def __init__(self, level, matcher, constraint, assigned, history, trace):
         self.level = level
         self._matcher = matcher
         self._constraint = constraint
         self._assigned = assigned
-        self._leaf_id = leaf_id
+        self._history = history
         self._trace = trace
         self._bounds: Optional[Tuple[Optional[int], Optional[int]]] = None
 
     def _resolve(self) -> Tuple[Optional[int], Optional[int]]:
         bounds = self._bounds
         if bounds is None:
-            matcher = self._matcher
-            bounds = self._bounds = matcher._resolution_bounds(
-                self._constraint,
-                self._assigned,
-                matcher.history.leaf(self._leaf_id),
-                self._trace,
+            bounds = self._bounds = self._matcher._resolution_bounds(
+                self._constraint, self._assigned, self._history, self._trace
             )
         return bounds
 
@@ -161,9 +157,11 @@ class _Level:
     """Search state for one backtracking level (pattern position)."""
 
     __slots__ = (
+        "step",
         "leaf_id",
         "trace",
         "candidates",
+        "floor",
         "pos",
         "event",
         "env",
@@ -175,13 +173,17 @@ class _Level:
         "match_since_assign",
     )
 
-    def __init__(self, leaf_id: int):
-        self.leaf_id = leaf_id
+    def __init__(self, step: LevelStep):
+        self.step = step
+        self.leaf_id = step.leaf_id
         self.reset()
 
     def reset(self) -> None:
         self.trace = 0
+        # the candidate window: ``candidates[floor:pos + 1]`` of a live
+        # history list is still to be scanned, newest (``pos``) first
         self.candidates: Optional[Sequence[Event]] = None
+        self.floor = 0
         self.pos = -1
         self.event: Optional[Event] = None
         self.env: Optional[Bindings] = None
@@ -255,11 +257,13 @@ class OCEPMatcher:
         )
         self.subset = RepresentativeSubset(pattern.num_leaves, num_traces)
         self._terminating = frozenset(pattern.terminating_leaves())
-        # Hot-path tables: the dense constraint matrix (indexed instead
-        # of a method call per leaf pair) and per-leaf exact-attribute
-        # prefilter keys, so on_event skips the full class match for
-        # leaves whose exact type/process/text cannot match the event.
         self._cmat = pattern.constraint_matrix
+        #: Leaves under a ``<>``.  Of the events typed there only a
+        #: receive naming its send can end a match: a send's receive is
+        #: delivered after it, and a unary event has no partner.
+        self._partnered = frozenset(
+            i for i, row in enumerate(self._cmat) if Constraint.PARTNER in row
+        )
         # (leaf, may prune) by the event types the leaf's class names.
         # A Kleene leaf's history is never pruned: any class event may
         # later join a reported maximal group, and pruning keeps only
@@ -296,8 +300,9 @@ class OCEPMatcher:
                 "pattern uses a 'WITHIN n wall' guard but the matcher "
                 "has no wall_clock extractor configured"
             )
-        # planner: plan per trigger leaf, recomputed as statistics
-        # drift (every plan_refresh_interval deliveries)
+        # plan per trigger leaf (the order and the level program its
+        # searches execute), made on the first search; the planner's is
+        # recomputed as statistics drift (every plan_refresh_interval)
         self._plans: Dict[int, Tuple[int, Plan]] = {}
         self.events_processed = 0
         self.searches_run = 0
@@ -525,15 +530,8 @@ class OCEPMatcher:
 
     def current_plan(self, trigger_leaf: int) -> Plan:
         """The evaluation plan a search at ``trigger_leaf`` would use
-        right now (explainable via ``Plan.explain()``).  Legacy
-        patterns and a disabled planner yield the static-heuristic
-        plan."""
-        if not (self._v2 and self.config.planner):
-            return plan_order(self.pattern, trigger_leaf, None)
-        return plan_order(self.pattern, trigger_leaf, self._leaf_stats())
-
-    def _evaluation_order(self, trigger_leaf: int) -> Tuple[int, ...]:
-        """Level order for one search.
+        right now (explainable via ``Plan.explain()``), its level
+        program built over the leaf histories.
 
         Output-compatibility guard: the cost-based order applies only
         to patterns carrying a v2 operator.  Legacy patterns keep the
@@ -541,31 +539,46 @@ class OCEPMatcher:
         match output (including COVERAGE-mode subset sweeps) is
         bit-identical to the pre-planner engine.
         """
-        if not (self._v2 and self.config.planner):
-            return self.pattern.evaluation_order(trigger_leaf)
-        interval = max(self.config.plan_refresh_interval, 1)
-        stamp = self.events_processed // interval
+        planned = self._v2 and self.config.planner
+        stats = self._leaf_stats() if planned else None
+        return plan_order(self.pattern, trigger_leaf, stats, self.history.histories)
+
+    def _plan(self, trigger_leaf: int) -> Plan:
+        """The plan of one search: :meth:`current_plan` as of the last
+        refresh."""
+        planned = self._v2 and self.config.planner
+        stamp = -1  # a static plan never goes stale
+        if planned:
+            stamp = self.events_processed // max(self.config.plan_refresh_interval, 1)
         cached = self._plans.get(trigger_leaf)
         if cached is not None and cached[0] == stamp:
-            return cached[1].order
-        plan = plan_order(self.pattern, trigger_leaf, self._leaf_stats())
+            return cached[1]
+        plan = self.current_plan(trigger_leaf)
         self._plans[trigger_leaf] = (stamp, plan)
-        self.plans_computed += 1
-        return plan.order
+        if planned:
+            self.plans_computed += 1
+        return plan
 
     def _search(
         self, trigger_leaf: int, trigger_event: Event, trigger_env: Bindings
     ) -> List[MatchReport]:
-        order = self._evaluation_order(trigger_leaf)
-        k = len(order)
+        program = self._plan(trigger_leaf).program
+        k = len(program)
         # Fail fast: a representative subset only contains events that
         # are part of a complete match, and a complete match needs one
         # event per leaf — if some leaf has never matched anything, no
         # search can succeed.
-        for leaf_id in order[1:]:
-            if self.history.leaf(leaf_id).size == 0:
+        for step in program[1:]:
+            if step.history.size == 0:
                 return []
-        levels = [_Level(leaf_id) for leaf_id in order]
+        # Nor can one whose trigger's ``<>`` partner cannot have been
+        # delivered yet (see ``_partnered``).
+        if trigger_leaf in self._partnered and (
+            trigger_event.kind is not EventKind.RECEIVE
+            or trigger_event.partner is None
+        ):
+            return []
+        levels = [_Level(step) for step in program]
         levels[0].event = trigger_event
         levels[0].env = trigger_env
         levels[0].accepted_any = True
@@ -825,17 +838,17 @@ class OCEPMatcher:
         self, levels: List[_Level], i: int, found_any: bool
     ) -> bool:
         level = levels[i]
-        leaf_history = self.history.leaf(level.leaf_id)
+        step = level.step
+        leaf_history = step.history
         coverage = self.config.sweep is SweepMode.COVERAGE
 
-        leaf_class = self.pattern.leaves[level.leaf_id].event_class
-        env_prev = levels[i - 1].env
+        pinned = required_text = None
         if self.config.indexed_histories:
-            pinned = leaf_class.pinned_trace(env_prev)
-            required_text = leaf_class.required_text(env_prev)
-        else:
-            pinned = None
-            required_text = None
+            env_prev = levels[i - 1].env
+            if step.trace_pin is not None:
+                pinned = step.event_class.pinned_trace(env_prev)
+            if step.text_pin is not None:
+                required_text = step.event_class.required_text(env_prev)
 
         # A PARTNER constraint against an assigned receive (or unary)
         # event pins the candidate to one trace (Figure 4): every other
@@ -847,16 +860,13 @@ class OCEPMatcher:
         partner_level = None
         partner_trace = -1
         if pinned is None:
-            cmat = self._cmat
-            leaf_id = level.leaf_id
-            for j in range(i):
-                if cmat[levels[j].leaf_id][leaf_id] is Constraint.PARTNER:
-                    assigned = levels[j].event
-                    if assigned.kind is not EventKind.SEND:
-                        partner = assigned.partner
-                        partner_level = j
-                        partner_trace = -1 if partner is None else partner.trace
-                        break
+            for j in step.partner_levels:
+                assigned = levels[j].event
+                if assigned.kind is not EventKind.SEND:
+                    partner = assigned.partner
+                    partner_level = j
+                    partner_trace = -1 if partner is None else partner.trace
+                    break
 
         next_nonempty = leaf_history.next_nonempty
         num_traces = self.num_traces
@@ -916,14 +926,11 @@ class OCEPMatcher:
                     level.advance_trace()
                     continue
                 lo, hi, lo_level, hi_level = domain
-                if required_text is not None:
-                    level.candidates = leaf_history.slice_by_text(
-                        trace, lo, hi, required_text
-                    )
-                else:
-                    level.candidates = leaf_history.slice(trace, lo, hi)
-                level.pos = len(level.candidates) - 1  # newest first
-                if not level.candidates:
+                level.candidates, level.floor, right = leaf_history.window(
+                    trace, lo, hi, required_text
+                )
+                level.pos = right - 1  # newest first
+                if right <= level.floor:
                     # The interval is satisfiable but holds no stored
                     # candidate — the Figure 5 conflict proper.  Record
                     # a resolution for every binding contributor so the
@@ -940,13 +947,12 @@ class OCEPMatcher:
                         )
                     if self.config.backjump:
                         self._record_slice_conflicts(
-                            levels, level, leaf_history, trace,
-                            lo, hi, lo_level, hi_level,
+                            levels, level, trace, lo, hi, lo_level, hi_level
                         )
                     level.advance_trace()
                     continue
 
-            while level.pos >= 0:
+            while level.pos >= level.floor:
                 if self._steps_left is not None:
                     self._steps_left -= 1
                     if self._steps_left < 0:
@@ -1021,13 +1027,8 @@ class OCEPMatcher:
         ivalues = index._values[trace]
         ipositions = index._positions[trace]
         trace_len = index._lengths[trace]
-        cmat = self._cmat
-        leaf_id = level.leaf_id
         restrict_domains = self.config.restrict_domains
-        for j in range(i):
-            constraint = cmat[levels[j].leaf_id][leaf_id]
-            if constraint is Constraint.NONE:
-                continue
+        for j, constraint in level.step.constraints.items():
             if not restrict_domains and constraint is not Constraint.PARTNER:
                 # Chronological-backtracking ablation: scan everything,
                 # verify causality per candidate instead.
@@ -1123,14 +1124,16 @@ class OCEPMatcher:
                         obs_trace.DOMAIN_CONFLICT,
                         self.searches_run,
                         i,
-                        leaf_id,
+                        level.leaf_id,
                         trace,
                         detail=f"{constraint.value} vs level {j}",
                     )
                 if self.config.backjump:
-                    level.conflicts.append(
-                        self._make_conflict(j, constraint, assigned, leaf_id, trace)
-                    )
+                    # Bounds resolve lazily: domain conflicts vastly
+                    # outnumber the back-jumps that read them.
+                    level.conflicts.append(_LazyConflict(
+                        j, self, constraint, assigned, level.step.history, trace
+                    ))
                 return None
         return lo, hi, lo_level, hi_level
 
@@ -1138,7 +1141,6 @@ class OCEPMatcher:
         self,
         levels: List[_Level],
         level: _Level,
-        leaf_history: LeafHistory,
         trace: int,
         interval_lo: int,
         interval_hi: Optional[int],
@@ -1151,22 +1153,23 @@ class OCEPMatcher:
         the lower bound the nearest admissible candidate is the latest
         event below it; for the upper bound, the earliest event above
         it."""
+        constraints, leaf_history = level.step.constraints, level.step.history
         if lo_level is not None and lo_level >= 1:
-            below = leaf_history.slice(trace, 1, interval_lo - 1)
-            if below:
-                target = below[-1]
-                assigned = levels[lo_level].event
-                constraint = self._cmat[levels[lo_level].leaf_id][level.leaf_id]
-                lo, hi = self._admit_bounds_lower(constraint, assigned, target)
+            events, first, _ = leaf_history.window(trace, interval_lo, None)
+            if first > 0:
+                lo, hi = self._admit_bounds_lower(
+                    constraints[lo_level], levels[lo_level].event,
+                    events[first - 1],
+                )
                 level.conflicts.append(_Conflict(level=lo_level, lo=lo, hi=hi))
 
         if hi_level is not None and hi_level >= 1 and interval_hi is not None:
-            above = leaf_history.slice(trace, interval_hi + 1, None)
-            if above:
-                target = above[0]
-                assigned = levels[hi_level].event
-                constraint = self._cmat[levels[hi_level].leaf_id][level.leaf_id]
-                lo, hi = self._admit_bounds_upper(constraint, assigned, target)
+            events, first, end = leaf_history.window(trace, interval_hi + 1, None)
+            if first < end:
+                lo, hi = self._admit_bounds_upper(
+                    constraints[hi_level], levels[hi_level].event,
+                    events[first],
+                )
                 level.conflicts.append(_Conflict(level=hi_level, lo=lo, hi=hi))
 
     def _admit_bounds_lower(
@@ -1199,18 +1202,6 @@ class OCEPMatcher:
             # need not (replacement -> target)
             return (self.index.gp(target, own) + 1, None)
         return (None, None)
-
-    def _make_conflict(
-        self,
-        j: int,
-        constraint: Constraint,
-        assigned: Event,
-        leaf_id: int,
-        trace: int,
-    ) -> _LazyConflict:
-        # Bounds resolve lazily (see _LazyConflict): domain conflicts
-        # vastly outnumber the back-jumps that read them.
-        return _LazyConflict(j, self, constraint, assigned, leaf_id, trace)
 
     def _resolution_bounds(
         self,
@@ -1258,6 +1249,7 @@ class OCEPMatcher:
         """Non-interval checks; returns the extended environment on
         success and flags the rejection kind for back-jump safety."""
         level = levels[i]
+        step = level.step
 
         # Distinctness by event id: within one computation (trace,
         # index) is the event's identity, so this equals full-field
@@ -1269,9 +1261,7 @@ class OCEPMatcher:
                 level.filter_rejected = True
                 return None
 
-        env = self.pattern.leaves[level.leaf_id].event_class.matches(
-            candidate, levels[i - 1].env
-        )
+        env = step.event_class.matches(candidate, levels[i - 1].env)
         if env is None:
             level.filter_rejected = True
             return None
@@ -1281,27 +1271,20 @@ class OCEPMatcher:
         # depends on the candidate itself, so it must disable
         # back-jumping from this level (filter_rejected), like any
         # other non-interval filter.
-        if self._has_windows:
-            lid = level.leaf_id
-            wsim_row = self._wsim[lid]
-            wwall_row = self._wwall[lid]
-            for j in range(i):
-                other_leaf = levels[j].leaf_id
-                bound = wsim_row[other_leaf]
-                if bound is not None:
-                    delta = candidate.lamport - levels[j].event.lamport
-                    if delta > bound or -delta > bound:
-                        self.window_rejections += 1
-                        level.filter_rejected = True
-                        return None
-                bound = wwall_row[other_leaf]
-                if bound is not None:
-                    stamp = self._wall_clock
-                    delta = stamp(candidate) - stamp(levels[j].event)
-                    if delta > bound or -delta > bound:
-                        self.window_rejections += 1
-                        level.filter_rejected = True
-                        return None
+        for j, bound, wall_bound in step.windows:
+            if bound is not None:
+                delta = candidate.lamport - levels[j].event.lamport
+                if delta > bound or -delta > bound:
+                    self.window_rejections += 1
+                    level.filter_rejected = True
+                    return None
+            if wall_bound is not None:
+                stamp = self._wall_clock
+                delta = stamp(candidate) - stamp(levels[j].event)
+                if delta > wall_bound or -delta > wall_bound:
+                    self.window_rejections += 1
+                    level.filter_rejected = True
+                    return None
 
         # A gapped stream (complete_stream=False after actual sheds)
         # can leave least-successor columns under-informed, which only
@@ -1316,27 +1299,22 @@ class OCEPMatcher:
             or not self.config.restrict_domains
             or gapped
         )
-        for j in range(i):
+        for j, constraint in step.constraints.items():
             assigned = levels[j].event
-            constraint = self._cmat[levels[j].leaf_id][level.leaf_id]
-            if constraint is Constraint.NONE:
-                continue
             if constraint is Constraint.PARTNER:
                 if not candidate.is_partner_of(assigned):
                     level.filter_rejected = True
                     return None
             elif constraint is Constraint.LIMITED:
                 # assigned ~> candidate: no same-class event between
-                if self.history.leaf(levels[j].leaf_id).has_between(
+                if levels[j].step.history.has_between(
                     assigned, candidate, self.index
                 ):
                     level.filter_rejected = True
                     return None
             elif constraint is Constraint.LIMITED_REV:
                 # candidate ~> assigned
-                if self.history.leaf(level.leaf_id).has_between(
-                    candidate, assigned, self.index
-                ):
+                if step.history.has_between(candidate, assigned, self.index):
                     level.filter_rejected = True
                     return None
             if verify_all and not _satisfies(constraint, assigned, candidate):

@@ -155,11 +155,11 @@ class Event:
         only learns the pairing when the message is consumed), so a
         send/receive pair matches when the receive names the send.
         """
-        if self.kind is EventKind.RECEIVE and other.kind is EventKind.SEND:
-            return self.partner == other.event_id
-        if self.kind is EventKind.SEND and other.kind is EventKind.RECEIVE:
-            return other.partner == self.event_id
-        return False
+        recv, send = (other, self) if self.kind is EventKind.SEND else (self, other)
+        partner = recv.partner
+        return (recv.kind is EventKind.RECEIVE and send.kind is EventKind.SEND
+                and partner is not None and partner.trace == send.trace
+                and partner.index == send.index)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Event):

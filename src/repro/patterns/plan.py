@@ -32,9 +32,9 @@ Two guarantees keep it safe:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from repro.patterns.ast import AttrVar
+from repro.patterns.ast import AttrVar, Exact
 from repro.patterns.compile import CompiledPattern, Constraint
 
 #: Domain-restriction factor of one constraint kind: the estimated
@@ -78,6 +78,66 @@ class PlanStep:
     reason: str
 
 
+class LevelStep(NamedTuple):
+    """One level of a *level program*: what the pattern and the
+    evaluation order fix about a pattern position, derived once so that
+    a search executes it instead of deriving it again on every call."""
+
+    leaf_id: int
+    event_class: object
+    #: Earlier level -> that leaf's requirement towards this one
+    #: (``NONE`` left out), in level order; the ``<>`` ones by level.
+    constraints: Dict[int, Constraint]
+    partner_levels: Tuple[int, ...]
+    #: The process / text attribute (``$var`` or exact value) that pins
+    #: candidates to one trace / text bucket once bound; None when the
+    #: class leaves it open and can never pin.
+    trace_pin: Optional[str]
+    text_pin: Optional[str]
+    #: ``(earlier level, sim bound, wall bound)`` per ``WITHIN`` pair.
+    windows: Tuple[Tuple[int, Optional[int], Optional[int]], ...]
+    #: The leaf's entry of the ``histories`` the program was built over.
+    history: object
+
+
+def _pin(event_class, attribute: str) -> Optional[str]:
+    """A union pins only what every one of its branches pins."""
+    branches = getattr(event_class, "alternatives", (event_class,))
+    specs = [getattr(branch, attribute) for branch in branches]
+    if not all(isinstance(spec, (Exact, AttrVar)) for spec in specs):
+        return None
+    return "/".join(sorted({
+        spec.value if isinstance(spec, Exact) else f"${spec.name}"
+        for spec in specs
+    }))
+
+
+def level_program(
+    pattern: CompiledPattern, order: Tuple[int, ...], histories=None
+) -> Tuple[LevelStep, ...]:
+    """The level program of evaluating ``pattern`` in ``order``, over
+    the per-leaf ``histories`` of the matcher that will run it."""
+    matrix = pattern.constraint_matrix
+    steps = []
+    for level, leaf_id in enumerate(order):
+        event_class = pattern.leaves[leaf_id].event_class
+        into = {j: matrix[order[j]][leaf_id] for j in range(level)}
+        bounds = [
+            (j, pattern.window_bound(leaf_id, order[j]),
+             pattern.window_bound(leaf_id, order[j], "wall"))
+            for j in range(level)
+        ]
+        steps.append(LevelStep(
+            leaf_id, event_class,
+            {j: c for j, c in into.items() if c is not Constraint.NONE},
+            tuple(j for j, c in into.items() if c is Constraint.PARTNER),
+            _pin(event_class, "process"), _pin(event_class, "text"),
+            tuple(b for b in bounds if b[1:] != (None, None)),
+            histories[leaf_id] if histories else None,
+        ))
+    return tuple(steps)
+
+
 @dataclasses.dataclass(frozen=True)
 class Plan:
     """An explained evaluation order for one trigger leaf."""
@@ -87,9 +147,11 @@ class Plan:
     steps: Tuple[PlanStep, ...]
     cost_based: bool
     total_estimate: float
+    program: Tuple[LevelStep, ...]
 
     def explain(self) -> str:
-        """Human-readable plan, one line per level."""
+        """Human-readable plan and the level program it implies, one
+        line per level each."""
         kind = "cost-based" if self.cost_based else "legacy heuristic"
         lines = [
             f"plan for trigger leaf {self.trigger_leaf} ({kind}), "
@@ -101,6 +163,19 @@ class Plan:
                 f"history={step.history_size} "
                 f"estimate={step.estimate:.2f} — {step.reason}"
             )
+        lines.append("  level program (what earlier levels require of the leaf):")
+        for level, step in enumerate(self.program, start=1):
+            parts = [
+                f"partner level {j + 1}" if constraint is Constraint.PARTNER
+                else f"level {j + 1} {constraint.value}"
+                for j, constraint in step.constraints.items()
+            ] or ["trigger" if level == 1 else "no constraint into the prefix"]
+            parts += [
+                f"{what} pinned by {pin}"
+                for what, pin in (("trace", step.trace_pin), ("text", step.text_pin))
+                if pin is not None
+            ]
+            lines.append(f"  {level}. leaf {step.leaf_id}: " + "; ".join(parts))
         return "\n".join(lines)
 
 
@@ -113,7 +188,9 @@ def _attr_vars(pattern: CompiledPattern, leaf_id: int) -> set:
     }
 
 
-def _legacy_plan(pattern: CompiledPattern, trigger_leaf: int) -> Plan:
+def _legacy_plan(
+    pattern: CompiledPattern, trigger_leaf: int, histories=None
+) -> Plan:
     order = pattern.evaluation_order(trigger_leaf)
     steps = tuple(
         PlanStep(
@@ -131,6 +208,7 @@ def _legacy_plan(pattern: CompiledPattern, trigger_leaf: int) -> Plan:
         steps=steps,
         cost_based=False,
         total_estimate=0.0,
+        program=level_program(pattern, order, histories),
     )
 
 
@@ -138,16 +216,18 @@ def plan_order(
     pattern: CompiledPattern,
     trigger_leaf: int,
     stats: Optional[Dict[int, LeafStats]] = None,
+    histories=None,
 ) -> Plan:
     """Greedy cheapest-leaf-next join order from live statistics.
 
     ``stats`` maps leaf id -> :class:`LeafStats`; missing or empty
     statistics select the legacy heuristic order (``cost_based=False``).
     The trigger leaf is always level 1 — the search is anchored on the
-    newly delivered event, which is not a planning choice.
+    newly delivered event, which is not a planning choice.  The plan's
+    level program is built over ``histories`` (see :class:`LevelStep`).
     """
     if not stats or all(s.size == 0 for s in stats.values()):
-        return _legacy_plan(pattern, trigger_leaf)
+        return _legacy_plan(pattern, trigger_leaf, histories)
 
     order: List[int] = [trigger_leaf]
     steps: List[PlanStep] = [
@@ -219,4 +299,5 @@ def plan_order(
         steps=tuple(steps),
         cost_based=True,
         total_estimate=total,
+        program=level_program(pattern, tuple(order), histories),
     )

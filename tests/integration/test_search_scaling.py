@@ -1,0 +1,59 @@
+"""A search pays for the domain it inspects, not for the stored history.
+
+Candidate domains are index windows over the live history lists, so the
+memory one ``_search`` allocates (levels, conflicts, reports) must not
+grow with the stream.  Counted deterministically with ``tracemalloc``
+(peak bytes above the level at search entry), not timed: a search that
+goes back to copying history suffixes into candidate lists doubles its
+peak when the stream doubles.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+
+from repro.core import Monitor
+from repro.engine import Pipeline
+from repro.workloads import build_message_race, message_race_pattern
+
+
+def peak_search_bytes(size):
+    """Largest allocation peak of any one search over a message-race
+    stream of ``size`` messages per sender, and the stream's length."""
+    pipeline = Pipeline.for_workload(
+        build_message_race(num_traces=6, seed=3, messages_per_sender=size)
+    )
+    recorder = pipeline.record()
+    pipeline.run()
+    monitor = Monitor.from_source(
+        message_race_pattern(), list(pipeline.trace_names), record_timings=False
+    )
+    matcher = monitor.matcher
+    plain_search = matcher._search
+    peaks = []
+
+    def measured_search(*args):
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        try:
+            return plain_search(*args)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+
+    matcher._search = measured_search
+    tracemalloc.start()
+    try:
+        for event in recorder.events:
+            monitor.on_event(event)
+    finally:
+        tracemalloc.stop()
+    assert matcher.matches_found > 0
+    return max(peaks), len(recorder.events)
+
+
+def test_search_allocation_stays_flat_when_stream_doubles():
+    small, small_events = peak_search_bytes(80)
+    large, large_events = peak_search_bytes(160)
+    assert large_events >= 1.9 * small_events
+    # suffix-copying candidate lists read 2x here; windows read ~1x
+    assert large <= 1.25 * small, (small, large)

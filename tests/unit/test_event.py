@@ -96,6 +96,34 @@ class TestPartner:
         send2, _ = w.message(2, 1)
         assert not send1.is_partner_of(send2)
 
+    @pytest.mark.parametrize("kind_a", list(EventKind))
+    @pytest.mark.parametrize("kind_b", list(EventKind))
+    def test_truth_table_over_every_kind_pair(self, kind_a, kind_b):
+        """Partners exactly when one is a receive naming the other, a
+        send, by (trace, index) — whichever side is asked, and never
+        for a receive that recorded no partner."""
+
+        def event(trace, index, kind, partner=None):
+            clock = VectorClock([index if t == trace else 0 for t in range(2)])
+            return Event(trace, index, "E", "", clock, kind, partner)
+
+        def reference(a, b):
+            for recv, send in ((a, b), (b, a)):
+                if recv.kind is EventKind.RECEIVE and send.kind is EventKind.SEND:
+                    return recv.partner == send.event_id
+            return False
+
+        for partner in (None, EventId(1, 3), EventId(1, 4), EventId(0, 3)):
+            a = event(0, 5, kind_a, partner if kind_a.is_communication else None)
+            for b_partner in (None, EventId(0, 5), EventId(0, 6)):
+                b = event(1, 3, kind_b, b_partner if kind_b.is_communication else None)
+                assert a.is_partner_of(b) == reference(a, b)
+                assert b.is_partner_of(a) == reference(b, a)
+        named = event(0, 5, EventKind.RECEIVE, EventId(1, 3))
+        assert named.is_partner_of(event(1, 3, EventKind.SEND))
+        assert not named.is_partner_of(event(1, 4, EventKind.SEND))
+        assert not event(0, 5, EventKind.RECEIVE).is_partner_of(event(1, 3, EventKind.SEND))
+
     def test_kind_is_communication(self):
         assert EventKind.SEND.is_communication
         assert EventKind.RECEIVE.is_communication

@@ -98,6 +98,47 @@ class TestExplain:
         assert "legacy heuristic" in plan_order(pattern, 1, None).explain()
 
 
+class TestLevelProgram:
+    def test_program_is_the_static_half_of_every_level(self):
+        from repro.patterns.compile import Constraint
+        from repro.workloads import message_race_pattern
+
+        pattern = compiled(message_race_pattern())  # s1, r1, s2, r2
+        plan = plan_order(pattern, 1, None)
+        assert plan.order == (1, 3, 0, 2)
+        trigger, r2, s1, s2 = plan.program
+        assert [step.leaf_id for step in plan.program] == list(plan.order)
+        assert trigger.constraints == {} and trigger.partner_levels == ()
+        assert r2.constraints == {} and r2.trace_pin == "$p"
+        assert s1.constraints == {0: Constraint.PARTNER}
+        assert s1.partner_levels == (0,) and s1.trace_pin is None
+        assert s2.constraints == {
+            1: Constraint.PARTNER, 2: Constraint.CONCURRENT,
+        }
+        assert s2.partner_levels == (1,) and s2.text_pin is None
+        assert all(step.windows == () for step in plan.program)
+        assert all(step.history is None for step in plan.program)
+
+    def test_windows_and_pins_of_a_v2_pattern(self):
+        pattern = compiled(SKEWED)  # P, $m+, D WITHIN 16
+        stats = {0: LeafStats(30), 1: LeafStats(5000), 2: LeafStats(30)}
+        drop, pickup, move = plan_order(pattern, 2, stats, "PMD").program
+        assert pickup.windows == ((0, 16, None),)
+        assert move.windows == ((0, 16, None), (1, 16, None))
+        assert move.text_pin == "hot" and move.trace_pin is None
+        assert (drop.history, pickup.history, move.history) == ("D", "P", "M")
+
+    def test_explain_prints_the_level_program(self):
+        from repro.workloads import message_race_pattern
+
+        text = plan_order(compiled(message_race_pattern()), 1, None).explain()
+        assert "level program" in text
+        assert "3. leaf 0: partner level 1" in text
+        assert "4. leaf 2: partner level 2; level 3 concurrent" in text
+        assert "2. leaf 3: no constraint into the prefix; trace pinned by $p" in text
+        assert "text pinned by hot" in plan_order(compiled(SKEWED), 2, None).explain()
+
+
 class TestMatcherIntegration:
     def test_legacy_patterns_never_use_cost_based_order(self):
         # output-compatibility guard: no v2 operator -> legacy order,
@@ -155,3 +196,23 @@ class TestMatcherIntegration:
         # four Drop triggers across different refresh stamps recompute
         # the plan more than once, but not once per search forever
         assert 2 <= monitor.matcher.plans_computed <= 4
+
+    def test_one_program_per_trigger_leaf_over_the_live_histories(self):
+        # built on a trigger leaf's first search, then reused: the
+        # search executes it, it does not derive it
+        monitor = Monitor.from_source(CHAIN, NAMES)
+        matcher = monitor.matcher
+        assert matcher._plans == {}
+        w = Weaver(3)
+        w.local(0, "A")
+        for _ in range(3):
+            w.local(0, "B")
+        for e in w.events:
+            monitor.on_event(e)
+        assert list(matcher._plans) == [1]  # only B terminates
+        program = matcher._plan(1).program
+        assert program is matcher._plan(1).program
+        assert [step.history for step in program] == [
+            matcher.history.leaf(1), matcher.history.leaf(0),
+        ]
+        assert matcher.matches_found == 3
