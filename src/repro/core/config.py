@@ -109,13 +109,17 @@ class MatcherConfig:
         the GP/LS domains are exact.  ``False`` tolerates holes in the
         delivered stream (load shedding, sampled delivery): the causal
         index accepts forward index jumps, and once a gap has actually
-        been observed every accepted candidate is re-verified against
-        its vector clock — missing least-successor entries can only
-        *widen* a domain, so verification restores soundness while
-        the lost events cost recall, never false matches (except via
-        ``~>`` immediacy, whose in-between witness may itself have
-        been shed — which is why the shedding harness measures
-        precision too).
+        been observed a remote least-successor entry may read too late
+        or be missing.  As an upper bound that only *widens* a domain;
+        as a lower bound it would cut true successors off, so the
+        domain kernel (:mod:`repro.core.domain`) drops it, reports the
+        interval as a superset, and each candidate of such an interval
+        is re-verified against its vector clock.  A match whose events
+        were all delivered is therefore still detected and no false
+        match is reported — the lost events cost only the matches they
+        were part of (except via ``~>`` immediacy, whose in-between
+        witness may itself have been shed — which is why the shedding
+        harness measures precision too).
     """
 
     sweep: SweepMode = SweepMode.COVERAGE

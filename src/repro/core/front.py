@@ -71,8 +71,9 @@ class StreamFront:
 
     def __init__(self, num_traces: int, complete_stream: bool = True):
         self.index = CausalIndex(num_traces, allow_gaps=not complete_stream)
-        #: Send/receive events seen per trace: the pruning rule's epoch
-        #: (paper, Section V-D), read by every reader's ``HistorySet``.
+        #: Send/receive events (and holes) seen per trace: the pruning
+        #: rule's epoch (paper, Section V-D), read by every reader's
+        #: ``HistorySet``.
         self.comm_epoch = [0] * num_traces
         self.routes = TypeRoutes()
         #: Readers on a shared front still behind their watermark.
@@ -91,7 +92,10 @@ class StreamFront:
     def admit(self, event: Event) -> None:
         """Index the next event of the stream.  A per-trace regression
         or duplicate raises ``ValueError``: a malformed *stream*, not a
-        reader failure."""
-        self.index.observe(event)
-        if event.kind.is_communication:
+        reader failure.  A skipped position (a gapped stream) closes the
+        trace's epoch like a send or receive: it may have been one."""
+        index = self.index
+        gaps = index.gaps
+        index.observe(event)
+        if event.kind.is_communication or index.gaps != gaps:
             self.comm_epoch[event.trace] += 1

@@ -24,10 +24,14 @@ import bisect
 import operator
 from typing import Iterator, List, Optional, Sequence, Tuple
 
+from repro.core.domain import restrict
 from repro.core.gpls import CausalIndex
 from repro.events.event import Event
+from repro.patterns.compile import Constraint
 
 _event_index = operator.attrgetter("index")
+#: ``events[0] -> x -> events[1]`` as pairs for the domain kernel.
+_BETWEEN = ((0, Constraint.BEFORE), (1, Constraint.AFTER))
 
 
 class LeafHistory:
@@ -161,23 +165,19 @@ class LeafHistory:
     ) -> Sequence[Event]:
         """Stored events ``x`` on ``trace`` with ``low -> x -> high``
         (carrying exactly ``text`` when given), oldest first: the
-        Figure-4 interval ``[LS(low, trace), GP(high, trace)]``, so the
-        cost is two binary searches plus the events returned.
-
-        ``GP`` is read off ``high``'s own clock and is always exact.
-        A gapped index (shed stream) may have missed the receive that
-        first raised a remote clock column and so place ``LS`` too
-        late; there the slice starts at position 1 and each event is
-        verified against ``low``, which keeps the answer exact."""
-        hi = index.gp(high, trace)
-        exact = not index.gaps or trace == low.trace
-        lo = index.ls(low, trace) if exact else 1
-        if lo is None or lo > hi:
+        Figure-4 domain of the two anchors, so the cost is two binary
+        searches plus the events returned (plus, where the domain is
+        only a superset, their verification)."""
+        lo, hi, _, _, exact = restrict(index, trace, _BETWEEN, (low, high))
+        if lo is None:
             return ()
         events, left, right = self.window(trace, lo, hi, text)
         events = events[left:right]
         if not exact:
-            events = [x for x in events if low.happens_before(x)]
+            events = [
+                x for x in events
+                if low.happens_before(x) and x.happens_before(high)
+            ]
         return events
 
     def has_between(self, low: Event, high: Event, index: CausalIndex) -> bool:

@@ -26,21 +26,29 @@ pattern matches containing it:
   on advances to the next trace, which is what sweeps coverage across
   the ``(pattern event, trace)`` slots.
 
-Domain intervals are exact under the clock convention (see
-:mod:`repro.core.domain`), so candidate acceptance only needs the
-non-interval checks: distinctness, attribute-variable consistency,
-partner identity, and limited-precedence immediacy.
+Figures 4 and 5 themselves live in :mod:`repro.core.domain`.  Its
+intervals are exact on a complete stream, so candidate acceptance only
+needs the non-interval checks: distinctness, attribute-variable
+consistency, window guards, partner identity, and limited-precedence
+immediacy — plus causal verification where the kernel reports an
+interval as only a superset (a gapped stream, the ablation).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from bisect import bisect_left as _bisect_left
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.config import MatcherConfig, SweepMode
-from repro.core.domain import Interval, restrict
+from repro.core.domain import (
+    Conflict,
+    admit_bounds_lower,
+    admit_bounds_upper,
+    bounds_hull,
+    restrict,
+    satisfies,
+)
 from repro.core.front import StreamFront, TypeRoutes
 from repro.core.history import HistorySet, LeafHistory
 from repro.core.subset import RepresentativeSubset
@@ -52,10 +60,22 @@ from repro.obs.trace import SearchTrace
 from repro.patterns.classes import Bindings
 from repro.patterns.compile import CompiledPattern, Constraint
 from repro.patterns.errors import PatternError
-from repro.patterns.plan import LeafStats, LevelStep, Plan, plan_order
+from repro.patterns.plan import (
+    LeafStats,
+    LevelStep,
+    Plan,
+    level_program,
+    plan_order,
+)
 
 #: A complete match: leaf id -> event.
 Match = Dict[int, Event]
+
+# compared per candidate and constraint; see repro.core.domain on why
+# not ``Constraint.PARTNER`` in place
+_PARTNER = Constraint.PARTNER
+_LIMITED = Constraint.LIMITED
+_LIMITED_REV = Constraint.LIMITED_REV
 
 
 @dataclasses.dataclass(frozen=True)
@@ -97,64 +117,13 @@ class MatchReport:
         raise KeyError(f"leaf {leaf_id} is not a Kleene position")
 
 
-@dataclasses.dataclass(slots=True)
-class _Conflict:
-    """A recorded ``bt`` entry: changing ``level``'s event to a position
-    within ``[lo, hi]`` on its current trace might resolve the failure
-    (``None`` bounds = unbounded on that side)."""
-
-    level: int
-    lo: Optional[int]
-    hi: Optional[int]
-
-
-class _LazyConflict:
-    """A domain-conflict ``bt`` entry whose Figure-5 resolution bounds
-    are computed on first access.
-
-    Conflicts are recorded for every emptied interval but consulted
-    only when a back-jump actually fires, and the GP/LS index and the
-    leaf histories are frozen for the duration of a search — so
-    deferring the bound computation (gp/ls queries plus a history
-    lookup) gives identical bounds while skipping the work entirely in
-    the common never-consulted case.
-    """
-
-    __slots__ = ("level", "_matcher", "_constraint", "_assigned", "_history",
-                 "_trace", "_bounds")
-
-    def __init__(self, level, matcher, constraint, assigned, history, trace):
-        self.level = level
-        self._matcher = matcher
-        self._constraint = constraint
-        self._assigned = assigned
-        self._history = history
-        self._trace = trace
-        self._bounds: Optional[Tuple[Optional[int], Optional[int]]] = None
-
-    def _resolve(self) -> Tuple[Optional[int], Optional[int]]:
-        bounds = self._bounds
-        if bounds is None:
-            bounds = self._bounds = self._matcher._resolution_bounds(
-                self._constraint, self._assigned, self._history, self._trace
-            )
-        return bounds
-
-    @property
-    def lo(self) -> Optional[int]:
-        return self._resolve()[0]
-
-    @property
-    def hi(self) -> Optional[int]:
-        return self._resolve()[1]
-
-
 class _BudgetExhausted(Exception):
     """Internal: the per-trigger search budget ran out."""
 
 
 class _Level:
-    """Search state for one backtracking level (pattern position)."""
+    """Search state for one backtracking level (pattern position).  The
+    event a level holds is ``OCEPMatcher._assigned[level]``."""
 
     __slots__ = (
         "step",
@@ -163,7 +132,7 @@ class _Level:
         "candidates",
         "floor",
         "pos",
-        "event",
+        "exact",
         "env",
         "extra_lo",
         "extra_hi",
@@ -181,15 +150,16 @@ class _Level:
     def reset(self) -> None:
         self.trace = 0
         # the candidate window: ``candidates[floor:pos + 1]`` of a live
-        # history list is still to be scanned, newest (``pos``) first
+        # history list is still to be scanned, newest (``pos``) first;
+        # ``exact`` is what the domain kernel said of its interval
         self.candidates: Optional[Sequence[Event]] = None
         self.floor = 0
         self.pos = -1
-        self.event: Optional[Event] = None
+        self.exact = True
         self.env: Optional[Bindings] = None
         self.extra_lo: Optional[int] = None
         self.extra_hi: Optional[int] = None
-        self.conflicts: List[_Conflict] = []
+        self.conflicts: List[Conflict] = []
         self.accepted_any = False
         self.filter_rejected = False
         self.match_since_assign = False
@@ -199,7 +169,6 @@ class _Level:
         self.trace += 1
         self.candidates = None
         self.pos = -1
-        self.event = None
         self.extra_lo = None
         self.extra_hi = None
 
@@ -257,12 +226,13 @@ class OCEPMatcher:
         )
         self.subset = RepresentativeSubset(pattern.num_leaves, num_traces)
         self._terminating = frozenset(pattern.terminating_leaves())
-        self._cmat = pattern.constraint_matrix
         #: Leaves under a ``<>``.  Of the events typed there only a
         #: receive naming its send can end a match: a send's receive is
         #: delivered after it, and a unary event has no partner.
         self._partnered = frozenset(
-            i for i, row in enumerate(self._cmat) if Constraint.PARTNER in row
+            i
+            for i, row in enumerate(pattern.constraint_matrix)
+            if Constraint.PARTNER in row
         )
         # (leaf, may prune) by the event types the leaf's class names.
         # A Kleene leaf's history is never pruned: any class event may
@@ -275,9 +245,16 @@ class OCEPMatcher:
             )
         # -- v2 operator state -----------------------------------------
         self._v2 = pattern.has_v2_features
-        self._kleene_leaves: Tuple[int, ...] = tuple(
-            leaf.leaf_id for leaf in pattern.leaves if leaf.kleene
-        )
+        #: Per Kleene leaf, the level program that evaluates it last:
+        #: its final step is what a group member owes every other leaf.
+        self._group_programs: Dict[int, Tuple[LevelStep, ...]] = {
+            g: level_program(
+                pattern,
+                tuple(i for i in range(pattern.num_leaves) if i != g) + (g,),
+                self.history.histories,
+            )
+            for g in (leaf.leaf_id for leaf in pattern.leaves if leaf.kleene)
+        }
         self._negations = tuple(pattern.negations)
         #: Unpruned per-negation histories of potential witnesses
         #: (events matching the absent class modulo attribute
@@ -291,9 +268,6 @@ class OCEPMatcher:
             self._negation_routes.attach(
                 (d, negation.event_class), negation.event_class.etypes()
             )
-        self._has_windows = bool(pattern.windows)
-        self._wsim = pattern.window_matrix_sim
-        self._wwall = pattern.window_matrix_wall
         self._wall_clock = self.config.wall_clock
         if pattern.has_wall_windows and self._wall_clock is None:
             raise PatternError(
@@ -335,6 +309,12 @@ class OCEPMatcher:
             if self.config.search_trace_size is not None
             else None
         )
+        # the running search: its leaf order and level program, the
+        # event each level holds (entries past the current level are
+        # stale) and budget
+        self._order: Tuple[int, ...] = ()
+        self._program: Tuple[LevelStep, ...] = ()
+        self._assigned: List[Event] = []
         self._steps_left: Optional[int] = None
 
     # ------------------------------------------------------------------
@@ -562,7 +542,8 @@ class OCEPMatcher:
     def _search(
         self, trigger_leaf: int, trigger_event: Event, trigger_env: Bindings
     ) -> List[MatchReport]:
-        program = self._plan(trigger_leaf).program
+        plan = self._plan(trigger_leaf)
+        program = plan.program
         k = len(program)
         # Fail fast: a representative subset only contains events that
         # are part of a complete match, and a complete match needs one
@@ -579,7 +560,8 @@ class OCEPMatcher:
         ):
             return []
         levels = [_Level(step) for step in program]
-        levels[0].event = trigger_event
+        self._order, self._program = plan.order, program
+        self._assigned = [trigger_event] * k
         levels[0].env = trigger_env
         levels[0].accepted_any = True
 
@@ -665,13 +647,13 @@ class OCEPMatcher:
         trigger_event: Event,
         levels: Sequence[_Level],
     ) -> None:
-        assignment = {level.leaf_id: level.event for level in levels}
+        assignment = dict(zip(self._order, self._assigned))
         groups: Tuple[Tuple[int, Tuple[Event, ...]], ...] = ()
-        if self._kleene_leaves:
+        if self._group_programs:
             env = levels[-1].env or {}
             groups = tuple(
                 (g, self._expand_group(g, assignment, env))
-                for g in self._kleene_leaves
+                for g in self._group_programs
             )
             for _, events in groups:
                 self.kleene_group_events += len(events)
@@ -717,89 +699,60 @@ class OCEPMatcher:
         self, g: int, assignment: Match, env: Bindings
     ) -> Tuple[Event, ...]:
         """Expand a Kleene anchor to its maximal group: every stored
-        class event (Kleene histories are unpruned) that matches under
-        the final bindings, is distinct from the other bound events,
-        satisfies the anchor leaf's pairwise constraints against every
-        other bound leaf, and respects the window guards.
-
-        Each swept trace is first restricted, as in the search, to the
-        Figure-4 interval those constraints leave (exact on a complete
-        stream, so only in-interval events are looked at); where the
-        interval is only a superset the per-event causal check stays,
-        as in :meth:`_acceptable`.  Members are admitted in (trace,
-        index) scan order; the member-member window bound is checked
-        against already-admitted members, which keeps the expansion
-        deterministic."""
-        anchor = assignment[g]
-        history = self.history.leaf(g)
-        leaf_class = self.pattern.leaves[g].event_class
-        index = self.index
-        others = [
-            (leaf_id, event, self._cmat[leaf_id][g])
-            for leaf_id, event in assignment.items()
-            if leaf_id != g
-        ]
-        verify = (
-            self.config.paranoid
-            or not self.config.restrict_domains
-            or index.gaps > 0
-        )
-        self_bound = self._wsim[g][g] if self._has_windows else None
-        wall_self_bound = self._wwall[g][g] if self._has_windows else None
+        class event (Kleene histories are unpruned) a search evaluating
+        leaf ``g`` last would accept under the final bindings — the
+        Figure-4 domain of the other bound events on each swept trace,
+        then the search's own candidate checks.  Members are admitted
+        in (trace, index) scan order; the member-member window bound is
+        checked against already-admitted members (it holds against all
+        of them iff it holds against the oldest and the newest), which
+        keeps the expansion deterministic."""
+        program = self._group_programs[g]
+        last = len(program) - 1
+        step = program[last]
+        assigned = [assignment[s.leaf_id] for s in program]
+        anchor = assigned[last]
+        pairs = step.constraints.items()
+        bound = self.pattern.window_bound(g, g)
+        wall_bound = self.pattern.window_bound(g, g, "wall")
+        stamp = self._wall_clock
+        oldest = newest = anchor.lamport
+        if wall_bound is not None:
+            wall_oldest = wall_newest = stamp(anchor)
         members: List[Event] = [anchor]
-        for trace in self._guard_traces(history, leaf_class, env):
-            interval = Interval()
-            if not all(
-                restrict(interval, constraint, other, trace, index)
-                for _, other, constraint in others
-            ):
+        for trace in self._guard_traces(step.history, step.event_class, env):
+            lo, hi, _, _, exact = restrict(
+                self.index, trace, pairs, assigned, self.config.restrict_domains
+            )
+            if lo is None:
                 continue
-            for event in history.slice(trace, interval.lo, interval.hi):
-                if event.trace == anchor.trace and event.index == anchor.index:
+            events, left, right = step.history.window(trace, lo, hi)
+            for event in events[left:right]:
+                if step.windows and not self._within(
+                    step.windows, assigned, event
+                ):
                     continue
-                if leaf_class.matches(event, env) is None:
+                if self._acceptable(
+                    program, last, assigned, last + 1, event, env, exact
+                ) is None:
                     continue
-                ok = True
-                for leaf_id, other, constraint in others:
+                at = event.lamport
+                if bound is not None and (
+                    at - oldest > bound or newest - at > bound
+                ):
+                    continue
+                if wall_bound is not None:
+                    wall_at = stamp(event)
                     if (
-                        event.trace == other.trace
-                        and event.index == other.index
+                        wall_at - wall_oldest > wall_bound
+                        or wall_newest - wall_at > wall_bound
                     ):
-                        ok = False
-                        break
-                    if verify and not _satisfies(constraint, other, event):
-                        ok = False
-                        break
-                    if constraint is Constraint.LIMITED:
-                        if self.history.leaf(leaf_id).has_between(
-                            other, event, index
-                        ):
-                            ok = False
-                            break
-                    elif constraint is Constraint.LIMITED_REV:
-                        if history.has_between(event, other, index):
-                            ok = False
-                            break
-                    if self._has_windows and not self._window_ok(
-                        g, leaf_id, event, other
-                    ):
-                        ok = False
-                        break
-                if ok and self_bound is not None:
-                    for member in members:
-                        delta = event.lamport - member.lamport
-                        if delta > self_bound or -delta > self_bound:
-                            ok = False
-                            break
-                if ok and wall_self_bound is not None:
-                    stamp = self._wall_clock
-                    for member in members:
-                        delta = stamp(event) - stamp(member)
-                        if delta > wall_self_bound or -delta > wall_self_bound:
-                            ok = False
-                            break
-                if ok:
-                    members.append(event)
+                        continue
+                    wall_oldest = min(wall_oldest, wall_at)
+                    wall_newest = max(wall_newest, wall_at)
+                oldest = min(oldest, at)
+                newest = max(newest, at)
+                members.append(event)
         members.sort(key=lambda e: (e.trace, e.index))
         return tuple(members)
 
@@ -815,22 +768,6 @@ class OCEPMatcher:
         if pinned is None:
             return history.traces_with_events()
         return (pinned,) if pinned >= 0 else ()
-
-    def _window_ok(
-        self, leaf_a: int, leaf_b: int, event_a: Event, event_b: Event
-    ) -> bool:
-        bound = self._wsim[leaf_a][leaf_b]
-        if bound is not None:
-            delta = event_a.lamport - event_b.lamport
-            if delta > bound or -delta > bound:
-                return False
-        bound = self._wwall[leaf_a][leaf_b]
-        if bound is not None:
-            stamp = self._wall_clock
-            delta = stamp(event_a) - stamp(event_b)
-            if delta > bound or -delta > bound:
-                return False
-        return True
 
     # -- goForward ------------------------------------------------------
 
@@ -861,7 +798,7 @@ class OCEPMatcher:
         partner_trace = -1
         if pinned is None:
             for j in step.partner_levels:
-                assigned = levels[j].event
+                assigned = self._assigned[j]
                 if assigned.kind is not EventKind.SEND:
                     partner = assigned.partner
                     partner_level = j
@@ -890,19 +827,13 @@ class OCEPMatcher:
                             self.config.backjump
                             and next_nonempty(level.trace) is not None
                         ):
-                            level.conflicts.append(
-                                _Conflict(level=partner_level, lo=None, hi=None)
-                            )
+                            level.conflicts.append(Conflict(partner_level))
                         return False
                     if level.trace < partner_trace:
                         if self.config.backjump:
                             nxt = next_nonempty(level.trace)
                             if nxt is not None and nxt < partner_trace:
-                                level.conflicts.append(
-                                    _Conflict(
-                                        level=partner_level, lo=None, hi=None
-                                    )
-                                )
+                                level.conflicts.append(Conflict(partner_level))
                         level.trace = partner_trace
                 else:
                     # Jump the sweep over traces this leaf never
@@ -921,11 +852,21 @@ class OCEPMatcher:
                 if not leaf_history.on_trace(trace):
                     level.advance_trace()
                     continue
-                domain = self._compute_domain(levels, i, trace)
-                if domain is None:
+                # Figure 4.  Each restriction costs budget too, so the
+                # per-trigger bound stays uniform across pattern sizes
+                # (a domain computation is O(pattern length)).
+                if self._steps_left is not None:
+                    self._steps_left -= i
+                    if self._steps_left < 0:
+                        raise _BudgetExhausted()
+                lo, hi, lo_level, hi_level, level.exact = restrict(
+                    self.index, trace, step.constraints.items(),
+                    self._assigned, self.config.restrict_domains,
+                )
+                if lo is None:
+                    self._record_domain_conflict(level, i, trace, lo_level)
                     level.advance_trace()
                     continue
-                lo, hi, lo_level, hi_level = domain
                 level.candidates, level.floor, right = leaf_history.window(
                     trace, lo, hi, required_text
                 )
@@ -947,7 +888,7 @@ class OCEPMatcher:
                         )
                     if self.config.backjump:
                         self._record_slice_conflicts(
-                            levels, level, trace, lo, hi, lo_level, hi_level
+                            level, trace, lo, hi, lo_level, hi_level
                         )
                     level.advance_trace()
                     continue
@@ -964,8 +905,20 @@ class OCEPMatcher:
                     continue
                 if level.extra_hi is not None and candidate.index > level.extra_hi:
                     continue
-                env = self._acceptable(levels, i, candidate)
+                if step.windows and not self._within(
+                    step.windows, self._assigned, candidate
+                ):
+                    self.window_rejections += 1
+                    env = None
+                else:
+                    env = self._acceptable(
+                        self._program, i, self._assigned, i, candidate,
+                        levels[i - 1].env, level.exact,
+                    )
                 if env is None:
+                    # the rejection depends on the candidate itself:
+                    # no back-jump from this level
+                    level.filter_rejected = True
                     if self.search_trace is not None:
                         self.search_trace.record(
                             obs_trace.CANDIDATE,
@@ -976,7 +929,7 @@ class OCEPMatcher:
                             detail=f"rejected {candidate.event_id}",
                         )
                     continue
-                level.event = candidate
+                self._assigned[i] = candidate
                 level.env = env
                 level.accepted_any = True
                 level.match_since_assign = False
@@ -994,152 +947,32 @@ class OCEPMatcher:
 
             level.advance_trace()
 
-    def _compute_domain(
-        self, levels: List[_Level], i: int, trace: int
-    ) -> Optional[Tuple[int, Optional[int], Optional[int], Optional[int]]]:
-        """Intersect the Figure-4 restrictions of all instantiated
-        events.  On interval emptiness, record the conflict (with
-        Figure-5 resolution bounds) and return None; otherwise return
-        ``(lo, hi, lo_level, hi_level)`` — the interval bounds together
-        with the levels whose restrictions set its binding lower and
-        upper bounds (None = unbounded side / no binding level).
-
-        The interval arithmetic of :func:`repro.core.domain.restrict`
-        is inlined on plain ints, and so are the GP/LS lookups of
-        :class:`~repro.core.gpls.CausalIndex` (against the assigned
-        events' cached component tuples): this is the innermost
-        per-trace loop of the search, and the per-restriction call
-        overhead dominated its cost.
-        """
-        level = levels[i]
-        lo = 1
-        hi: Optional[int] = None
-        lo_level: Optional[int] = None
-        hi_level: Optional[int] = None
-        # each restriction costs budget too, so the per-trigger bound
-        # stays uniform across pattern sizes (a domain computation is
-        # O(pattern length))
-        if self._steps_left is not None:
-            self._steps_left -= i
-            if self._steps_left < 0:
-                raise _BudgetExhausted()
-        index = self.index
-        ivalues = index._values[trace]
-        ipositions = index._positions[trace]
-        trace_len = index._lengths[trace]
-        restrict_domains = self.config.restrict_domains
-        for j, constraint in level.step.constraints.items():
-            if not restrict_domains and constraint is not Constraint.PARTNER:
-                # Chronological-backtracking ablation: scan everything,
-                # verify causality per candidate instead.
-                continue
-            assigned = levels[j].event
-            atrace = assigned.trace
-            aindex = assigned.index
-            # Bounds contributed by this constraint (nhi None =
-            # unbounded above), or an outright failure.
-            failed = False
-            nlo = 1
-            nhi: Optional[int] = None
-            if constraint in (Constraint.BEFORE, Constraint.LIMITED):
-                # assigned -> candidate: candidate at or past LS
-                if atrace == trace:
-                    if aindex < trace_len:
-                        nlo = aindex + 1
-                    else:
-                        failed = True
-                else:
-                    col = ivalues[atrace]
-                    pos = _bisect_left(col, aindex)
-                    if pos < len(col):
-                        nlo = ipositions[atrace][pos]
-                    else:
-                        failed = True
-            elif constraint in (Constraint.AFTER, Constraint.LIMITED_REV):
-                # candidate -> assigned: candidate at or before GP
-                nhi = (
-                    aindex - 1 if atrace == trace
-                    else assigned.clock.components[trace]
-                )
-            elif constraint is Constraint.NOT_AFTER:
-                # not (candidate -> assigned): candidate strictly past GP
-                nlo = (
-                    aindex if atrace == trace
-                    else assigned.clock.components[trace] + 1
-                )
-            elif constraint is Constraint.NOT_BEFORE:
-                # not (assigned -> candidate): candidate strictly before LS
-                if atrace == trace:
-                    if aindex < trace_len:
-                        nhi = aindex
-                else:
-                    col = ivalues[atrace]
-                    pos = _bisect_left(col, aindex)
-                    if pos < len(col):
-                        nhi = ipositions[atrace][pos] - 1
-            elif constraint is Constraint.CONCURRENT:
-                if atrace == trace:
-                    nlo = aindex
-                    if aindex < trace_len:
-                        nhi = aindex
-                else:
-                    nlo = assigned.clock.components[trace] + 1
-                    col = ivalues[atrace]
-                    pos = _bisect_left(col, aindex)
-                    if pos < len(col):
-                        nhi = ipositions[atrace][pos] - 1
-            elif constraint is Constraint.PARTNER:
-                partner = assigned.partner
-                if assigned.kind is EventKind.RECEIVE and partner is not None:
-                    if partner.trace != trace:
-                        failed = True
-                    else:
-                        nlo = nhi = partner.index
-                elif assigned.kind is EventKind.SEND:
-                    # The matching receive causally follows the send;
-                    # identity is checked per candidate by the matcher.
-                    ls = index.ls(assigned, trace)
-                    if ls is None:
-                        failed = True
-                    else:
-                        nlo = ls
-                else:
-                    failed = True  # a unary event has no partner
-            else:
-                raise ValueError(f"unhandled constraint {constraint!r}")
-
-            if not failed:
-                if nlo > lo:
-                    lo = nlo
-                    lo_level = j
-                if nhi is not None and (hi is None or nhi < hi):
-                    hi = nhi
-                    hi_level = j
-                if hi is not None and lo > hi:
-                    failed = True
-            if failed:
-                self.domain_conflicts += 1
-                if self.search_trace is not None:
-                    self.search_trace.record(
-                        obs_trace.DOMAIN_CONFLICT,
-                        self.searches_run,
-                        i,
-                        level.leaf_id,
-                        trace,
-                        detail=f"{constraint.value} vs level {j}",
-                    )
-                if self.config.backjump:
-                    # Bounds resolve lazily: domain conflicts vastly
-                    # outnumber the back-jumps that read them.
-                    level.conflicts.append(_LazyConflict(
-                        j, self, constraint, assigned, level.step.history, trace
-                    ))
-                return None
-        return lo, hi, lo_level, hi_level
+    def _record_domain_conflict(
+        self, level: _Level, i: int, trace: int, j: int
+    ) -> None:
+        """Level ``j``'s restriction emptied level ``i``'s domain on
+        ``trace``."""
+        step = level.step
+        constraint = step.constraints[j]
+        self.domain_conflicts += 1
+        if self.search_trace is not None:
+            self.search_trace.record(
+                obs_trace.DOMAIN_CONFLICT,
+                self.searches_run,
+                i,
+                level.leaf_id,
+                trace,
+                detail=f"{constraint.value} vs level {j}",
+            )
+        if self.config.backjump:
+            # Figure-5 bounds resolve lazily: domain conflicts vastly
+            # outnumber the back-jumps that read them.
+            level.conflicts.append(Conflict(j, pending=(
+                self.index, constraint, self._assigned[j], step.history, trace
+            )))
 
     def _record_slice_conflicts(
         self,
-        levels: List[_Level],
         level: _Level,
         trace: int,
         interval_lo: int,
@@ -1157,174 +990,83 @@ class OCEPMatcher:
         if lo_level is not None and lo_level >= 1:
             events, first, _ = leaf_history.window(trace, interval_lo, None)
             if first > 0:
-                lo, hi = self._admit_bounds_lower(
-                    constraints[lo_level], levels[lo_level].event,
-                    events[first - 1],
-                )
-                level.conflicts.append(_Conflict(level=lo_level, lo=lo, hi=hi))
+                level.conflicts.append(Conflict(lo_level, admit_bounds_lower(
+                    self.index, constraints[lo_level],
+                    self._assigned[lo_level], events[first - 1],
+                )))
 
         if hi_level is not None and hi_level >= 1 and interval_hi is not None:
             events, first, end = leaf_history.window(trace, interval_hi + 1, None)
             if first < end:
-                lo, hi = self._admit_bounds_upper(
-                    constraints[hi_level], levels[hi_level].event,
-                    events[first],
-                )
-                level.conflicts.append(_Conflict(level=hi_level, lo=lo, hi=hi))
-
-    def _admit_bounds_lower(
-        self, constraint: Constraint, assigned: Event, target: Event
-    ) -> Tuple[Optional[int], Optional[int]]:
-        """Positions on ``assigned``'s trace where a replacement's
-        lower-bound restriction would admit ``target``."""
-        own = assigned.trace
-        if constraint in (Constraint.BEFORE, Constraint.LIMITED, Constraint.PARTNER):
-            # need replacement -> target
-            hi = self.index.gp(target, own)
-            return (None, hi) if hi > 0 else (None, None)
-        if constraint in (Constraint.NOT_AFTER, Constraint.CONCURRENT):
-            # need not (target -> replacement)
-            ls = self.index.ls(target, own)
-            return (None, ls - 1) if ls is not None else (None, None)
-        return (None, None)
-
-    def _admit_bounds_upper(
-        self, constraint: Constraint, assigned: Event, target: Event
-    ) -> Tuple[Optional[int], Optional[int]]:
-        """Positions on ``assigned``'s trace where a replacement's
-        upper-bound restriction would admit ``target``."""
-        own = assigned.trace
-        if constraint in (Constraint.AFTER, Constraint.LIMITED_REV, Constraint.PARTNER):
-            # need target -> replacement
-            lo = self.index.ls(target, own)
-            return (lo, None) if lo is not None else (None, None)
-        if constraint in (Constraint.NOT_BEFORE, Constraint.CONCURRENT):
-            # need not (replacement -> target)
-            return (self.index.gp(target, own) + 1, None)
-        return (None, None)
-
-    def _resolution_bounds(
-        self,
-        constraint: Constraint,
-        assigned: Event,
-        leaf_history: LeafHistory,
-        trace: int,
-    ) -> Tuple[Optional[int], Optional[int]]:
-        """Figure 5: positions on ``assigned``'s own trace within which
-        a replacement could satisfy ``constraint`` against *some*
-        stored candidate on ``trace``.  The bounds are the hull of the
-        per-candidate resolutions, hence sound (never exclude a
-        workable replacement) while the instantiation prefix below the
-        conflicting level is unchanged."""
-        own = assigned.trace
-        earliest = leaf_history.earliest_on(trace)
-        latest = leaf_history.latest_on(trace)
-        if earliest is None or latest is None:
-            return (None, None)
-
-        if constraint in (Constraint.BEFORE, Constraint.LIMITED):
-            # replacement -> some candidate; easiest against the latest
-            hi = self.index.gp(latest, own)
-            return (None, hi) if hi > 0 else (None, None)
-        if constraint in (Constraint.AFTER, Constraint.LIMITED_REV):
-            lo = self.index.ls(earliest, own)
-            return (lo, None) if lo is not None else (None, None)
-        if constraint is Constraint.NOT_AFTER:
-            ls = self.index.ls(latest, own)
-            return (None, ls - 1) if ls is not None else (None, None)
-        if constraint is Constraint.NOT_BEFORE:
-            return (self.index.gp(earliest, own) + 1, None)
-        if constraint is Constraint.CONCURRENT:
-            lo = self.index.gp(earliest, own) + 1
-            ls = self.index.ls(latest, own)
-            hi = ls - 1 if ls is not None else None
-            return (lo, hi)
-        return (None, None)  # PARTNER: no timestamp form, plain jump
+                level.conflicts.append(Conflict(hi_level, admit_bounds_upper(
+                    self.index, constraints[hi_level],
+                    self._assigned[hi_level], events[first],
+                )))
 
     # -- candidate acceptance --------------------------------------------
 
-    def _acceptable(
-        self, levels: List[_Level], i: int, candidate: Event
-    ) -> Optional[Bindings]:
-        """Non-interval checks; returns the extended environment on
-        success and flags the rejection kind for back-jump safety."""
-        level = levels[i]
-        step = level.step
+    def _within(self, windows, assigned: Sequence[Event], candidate: Event) -> bool:
+        """Window guards: timestamp distance to every assigned event
+        sharing a ``WITHIN`` with the candidate's leaf."""
+        for j, bound, wall_bound in windows:
+            if bound is not None:
+                if abs(candidate.lamport - assigned[j].lamport) > bound:
+                    return False
+            if wall_bound is not None:
+                stamp = self._wall_clock
+                if abs(stamp(candidate) - stamp(assigned[j])) > wall_bound:
+                    return False
+        return True
 
+    def _acceptable(
+        self,
+        program: Sequence[LevelStep],
+        i: int,
+        assigned: Sequence[Event],
+        n: int,
+        candidate: Event,
+        env: Optional[Bindings],
+        exact: bool,
+    ) -> Optional[Bindings]:
+        """What interval membership (and :meth:`_within`) does not
+        decide of a candidate for ``program[i]``: distinctness from the
+        first ``n`` assigned events, the class under ``env``, partner
+        identity, ``~>`` immediacy and — where the domain was only a
+        superset (not ``exact``) — the causal relations themselves.
+        Returns the extended environment, or None."""
         # Distinctness by event id: within one computation (trace,
         # index) is the event's identity, so this equals full-field
         # equality without comparing clocks.
         ctrace, cindex = candidate.trace, candidate.index
-        for j in range(i):
-            assigned = levels[j].event
-            if assigned.trace == ctrace and assigned.index == cindex:
-                level.filter_rejected = True
+        for j in range(n):
+            other = assigned[j]
+            if other.trace == ctrace and other.index == cindex:
                 return None
-
-        env = step.event_class.matches(candidate, levels[i - 1].env)
+        step = program[i]
+        env = step.event_class.matches(candidate, env)
         if env is None:
-            level.filter_rejected = True
             return None
-
-        # Window guards: timestamp distance to every already-bound
-        # leaf sharing a WITHIN with this one.  A window rejection
-        # depends on the candidate itself, so it must disable
-        # back-jumping from this level (filter_rejected), like any
-        # other non-interval filter.
-        for j, bound, wall_bound in step.windows:
-            if bound is not None:
-                delta = candidate.lamport - levels[j].event.lamport
-                if delta > bound or -delta > bound:
-                    self.window_rejections += 1
-                    level.filter_rejected = True
-                    return None
-            if wall_bound is not None:
-                stamp = self._wall_clock
-                delta = stamp(candidate) - stamp(levels[j].event)
-                if delta > wall_bound or -delta > wall_bound:
-                    self.window_rejections += 1
-                    level.filter_rejected = True
-                    return None
-
-        # A gapped stream (complete_stream=False after actual sheds)
-        # can leave least-successor columns under-informed, which only
-        # ever *widens* the GP/LS domains — so re-verifying each
-        # candidate against its vector clock restores exactness.  A
-        # pure trace-suffix loss records no gap and needs no
-        # verification: no delivered event can causally follow an
-        # undelivered one whose LS entry is missing.
-        gapped = self.index.gaps > 0
-        verify_all = (
-            self.config.paranoid
-            or not self.config.restrict_domains
-            or gapped
-        )
+        verify = self.config.paranoid or not exact
         for j, constraint in step.constraints.items():
-            assigned = levels[j].event
-            if constraint is Constraint.PARTNER:
-                if not candidate.is_partner_of(assigned):
-                    level.filter_rejected = True
+            other = assigned[j]
+            if constraint is _PARTNER:
+                if not candidate.is_partner_of(other):
                     return None
-            elif constraint is Constraint.LIMITED:
-                # assigned ~> candidate: no same-class event between
-                if levels[j].step.history.has_between(
-                    assigned, candidate, self.index
-                ):
-                    level.filter_rejected = True
+            elif constraint is _LIMITED:
+                # other ~> candidate: no event of other's class between
+                if program[j].history.has_between(other, candidate, self.index):
                     return None
-            elif constraint is Constraint.LIMITED_REV:
-                # candidate ~> assigned
-                if step.history.has_between(candidate, assigned, self.index):
-                    level.filter_rejected = True
+            elif constraint is _LIMITED_REV:
+                # candidate ~> other
+                if step.history.has_between(candidate, other, self.index):
                     return None
-            if verify_all and not _satisfies(constraint, assigned, candidate):
-                if self.config.restrict_domains and not gapped:
+            if verify and not satisfies(constraint, other, candidate):
+                if exact:
                     raise AssertionError(
                         "exact domain restriction admitted a causally "
                         f"invalid candidate {candidate.event_id} "
-                        f"({constraint.value} vs {assigned.event_id})"
+                        f"({constraint.value} vs {other.event_id})"
                     )
-                level.filter_rejected = True
                 return None
         return env
 
@@ -1337,7 +1079,7 @@ class OCEPMatcher:
             and not self._negations
         ):
             return True
-        assignment = {level.leaf_id: level.event for level in levels}
+        assignment = dict(zip(self._order, self._assigned))
         if self._negations:
             env = levels[-1].env or {}
             for d, spec in enumerate(self._negations):
@@ -1406,7 +1148,7 @@ class OCEPMatcher:
         if can_jump:
             target = max(c.level for c in level.conflicts)
             if target >= 1:
-                lo, hi = _bounds_hull(
+                lo, hi = bounds_hull(
                     c for c in level.conflicts if c.level == target
                 )
                 level.reset()
@@ -1450,39 +1192,3 @@ class OCEPMatcher:
                 detail=f"to level {target}",
             )
         return target
-
-
-def _bounds_hull(conflicts) -> Tuple[Optional[int], Optional[int]]:
-    """Union hull of resolution bounds: the weakest (soundest) bound
-    covering every recorded way of resolving the target level."""
-    lo: Optional[int] = None
-    hi: Optional[int] = None
-    first = True
-    for conflict in conflicts:
-        if first:
-            lo, hi = conflict.lo, conflict.hi
-            first = False
-            continue
-        if conflict.lo is None or (lo is not None and conflict.lo < lo):
-            lo = conflict.lo
-        if conflict.hi is None or (hi is not None and conflict.hi > hi):
-            hi = conflict.hi
-    return lo, hi
-
-
-def _satisfies(constraint: Constraint, assigned: Event, candidate: Event) -> bool:
-    """Direct causal verification of a pairwise constraint (used by the
-    chronological ablation and paranoid mode)."""
-    if constraint in (Constraint.BEFORE, Constraint.LIMITED):
-        return assigned.happens_before(candidate)
-    if constraint in (Constraint.AFTER, Constraint.LIMITED_REV):
-        return candidate.happens_before(assigned)
-    if constraint is Constraint.NOT_AFTER:
-        return not candidate.happens_before(assigned)
-    if constraint is Constraint.NOT_BEFORE:
-        return not assigned.happens_before(candidate)
-    if constraint is Constraint.CONCURRENT:
-        return candidate.concurrent_with(assigned)
-    if constraint is Constraint.PARTNER:
-        return candidate.is_partner_of(assigned)
-    return True

@@ -6,7 +6,9 @@ brute-force oracle on randomized Weaver schedules, seeds 0..9:
 
 * EXHAUSTIVE-mode matcher output (unpruned histories, as in the
   legacy oracle-equivalence suite) must equal the oracle's full match
-  enumeration (as assignment sets), with the planner on AND off;
+  enumeration (as assignment sets), with the planner on AND off — and,
+  planner on, on gapped streams against the oracle over the delivered
+  events (the drop-rate cells of the legacy suite);
 * every reported Kleene group must equal the oracle's maximal-group
   expansion;
 * COVERAGE-mode reports must individually verify against the full
@@ -21,6 +23,7 @@ from repro.core import Monitor
 from repro.core.matcher import MatcherConfig, SweepMode
 from repro.core import oracle
 from repro.testing import random_computation
+from tests.integration.test_oracle_equivalence import drop_rate_cells, shed
 
 SEEDS = range(10)
 TRACES = 3
@@ -126,18 +129,22 @@ def wall_clock_for(source):
     return wall_stamp if "wall" in source else None
 
 
-@pytest.mark.parametrize("name", sorted(ALL_PATTERNS))
-def test_exhaustive_equals_oracle(name):
-    source = ALL_PATTERNS[name]
+@pytest.mark.parametrize(
+    "name,source,drop_rate", drop_rate_cells(sorted(ALL_PATTERNS.items()))
+)
+def test_exhaustive_equals_oracle(name, source, drop_rate):
     wall = wall_clock_for(source)
     for seed in SEEDS:
-        events = random_computation(seed, TRACES, STEPS).events
+        events = shed(
+            random_computation(seed, TRACES, STEPS).events, seed, drop_rate
+        )
         monitor = run_monitor(
             source,
             events,
             sweep=SweepMode.EXHAUSTIVE,
             prune_history=False,
             wall_clock=wall,
+            complete_stream=not drop_rate,
         )
         pattern = monitor.matcher.pattern
         got = {fingerprint(r.assignment) for r in monitor.reports}
@@ -145,7 +152,7 @@ def test_exhaustive_equals_oracle(name):
             fingerprint(m.items())
             for m in oracle.enumerate_matches(pattern, events, wall_clock=wall)
         }
-        assert got == want, (name, seed, got ^ want)
+        assert got == want, (name, seed, drop_rate, got ^ want)
 
         # reported Kleene groups are the oracle's maximal expansions
         # over the events delivered up to the report (groups are

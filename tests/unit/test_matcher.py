@@ -1,6 +1,6 @@
 """Unit tests for the OCEP matching engine on hand-built scenarios."""
 
-from repro.core import MatcherConfig, OCEPMatcher, SweepMode
+from repro.core import MatcherConfig, OCEPMatcher, SweepMode, enumerate_matches
 from repro.patterns import PatternTree, compile_pattern, parse_pattern
 from repro.testing import Weaver
 
@@ -279,3 +279,64 @@ class TestChronologicalEquivalence:
                 tuple(ids(r).items()) for r in feed(slow, w.events)
             }
             assert fast_reports == slow_reports, seed
+
+
+class TestGappedStream:
+    """``complete_stream=False``: a match whose events were all
+    delivered is detected, whatever else was shed."""
+
+    @staticmethod
+    def detected(source, delivered, **config_kwargs):
+        matcher = build_matcher(
+            source, 2, complete_stream=False, **config_kwargs
+        )
+        got = {
+            tuple(sorted((leaf, e.event_id) for leaf, e in r.assignment))
+            for r in feed(matcher, delivered)
+        }
+        want = {
+            tuple(sorted((leaf, e.event_id) for leaf, e in m.items()))
+            for m in enumerate_matches(matcher.pattern, delivered)
+        }
+        return got, want
+
+    def test_shed_receive_does_not_hide_a_delivered_match(self):
+        """The shed receive was the one that raised trace 1's column for
+        trace 0: the index reads LS(a, 1) off the second receive, past
+        b, and as a lower bound that would cut b off."""
+        w = Weaver(2)
+        a = w.local(0, "A")
+        r = w.recv(1, w.send(0))
+        b = w.local(1, "B")
+        w.recv(1, w.send(0))
+        c = w.local(1, "C")
+        delivered = [e for e in w.events if e is not r]
+        source = (
+            "A := ['', A, '']; B := ['', B, '']; C := ['', C, '']; A $a;"
+            "pattern := ($a -> B) /\\ ($a -> C);"
+        )
+        for prune in (True, False):
+            got, want = self.detected(source, delivered, prune_history=prune)
+            assert got == want == {
+                ((0, a.event_id), (1, b.event_id), (2, c.event_id))
+            }
+
+    def test_pruning_rule_does_not_merge_across_a_hole(self):
+        """x1 and x2 have no delivered send or receive between them, but
+        the hole between them was one: x2 follows b, x1 does not."""
+        w = Weaver(2)
+        x1 = w.local(1, "A")
+        b = w.local(0, "B")
+        r = w.recv(1, w.send(0))
+        w.local(1, "A")  # x2
+        c = w.local(0, "C")
+        delivered = [e for e in w.events if e is not r]
+        source = (
+            "A := ['', A, '']; B := ['', B, '']; C := ['', C, '']; B $b;"
+            "pattern := (A || $b) /\\ ($b -> C);"
+        )
+        for prune in (True, False):
+            got, want = self.detected(source, delivered, prune_history=prune)
+            assert got == want == {
+                ((0, x1.event_id), (1, b.event_id), (2, c.event_id))
+            }
