@@ -17,6 +17,16 @@ search, the Kleene group expansion, the negation veto and the ``~>``
 immediacy check all call it with their own anchors and slice the
 history with :meth:`~repro.core.history.LeafHistory.window`.
 
+Two restrictions reach the domain without a row of their own.  A
+precedence the pattern *implies* (``P ~> $m`` and ``$m -> D`` put ``P``
+before ``D``) arrives as an ordinary ``BEFORE`` / ``AFTER`` pair: the
+level program adds it (:func:`repro.patterns.plan.effective_constraint`)
+and the kernel cannot tell it from a declared one.  A sim ``WITHIN``
+bound is not a position interval but a Lamport-time one:
+:func:`lamport_range` intersects a level's bounds and ``window`` turns
+the range into positions by bisection, Lamport time being ordered along
+a trace.
+
 On a complete stream the bounds are *exact* under the Fidge/Mattern
 clock convention (not merely necessary), so interval membership fully
 decides the causal relation and no per-candidate re-check is needed.
@@ -183,6 +193,26 @@ def restrict(
         if hi is not None and lo > hi:
             return None, None, key, key, exact
     return lo, hi, lo_key, hi_key, exact
+
+
+def lamport_range(
+    windows: Iterable[Tuple[int, Optional[int], Optional[int]]],
+    events: Sequence[Event],
+) -> Optional[Tuple[int, int]]:
+    """The Lamport times within every sim ``WITHIN`` bound of
+    ``windows`` — ``(key, sim bound, wall bound)`` against the event at
+    ``events[key]`` — as ``[max(L - n), min(L + n)]``; ``None`` when no
+    pair carries a sim bound.  For the ``lamport`` argument of
+    :meth:`~repro.core.history.LeafHistory.window`."""
+    lo = hi = None
+    for key, bound, _ in windows:
+        if bound is not None:
+            at = events[key].lamport
+            if lo is None or at - bound > lo:
+                lo = at - bound
+            if hi is None or at + bound < hi:
+                hi = at + bound
+    return None if lo is None else (lo, hi)
 
 
 def satisfies(constraint: Constraint, assigned: Event, candidate: Event) -> bool:

@@ -30,8 +30,20 @@ from repro.events.event import Event
 from repro.patterns.compile import Constraint
 
 _event_index = operator.attrgetter("index")
+_event_lamport = operator.attrgetter("lamport")
 #: ``events[0] -> x -> events[1]`` as pairs for the domain kernel.
 _BETWEEN = ((0, Constraint.BEFORE), (1, Constraint.AFTER))
+
+
+def clamp_cut(
+    events: Sequence[Event], left: int, right: int, lo: int, hi: Optional[int]
+) -> bool:
+    """True when the Lamport clamp of :meth:`LeafHistory.window` cut a
+    stored event with position in ``[lo, hi]`` off either end of
+    ``events[left:right]`` — the neighbours tell, no second bisect."""
+    return (left > 0 and events[left - 1].index >= lo) or (
+        right < len(events) and (hi is None or events[right].index <= hi)
+    )
 
 
 class LeafHistory:
@@ -42,7 +54,7 @@ class LeafHistory:
     """
 
     __slots__ = ("leaf_id", "_by_trace", "_epochs", "_by_text", "_size",
-                 "_nonempty", "_indices")
+                 "_nonempty", "_indices", "_lamport_ordered")
 
     def __init__(self, leaf_id: int, num_traces: int):
         self.leaf_id = leaf_id
@@ -62,6 +74,11 @@ class LeafHistory:
         # usually matches on a few traces of a wide computation).
         # Pruning replaces entries in place, so traces never re-empty.
         self._nonempty: List[int] = []
+        # per trace: no stored event was seen to carry a smaller
+        # Lamport time than its predecessor (a stamping kernel never
+        # does that; a foreign dump may), so :meth:`window` may bisect
+        # the trace by Lamport time.
+        self._lamport_ordered: List[bool] = [True] * num_traces
         self._size = 0
 
     # ------------------------------------------------------------------
@@ -80,6 +97,8 @@ class LeafHistory:
         epochs = self._epochs[event.trace]
         indices = self._indices[event.trace]
         text_index = self._by_text[event.trace]
+        if events and event.lamport < events[-1].lamport:
+            self._lamport_ordered[event.trace] = False
         if may_prune and events and epochs[-1] == epoch:
             replaced = events[-1]
             events[-1] = event
@@ -109,22 +128,43 @@ class LeafHistory:
         return self._by_trace[trace]
 
     def window(
-        self, trace: int, lo: int, hi: Optional[int], text: Optional[str] = None
+        self,
+        trace: int,
+        lo: int,
+        hi: Optional[int],
+        text: Optional[str] = None,
+        lamport: Optional[Tuple[int, int]] = None,
     ) -> Tuple[Sequence[Event], int, int]:
         """Stored events on ``trace`` with position in ``[lo, hi]``
         (``hi=None`` meaning unbounded; carrying exactly ``text`` when
         given, off the secondary index) as ``(events, left, right)``:
         the live oldest-first list and a half-open index range in it.
-        No copy — good until the next :meth:`append`, so for a search."""
+        No copy — good until the next :meth:`append`, so for a search.
+
+        ``lamport`` = ``(first, last)`` narrows the range further to
+        the events with Lamport time in it (the ``WITHIN`` clamp, see
+        :func:`~repro.core.domain.lamport_range`) — unless the trace's
+        Lamport times were seen out of order, when the range comes back
+        unclamped and the caller's per-candidate check decides alone.
+        :func:`clamp_cut` tells whether the clamp removed anything."""
         if text is None:
             events, keys, key = self._by_trace[trace], self._indices[trace], None
         else:
             events = keys = self._by_text[trace].get(text, ())
             key = _event_index
         left = bisect.bisect_left(keys, lo, key=key)
-        if hi is None:
-            return events, left, len(keys)
-        return events, left, bisect.bisect_right(keys, hi, left, key=key)
+        right = (
+            len(keys) if hi is None
+            else bisect.bisect_right(keys, hi, left, key=key)
+        )
+        if lamport is not None and self._lamport_ordered[trace]:
+            left = bisect.bisect_left(
+                events, lamport[0], left, right, key=_event_lamport
+            )
+            right = bisect.bisect_right(
+                events, lamport[1], left, right, key=_event_lamport
+            )
+        return events, left, right
 
     def slice(self, trace: int, lo: int, hi: Optional[int]) -> Sequence[Event]:
         """A copy of the :meth:`window` ``[lo, hi]``, oldest first."""
@@ -183,9 +223,23 @@ class LeafHistory:
     def has_between(self, low: Event, high: Event, index: CausalIndex) -> bool:
         """True when some stored event ``x`` satisfies
         ``low -> x -> high`` — the side condition of the
-        limited-precedence operator."""
+        limited-precedence operator.  A trace ``high``'s clock does not
+        reach (its entry there — ``GP(high, trace)``, exact on a gapped
+        stream too; ``high`` itself on its own trace — lies before the
+        first stored event) costs one comparison, and an exact interval
+        is answered from its bounds, not copied."""
+        reach = high.clock
         for trace in self._nonempty:
-            if self.between(low, high, trace, index):
+            if reach[trace] < self._indices[trace][0]:
+                continue
+            lo, hi, _, _, exact = restrict(index, trace, _BETWEEN, (low, high))
+            if lo is None:
+                continue
+            _, left, right = self.window(trace, lo, hi)
+            # only a superset (a gapped stream): let between() verify
+            if left < right and (
+                exact or self.between(low, high, trace, index)
+            ):
                 return True
         return False
 
@@ -232,6 +286,9 @@ class LeafHistory:
             self._by_trace[trace] = events
             self._epochs[trace] = epochs
             self._indices[trace] = [e.index for e in events]
+            self._lamport_ordered[trace] = all(
+                a.lamport <= b.lamport for a, b in zip(events, events[1:])
+            )
             if events:
                 bisect.insort(self._nonempty, trace)
             text_index = self._by_text[trace]

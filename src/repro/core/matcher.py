@@ -46,11 +46,12 @@ from repro.core.domain import (
     admit_bounds_lower,
     admit_bounds_upper,
     bounds_hull,
+    lamport_range,
     restrict,
     satisfies,
 )
 from repro.core.front import StreamFront, TypeRoutes
-from repro.core.history import HistorySet, LeafHistory
+from repro.core.history import HistorySet, LeafHistory, clamp_cut
 from repro.core.subset import RepresentativeSubset
 from repro.events.event import Event, EventKind
 from repro.obs import trace as obs_trace
@@ -720,13 +721,14 @@ class OCEPMatcher:
         if wall_bound is not None:
             wall_oldest = wall_newest = stamp(anchor)
         members: List[Event] = [anchor]
+        span = lamport_range(step.windows, assigned)
         for trace in self._guard_traces(step.history, step.event_class, env):
             lo, hi, _, _, exact = restrict(
                 self.index, trace, pairs, assigned, self.config.restrict_domains
             )
             if lo is None:
                 continue
-            events, left, right = step.history.window(trace, lo, hi)
+            events, left, right = step.history.window(trace, lo, hi, None, span)
             for event in events[left:right]:
                 if step.windows and not self._within(
                     step.windows, assigned, event
@@ -867,11 +869,22 @@ class OCEPMatcher:
                     self._record_domain_conflict(level, i, trace, lo_level)
                     level.advance_trace()
                     continue
+                span = (
+                    lamport_range(step.windows, self._assigned)
+                    if step.windows else None
+                )
                 level.candidates, level.floor, right = leaf_history.window(
-                    trace, lo, hi, required_text
+                    trace, lo, hi, required_text, span
                 )
                 level.pos = right - 1  # newest first
-                if right <= level.floor:
+                if span is not None and clamp_cut(
+                    level.candidates, level.floor, right, lo, hi
+                ):
+                    # WITHIN kept a stored candidate of the interval
+                    # out: a rejection that depends on the candidate
+                    # (no back-jump from here), not a Figure-5 conflict
+                    level.filter_rejected = True
+                elif right <= level.floor:
                     # The interval is satisfiable but holds no stored
                     # candidate — the Figure 5 conflict proper.  Record
                     # a resolution for every binding contributor so the

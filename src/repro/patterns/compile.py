@@ -259,11 +259,13 @@ class CompiledPattern:
         globally unsatisfiable.
 
         Happens-before is a strict partial order, so the transitive
-        closure of the pattern's strict edges (``BEFORE`` / ``LIMITED``
-        and the partner direction implied elsewhere) must be acyclic,
-        and an implied ``i -> j`` contradicts a declared ``j -> i`` or
-        ``i || j``.  The pairwise conjunction check cannot see these —
-        a three-cycle of precedences conjoins fine pair by pair.
+        closure of the pattern's strict edges (``BEFORE`` / ``LIMITED``;
+        nothing follows from ``<>``, whose direction depends on which
+        half is the send, nor from ``||`` or the weak forms) must be
+        acyclic, and an implied ``i -> j`` contradicts a declared
+        ``j -> i`` or ``i || j``.  The pairwise conjunction check
+        cannot see these — a three-cycle of precedences conjoins fine
+        pair by pair.  The closure is kept: see :meth:`precedes`.
         """
         size = len(self.leaves)
         strict = {
@@ -284,6 +286,7 @@ class CompiledPattern:
                 for j in range(size):
                     if row_k[j]:
                         row_i[j] = True
+        self._precedes = implied
         for i in range(size):
             if implied[i][i]:
                 raise PatternError(
@@ -391,6 +394,14 @@ class CompiledPattern:
         return any(
             spec.domain == "wall" for spec in self.tree.windows
         )
+
+    def precedes(self, i: int, j: int) -> bool:
+        """True when every match has leaf ``i``'s event strictly before
+        leaf ``j``'s: the pair is declared ``->`` / ``~>`` or a chain of
+        such pairs links them.  The declared matrix does not carry the
+        implied pairs — only level programs apply them (see
+        :func:`repro.patterns.plan.effective_constraint`)."""
+        return self._precedes[i][j]
 
     def constraint(self, i: int, j: int) -> Constraint:
         """The requirement of leaf ``i`` relative to leaf ``j``."""

@@ -17,6 +17,14 @@ recipe shrunk to the pattern-matching setting, where every "relation"
 is one leaf history and every "join predicate" is a pairwise causal
 constraint.
 
+The plan also carries the *level program* the search executes
+(:func:`level_program`): per level, what the pattern and the order fix
+about it.  That is the one place where a precedence the pattern implies
+but does not declare (:func:`effective_constraint`, off the closure
+:meth:`CompiledPattern.precedes` keeps) becomes a pair the search
+restricts by; the cost model reads the same function, so an estimate
+never calls a level the program restricts "unconstrained".
+
 Two guarantees keep it safe:
 
 * **Fallback** — with no statistics (cold start, or a caller that
@@ -85,8 +93,9 @@ class LevelStep(NamedTuple):
 
     leaf_id: int
     event_class: object
-    #: Earlier level -> that leaf's requirement towards this one
-    #: (``NONE`` left out), in level order; the ``<>`` ones by level.
+    #: Earlier level -> that leaf's :func:`effective_constraint` towards
+    #: this one (``NONE`` left out), in level order; the ``<>`` ones by
+    #: level.
     constraints: Dict[int, Constraint]
     partner_levels: Tuple[int, ...]
     #: The process / text attribute (``$var`` or exact value) that pins
@@ -98,6 +107,35 @@ class LevelStep(NamedTuple):
     windows: Tuple[Tuple[int, Optional[int], Optional[int]], ...]
     #: The leaf's entry of the ``histories`` the program was built over.
     history: object
+    #: Earlier level -> the leaf its entry of ``constraints`` is implied
+    #: through, for the entries the pattern does not declare.
+    implied: Dict[int, int]
+
+
+#: Declared forms a strict precedence implied by other pairs replaces.
+_SUBSUMED = (Constraint.NONE, Constraint.NOT_AFTER, Constraint.NOT_BEFORE)
+
+
+def effective_constraint(
+    pattern: CompiledPattern, i: int, j: int
+) -> Tuple[Constraint, Optional[int]]:
+    """Leaf ``i``'s requirement relative to leaf ``j`` as a level
+    program applies it, and the leaf it is implied through (``None``:
+    it is the declared one).  Where the pattern declares nothing
+    between the two, or only a weak form, but its strict precedences
+    chain them (``P ~> $m`` and ``$m -> D`` put ``P`` before ``D``), the
+    requirement is that plain ``BEFORE`` / ``AFTER``: every match
+    satisfies it, so restricting a domain by it loses none — and the
+    search need not find it out one doomed candidate at a time."""
+    declared = pattern.constraint_matrix[i][j]
+    if declared in _SUBSUMED:
+        for a, b, strict in ((i, j, Constraint.BEFORE), (j, i, Constraint.AFTER)):
+            if pattern.precedes(a, b):
+                return strict, next(
+                    k for k in range(pattern.num_leaves)
+                    if pattern.precedes(a, k) and pattern.precedes(k, b)
+                )
+    return declared, None
 
 
 def _pin(event_class, attribute: str) -> Optional[str]:
@@ -117,11 +155,14 @@ def level_program(
 ) -> Tuple[LevelStep, ...]:
     """The level program of evaluating ``pattern`` in ``order``, over
     the per-leaf ``histories`` of the matcher that will run it."""
-    matrix = pattern.constraint_matrix
     steps = []
     for level, leaf_id in enumerate(order):
         event_class = pattern.leaves[leaf_id].event_class
-        into = {j: matrix[order[j]][leaf_id] for j in range(level)}
+        effective = {
+            j: effective_constraint(pattern, order[j], leaf_id)
+            for j in range(level)
+        }
+        into = {j: c for j, (c, _) in effective.items()}
         bounds = [
             (j, pattern.window_bound(leaf_id, order[j]),
              pattern.window_bound(leaf_id, order[j], "wall"))
@@ -134,6 +175,7 @@ def level_program(
             _pin(event_class, "process"), _pin(event_class, "text"),
             tuple(b for b in bounds if b[1:] != (None, None)),
             histories[leaf_id] if histories else None,
+            {j: via for j, (_, via) in effective.items() if via is not None},
         ))
     return tuple(steps)
 
@@ -167,9 +209,18 @@ class Plan:
         for level, step in enumerate(self.program, start=1):
             parts = [
                 f"partner level {j + 1}" if constraint is Constraint.PARTNER
-                else f"level {j + 1} {constraint.value}"
+                else f"level {j + 1} {constraint.value}" + (
+                    f" (implied via leaf {step.implied[j]})"
+                    if j in step.implied else ""
+                )
                 for j, constraint in step.constraints.items()
             ] or ["trigger" if level == 1 else "no constraint into the prefix"]
+            parts += [
+                f"within {bound} {domain} of level {j + 1}"
+                for j, *bounds in step.windows
+                for domain, bound in zip(("sim", "wall"), bounds)
+                if bound is not None
+            ]
             parts += [
                 f"{what} pinned by {pin}"
                 for what, pin in (("trace", step.trace_pin), ("text", step.text_pin))
@@ -240,7 +291,6 @@ def plan_order(
         )
     ]
     remaining = [i for i in range(pattern.num_leaves) if i != trigger_leaf]
-    matrix = pattern.constraint_matrix
     total = 1.0
 
     while remaining:
@@ -254,7 +304,9 @@ def plan_order(
             factors = []
             best = Constraint.NONE
             for j in order:
-                constraint = matrix[i][j]
+                # what the level program will restrict by, implied
+                # pairs included
+                constraint, _ = effective_constraint(pattern, i, j)
                 factor = _RESTRICTION[constraint]
                 if factor < _RESTRICTION[best]:
                     best = constraint
@@ -267,11 +319,15 @@ def plan_order(
                 factors.append(
                     "bound $" + ", $".join(sorted(shared))
                 )
-            reason = (
-                f"history {size} × " + " × ".join(factors)
-                if factors
-                else f"history {size}, unconstrained"
-            )
+            if factors:
+                reason = f"history {size} × " + " × ".join(factors)
+            elif any(
+                pattern.window_bound(i, j, domain) is not None
+                for j in order for domain in ("sim", "wall")
+            ):
+                reason = f"history {size}, WITHIN only (not costed)"
+            else:
+                reason = f"history {size}, unconstrained"
             return value, reason
 
         # cheapest first; ties broken by leaf id for determinism

@@ -59,6 +59,22 @@ PATTERNS = [
         "A := ['', A, '']; B := ['', B, '']; C := ['', C, ''];"
         "pattern := (A || B) /\\ (B -> C);",
     ),
+    # Precedence the pattern implies but does not declare: the level
+    # program restricts by it (A -> C below), the oracle reads the
+    # declared pairs only.
+    (
+        "implied-chain",
+        "A := ['', A, '']; B := ['', B, '']; C := ['', C, '']; B $b;"
+        "pattern := (A -> $b) /\\ ($b -> C);",
+    ),
+    (
+        # the weak A-not-after-C of the compound is subsumed by the
+        # strict A -> C implied through $b
+        "implied-subsumes-weak",
+        "A := ['', A, '']; B := ['', B, '']; C := ['', C, '']; X := ['', A, ''];"
+        "A $a; B $b; C $c;"
+        "pattern := (($a /\\ X) -> $c) /\\ ($a -> $b) /\\ ($b -> $c);",
+    ),
 ]
 
 

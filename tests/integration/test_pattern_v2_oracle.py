@@ -96,7 +96,60 @@ Y := ['', B, ''];
 pattern := X -> !Z -> Y WITHIN 8;
 """
 
+# Implied precedence (W before every $y, X before Z: declared nowhere,
+# applied by the level program) across the v2 operators.
+IMPLIED_INTO_KLEENE = """
+W := ['', C, ''];
+X := ['', A, ''];
+Y := ['', B, ''];
+X $x;
+Y $y;
+pattern := (W -> $x) /\\ ($x ~> $y+);
+"""
+
+IMPLIED_INTO_KLEENE_STRICT = """
+W := ['', C, ''];
+X := ['', A, ''];
+Y := ['', B, ''];
+X $x;
+pattern := (W -> $x) /\\ ($x -> Y+);
+"""
+
+# no v2 operator, but the kernel-recorded complete streams of the
+# legacy suite are too sparse to hold a single 4-chain
+IMPLIED_4_CHAIN = """
+W := ['', A, ''];
+X := ['', B, ''];
+Y := ['', C, ''];
+Z := ['', A, ''];
+X $x;
+Y $y;
+pattern := (W -> $x) /\\ ($x -> $y) /\\ ($y -> Z);
+"""
+
+# every X-group member precedes every Z-group member, through $y
+IMPLIED_BETWEEN_KLEENE = """
+X := ['', A, ''];
+Y := ['', B, ''];
+Z := ['', C, ''];
+Y $y;
+pattern := (X+ -> $y) /\\ ($y -> Z+);
+"""
+
+IMPLIED_CHAIN_WINDOW = """
+X := ['', A, ''];
+Y := ['', B, ''];
+Z := ['', C, ''];
+Y $y;
+pattern := ((X -> $y) /\\ ($y -> Z)) WITHIN 8;
+"""
+
 ALL_PATTERNS = {
+    "implied_into_kleene": IMPLIED_INTO_KLEENE,
+    "implied_into_kleene_strict": IMPLIED_INTO_KLEENE_STRICT,
+    "implied_4_chain": IMPLIED_4_CHAIN,
+    "implied_between_kleene": IMPLIED_BETWEEN_KLEENE,
+    "implied_chain_window": IMPLIED_CHAIN_WINDOW,
     "kleene": KLEENE,
     "window_sim": WINDOW_SIM,
     "window_wall": WINDOW_WALL,

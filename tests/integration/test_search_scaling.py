@@ -6,6 +6,11 @@ grow with the stream.  Counted deterministically with ``tracemalloc``
 (peak bytes above the level at search entry), not timed: a search that
 goes back to copying history suffixes into candidate lists doubles its
 peak when the stream doubles.
+
+Nor must the candidates a search scans: the domain carries what the
+pattern implies and the ``WITHIN`` bound, so a courier's ``Drop`` meets
+its own job's ``Pickup``, not every older one.  Counted off the
+matcher's own counters.
 """
 
 from __future__ import annotations
@@ -14,7 +19,12 @@ import tracemalloc
 
 from repro.core import Monitor
 from repro.engine import Pipeline
-from repro.workloads import build_message_race, message_race_pattern
+from repro.workloads import (
+    build_hotpath,
+    build_message_race,
+    hotpath_pattern,
+    message_race_pattern,
+)
 
 
 def peak_search_bytes(size):
@@ -57,3 +67,26 @@ def test_search_allocation_stays_flat_when_stream_doubles():
     assert large_events >= 1.9 * small_events
     # suffix-copying candidate lists read 2x here; windows read ~1x
     assert large <= 1.25 * small, (small, large)
+
+
+def candidates_per_search(jobs):
+    """``candidates_scanned / searches_run`` over the courier workload
+    at the generator's default 8 % express mix (most searches fail)."""
+    pipeline = Pipeline.for_workload(
+        build_hotpath(num_couriers=11, seed=7, jobs_per_courier=jobs)
+    )
+    monitor = pipeline.watch("hotpath", hotpath_pattern(), record_timings=False)
+    pipeline.run()
+    matcher = monitor.matcher
+    assert matcher.matches_found > 0
+    assert matcher.window_rejections == 0  # sim windows never reach a scan
+    return matcher.candidates_scanned / matcher.searches_run, matcher.searches_run
+
+
+def test_candidates_per_search_stay_flat_when_stream_doubles():
+    small, small_searches = candidates_per_search(34)
+    large, large_searches = candidates_per_search(68)
+    assert large_searches == 2 * small_searches
+    # without the implied P -> D and the Lamport clamp a Drop sweeps
+    # every stored Pickup: 190 -> 371 per search; with both, ~0.15
+    assert large <= 1.25 * small and large < 1, (small, large)

@@ -7,25 +7,36 @@ copied, so a search costs what it inspects, not what is stored), and
 ``events[left:right]`` is exactly what a brute-force filter on
 position and text selects — for every bound shape the search produces
 (empty, unbounded above, inverted) and after in-place prunes replaced
-the newest entry of a trace.
+the newest entry of a trace.  Given a Lamport range (the ``WITHIN``
+clamp) the window is that filter with the range added — equal Lamport
+times included — except on a trace whose stored Lamport times were seen
+to decrease, which comes back unclamped for the per-candidate check.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.history import LeafHistory
+from repro.core.history import LeafHistory, clamp_cut
 from repro.testing import Weaver
 
 TEXTS = ("", "x", "y")
 
 
 @st.composite
-def appended_history(draw):
+def appended_history(draw, lamport_steps=None):
     """A history fed a random append/prune sequence over several
-    traces, with the events it must now hold per trace."""
+    traces, with the events it must now hold per trace.  With
+    ``lamport_steps`` (a strategy of increments) the events are
+    restamped with Lamport times that repeat and, on a negative
+    increment, regress; the third item says per trace whether the
+    history was handed a regression."""
     num_traces = draw(st.integers(min_value=1, max_value=3))
+    clocks = [0] * num_traces
+    regressed = [False] * num_traces
     steps = draw(
         st.lists(
             st.tuples(
@@ -43,21 +54,26 @@ def appended_history(draw):
     epochs = [0] * num_traces
     for trace, text, keep, prune in steps:
         event = weaver.local(trace, "A", text)
+        if lamport_steps is not None:
+            clocks[trace] = max(0, clocks[trace] + draw(lamport_steps))
+            event = dataclasses.replace(event, lamport=clocks[trace])
         if not keep:
             continue
+        if stored[trace] and event.lamport < stored[trace][-1].lamport:
+            regressed[trace] = True
         if prune and stored[trace]:
             stored[trace][-1] = event
         else:
             epochs[trace] += 1
             stored[trace].append(event)
         history.append(event, epoch=epochs[trace], may_prune=prune)
-    return history, stored
+    return history, stored, regressed
 
 
 @given(appended_history(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_window_is_the_live_list_and_equals_a_brute_force_filter(built, data):
-    history, stored = built
+    history, stored, _ = built
     trace = data.draw(st.integers(min_value=0, max_value=len(stored) - 1))
     top = len(stored[trace]) * 2 + 3
     lo = data.draw(st.integers(min_value=1, max_value=top))
@@ -108,3 +124,56 @@ def test_window_sees_an_in_place_prune_of_the_newest_entry():
     assert history.window(0, 1, None, "y") == ((), 0, 0)
     _, left, right = history.window(0, 3, 1)  # lo > hi: empty, in range
     assert left == right <= 2
+
+
+@given(
+    appended_history(st.sampled_from((0, 0, 1, 1, 2, 5, -3))), st.data()
+)
+@settings(max_examples=300, deadline=None)
+def test_lamport_clamp_equals_a_brute_force_filter(built, data):
+    history, stored, regressed = built
+    trace = data.draw(st.integers(min_value=0, max_value=len(stored) - 1))
+    top = len(stored[trace]) * 2 + 3
+    lo = data.draw(st.integers(min_value=1, max_value=top))
+    hi = data.draw(st.none() | st.integers(min_value=lo, max_value=top))
+    text = data.draw(st.none() | st.sampled_from(TEXTS))
+    first = data.draw(st.integers(min_value=-4, max_value=40))
+    last = data.draw(st.integers(min_value=first - 2, max_value=44))
+
+    events, left, right = history.window(trace, lo, hi, text, (first, last))
+
+    in_interval = [
+        e for e in stored[trace]
+        if e.index >= lo
+        and (hi is None or e.index <= hi)
+        and (text is None or e.text == text)
+    ]
+    want = [e for e in in_interval if first <= e.lamport <= last]
+    got = list(events[left:right])
+    if regressed[trace]:
+        # not clamped: the per-candidate check still decides alone
+        assert got == in_interval
+        assert not clamp_cut(events, left, right, lo, hi)
+    else:
+        assert got == want
+        assert clamp_cut(events, left, right, lo, hi) == (want != in_interval)
+    assert [e for e in got if first <= e.lamport <= last] == want
+    assert events is history.window(trace, lo, hi, text)[0]  # still no copy
+
+
+def test_a_restored_history_rederives_which_traces_may_be_clamped():
+    w = Weaver(2)
+    stamps = {0: (3, 3, 7), 1: (5, 2, 9)}  # trace 1 regresses
+    history = LeafHistory(0, 2)
+    for trace, lamports in stamps.items():
+        for lamport in lamports:
+            event = dataclasses.replace(w.local(trace, "A"), lamport=lamport)
+            history.append(event, epoch=lamport, may_prune=False)
+    restored = LeafHistory(0, 2)
+    restored.restore(history.snapshot())
+    for h in (history, restored):
+        assert [e.lamport for e in h.slice(0, 1, None)] == [3, 3, 7]
+        _, left, right = h.window(0, 1, None, None, (3, 3))
+        assert (left, right) == (0, 2)  # both events stamped 3
+        _, left, right = h.window(1, 1, None, None, (3, 4))
+        assert (left, right) == (0, 3)  # unclamped

@@ -195,3 +195,66 @@ class TestStaticSatisfiability:
         compiled(
             BASE + "pattern := ((A || B) -> C) /\\ (C || D);"
         )
+
+
+class TestImpliedPrecedence:
+    """``precedes``: the strict closure ``_check_satisfiable`` derives,
+    kept for the level programs; the declared matrix stays as written."""
+
+    VARS = "A $x; B $y; C $z; D $w;"
+    #: source -> the (i, j) with leaf i strictly before leaf j that no
+    #: declared pair states (leaves number x, y, z, w as they appear)
+    TABLE = {
+        "($x -> $y) /\\ ($y -> $z)": {(0, 2)},
+        "($x -> $y) /\\ ($y -> $z) /\\ ($z -> $w)": {(0, 2), (0, 3), (1, 3)},
+        "($x ~> $y) /\\ ($y ~> $z)": {(0, 2)},
+        "($x -> $y) /\\ ($x -> $z)": set(),
+        # a message's direction is not the pattern's to know
+        "($x <> $y) /\\ ($y -> $z)": set(),
+        "($x -> $y) /\\ ($y || $z)": set(),
+        # weak pairs (x, y not after z) chain nothing
+        "(($x || $y) -> $z) /\\ ($z -> $w)": set(),
+    }
+
+    @pytest.mark.parametrize("source", sorted(TABLE))
+    def test_closure(self, source):
+        from repro.patterns.plan import effective_constraint
+
+        p = compiled(BASE + self.VARS + f"pattern := {source};")
+        strict = (Constraint.BEFORE, Constraint.LIMITED)
+        size = p.num_leaves
+        implied = {
+            (i, j)
+            for i in range(size) for j in range(size)
+            if p.precedes(i, j) and p.constraint(i, j) not in strict
+        }
+        assert implied == self.TABLE[source]
+        for i in range(size):
+            assert not p.precedes(i, i)
+            for j in range(size):
+                if i == j:
+                    continue
+                effective, via = effective_constraint(p, i, j)
+                if (i, j) in implied:
+                    assert p.constraint(i, j) is Constraint.NONE
+                    assert effective is Constraint.BEFORE
+                    assert p.precedes(i, via) and p.precedes(via, j)
+                    assert effective_constraint(p, j, i)[0] is Constraint.AFTER
+                elif (j, i) not in implied:
+                    assert (effective, via) == (p.constraint(i, j), None)
+
+    def test_declared_readers_do_not_see_implied_pairs(self):
+        chain = compiled(
+            BASE + self.VARS + "pattern := ($x -> $y) /\\ ($y -> $z);"
+        )
+        assert chain.terminating_leaves() == (2,)
+        # x is still unrelated to z for the static order's weights
+        assert chain.evaluation_order(2) == (2, 1, 0)
+        assert chain.constraint_matrix[0][2] is Constraint.NONE
+
+    def test_kleene_leaves_linked_only_by_implication_compile(self):
+        p = compiled(
+            BASE + self.VARS + "pattern := ($x+ -> $y) /\\ ($y -> $z+);"
+        )
+        assert p.leaves[0].kleene and p.leaves[2].kleene
+        assert p.precedes(0, 2) and p.constraint(0, 2) is Constraint.NONE

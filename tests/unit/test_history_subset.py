@@ -78,6 +78,36 @@ class TestLeafHistory:
         history.append(x, epoch=0, may_prune=False)
         assert history.has_between(a, b, _index_of(w))
 
+    def test_has_between_asks_the_kernel_only_where_a_witness_can_be(
+        self, monkeypatch
+    ):
+        """Kernel calls per ``~>`` check do not grow with the number of
+        causally unrelated traces holding class events."""
+        import repro.core.history as history_module
+
+        swept = []
+        plain = history_module.restrict
+
+        def counting_restrict(index, trace, *args):
+            swept.append(trace)
+            return plain(index, trace, *args)
+
+        monkeypatch.setattr(history_module, "restrict", counting_restrict)
+        for unrelated in (1, 8):
+            w = Weaver(unrelated + 1)
+            history = LeafHistory(0, unrelated + 1)
+            for trace in range(unrelated):
+                history.append(w.local(trace), epoch=0, may_prune=False)
+            a, x, b = (w.local(unrelated) for _ in range(3))
+            history.append(a, epoch=0, may_prune=False)
+            history.append(x, epoch=0, may_prune=False)
+            index = _index_of(w)
+            del swept[:]
+            assert history.has_between(a, b, index)
+            assert not history.has_between(x, b, index)
+            # b's clock reaches its own trace only: one call per check
+            assert swept == [unrelated, unrelated]
+
     def test_traces_with_events(self):
         w = Weaver(3)
         history = LeafHistory(0, 3)

@@ -22,6 +22,20 @@ def ids(report):
     return {leaf: str(e.event_id) for leaf, e in report.assignment}
 
 
+def got_and_want(matcher, events):
+    """What ``matcher`` reports over ``events`` and what the oracle
+    finds there, as sets of sorted ``(leaf, event id)`` tuples."""
+    got = {
+        tuple(sorted((leaf, e.event_id) for leaf, e in r.assignment))
+        for r in feed(matcher, events)
+    }
+    want = {
+        tuple(sorted((leaf, e.event_id) for leaf, e in m.items()))
+        for m in enumerate_matches(matcher.pattern, events)
+    }
+    return got, want
+
+
 AB = "A := ['', A, '']; B := ['', B, '']; pattern := A -> B;"
 
 
@@ -290,15 +304,7 @@ class TestGappedStream:
         matcher = build_matcher(
             source, 2, complete_stream=False, **config_kwargs
         )
-        got = {
-            tuple(sorted((leaf, e.event_id) for leaf, e in r.assignment))
-            for r in feed(matcher, delivered)
-        }
-        want = {
-            tuple(sorted((leaf, e.event_id) for leaf, e in m.items()))
-            for m in enumerate_matches(matcher.pattern, delivered)
-        }
-        return got, want
+        return got_and_want(matcher, delivered)
 
     def test_shed_receive_does_not_hide_a_delivered_match(self):
         """The shed receive was the one that raised trace 1's column for
@@ -340,3 +346,69 @@ class TestGappedStream:
             assert got == want == {
                 ((0, x1.event_id), (1, b.event_id), (2, c.event_id))
             }
+
+
+class TestWindowClamp:
+    """A sim ``WITHIN`` bound narrows the candidate window by Lamport
+    time instead of rejecting out-of-window candidates one by one."""
+
+    WINDOWED = "A := ['', A, '']; B := ['', B, '']; pattern := A -> B WITHIN 3;"
+
+    @staticmethod
+    def run(source, events, **config_kwargs):
+        matcher = build_matcher(
+            source, 2, sweep=SweepMode.EXHAUSTIVE, prune_history=False,
+            **config_kwargs
+        )
+        return (matcher,) + got_and_want(matcher, events)
+
+    def test_out_of_window_candidates_are_never_scanned(self):
+        w = Weaver(2)
+        for _ in range(10):
+            w.local(0, "A")
+        w.local(0, "B")
+        matcher, got, want = self.run(self.WINDOWED, w.events)
+        assert got == want and len(got) == 3
+        assert matcher.candidates_scanned == 3
+        assert matcher.window_rejections == 0
+
+    def test_a_trace_with_a_lamport_regression_is_checked_per_candidate(self):
+        import dataclasses
+
+        w = Weaver(2)
+        events = [
+            dataclasses.replace(w.local(0, "A"), lamport=lamport)
+            for lamport in (10, 2, 9)  # a foreign stream: not monotone
+        ]
+        events.append(dataclasses.replace(w.local(0, "B"), lamport=11))
+        matcher, got, want = self.run(self.WINDOWED, events)
+        assert got == want and len(got) == 2
+        assert matcher.candidates_scanned == 3
+        assert matcher.window_rejections == 1
+
+    def test_clamped_out_candidate_is_a_rejection_not_a_figure_5_conflict(self):
+        """y0 lies in x2's causal interval but outside its window.  Read
+        as an empty slice, the conflict would name the nearest stored Y
+        above the interval (yc) and back-jump to an X *after* yc —
+        skipping x1, the only X whose window holds y0."""
+        w = Weaver(2)
+        y0 = w.local(1, "Y")
+        w.recv(0, w.send(1))
+        x1 = w.local(0, "X")
+        for _ in range(3):
+            w.local(0, "F")
+        w.local(0, "X")  # x2: y0 is 7 Lamport ticks back
+        w.local(1, "Y")  # yc: concurrent with both X
+        w.recv(0, w.send(1))
+        z = w.local(0, "Z")
+        source = (
+            "Y := ['', Y, '']; X := ['', X, '']; Z := ['', Z, '']; X $x;"
+            "pattern := ((Y -> $x) WITHIN 4) /\\ ($x -> Z);"
+        )
+        # the static order binds X before Y
+        matcher, got, want = self.run(source, w.events, planner=False)
+        assert matcher.pattern.evaluation_order(2) == (2, 1, 0)
+        assert got == want == {
+            ((0, y0.event_id), (1, x1.event_id), (2, z.event_id))
+        }
+        assert matcher.empty_slice_conflicts == 0 and matcher.back_jumps == 0

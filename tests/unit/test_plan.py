@@ -139,6 +139,85 @@ class TestLevelProgram:
         assert "text pinned by hot" in plan_order(compiled(SKEWED), 2, None).explain()
 
 
+class TestImpliedRestrictions:
+    """The program restricts by what the pattern implies, and the plan
+    says so."""
+
+    STATS = {0: LeafStats(30), 1: LeafStats(5000), 2: LeafStats(30)}
+
+    def test_program_carries_the_implied_pair_the_matrix_does_not(self):
+        from repro.patterns.compile import Constraint
+
+        pattern = compiled(SKEWED)  # P ~> $m+, $m+ -> D: P before D
+        assert pattern.constraint(2, 0) is Constraint.NONE
+        drop, pickup, move = plan_order(pattern, 2, self.STATS).program
+        assert pickup.constraints == {0: Constraint.AFTER}
+        assert pickup.implied == {0: 1}
+        assert move.constraints == {
+            0: Constraint.AFTER, 1: Constraint.LIMITED,
+        }
+        assert drop.implied == move.implied == {}
+
+    def test_implied_strict_replaces_a_declared_weak_pair(self):
+        from repro.patterns.compile import Constraint
+
+        pattern = compiled(
+            "A := ['', A, '']; B := ['', B, '']; C := ['', C, ''];"
+            "X := ['', A, '']; A $a; B $b; C $c;"
+            "pattern := (($a /\\ X) -> $c) /\\ ($a -> $b) /\\ ($b -> $c);"
+        )  # leaves a, X, c, b
+        assert pattern.constraint(0, 2) is Constraint.NOT_AFTER
+        program = plan_order(pattern, 2, None).program
+        by_leaf = {step.leaf_id: step for step in program}
+        assert by_leaf[0].constraints[0] is Constraint.AFTER  # c after a
+        assert by_leaf[0].implied == {0: 3}
+        assert by_leaf[1].constraints[0] is Constraint.NOT_BEFORE  # X: as declared
+        assert by_leaf[1].implied == {}
+
+    def test_explain_marks_implied_pairs_and_lists_windows(self):
+        text = plan_order(compiled(SKEWED), 2, self.STATS).explain()
+        assert (
+            "2. leaf 0: level 1 after (implied via leaf 1); "
+            "within 16 sim of level 1" in text
+        )
+        assert (
+            "3. leaf 1: level 1 after; level 2 limited; "
+            "within 16 sim of level 1; within 16 sim of level 2; "
+            "text pinned by hot" in text
+        )
+        wall = compiled(
+            "A := ['', A, '']; B := ['', B, '']; pattern := A -> B WITHIN 3 wall;"
+        )
+        assert "within 3 wall of level 1" in plan_order(wall, 1, None).explain()
+
+    def test_cost_model_reads_what_the_program_applies(self):
+        # Pickup is no longer costed (or printed) as unconstrained, and
+        # the hotpath order stays D, P, $m+
+        plan = plan_order(compiled(SKEWED), 2, self.STATS)
+        assert plan.order == (2, 0, 1)
+        pickup = plan.steps[1]
+        assert pickup.reason == "history 30 × before into prefix"
+        assert pickup.estimate == 30 * 0.25
+        assert "unconstrained" not in plan.explain()
+        lone = compiled(
+            "A := ['', A, '']; B := ['', B, '']; pattern := (A /\\ B) WITHIN 4;"
+        )
+        stats = {0: LeafStats(5), 1: LeafStats(5)}
+        assert "unconstrained" not in plan_order(lone, 1, stats).explain()
+
+    def test_hotpath_workload_keeps_its_order(self):
+        from repro.engine import Pipeline
+        from repro.workloads import build_hotpath, hotpath_pattern
+
+        pipeline = Pipeline.for_workload(
+            build_hotpath(num_couriers=3, seed=7, jobs_per_courier=4)
+        )
+        monitor = pipeline.watch("hotpath", hotpath_pattern())
+        pipeline.run()
+        plan = monitor.matcher.current_plan(2)
+        assert plan.cost_based and plan.order == (2, 0, 1)
+
+
 class TestMatcherIntegration:
     def test_legacy_patterns_never_use_cost_based_order(self):
         # output-compatibility guard: no v2 operator -> legacy order,
