@@ -187,19 +187,16 @@ def cmd_case(args: argparse.Namespace) -> int:
 
 def cmd_plan(args: argparse.Namespace) -> int:
     """Run a case, then explain the evaluation plan of every trigger
-    leaf — the cost-based order the planner derives from the live leaf
-    histories, next to the static legacy order it replaces."""
-    from repro.patterns.plan import plan_order
-
+    leaf — the order the planner derives from the live leaf histories
+    and the level program a search would execute."""
     pipeline = Pipeline.for_case(args.case, args.traces, args.seed)
     monitor = pipeline.watch_case(on_match=None)
     result = pipeline.run(max_events=args.max_events)
     matcher = monitor.matcher
     pattern = matcher.pattern
     print(
-        f"case={args.case} traces={args.traces}: {result.num_events} events"
-        f" processed, pattern has "
-        f"{'v2 operators' if pattern.has_v2_features else 'legacy operators only'}"
+        f"case={args.case} traces={args.traces}: "
+        f"{result.num_events} events processed"
     )
     for history in matcher.history.histories:
         leaf = pattern.leaves[history.leaf_id]
@@ -207,9 +204,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
     for trigger_leaf in pattern.terminating_leaves():
         print()
         print(matcher.current_plan(trigger_leaf).explain())
-        legacy = plan_order(pattern, trigger_leaf, None)
-        if matcher.current_plan(trigger_leaf).order != legacy.order:
-            print(f"  (legacy heuristic order would be {legacy.order})")
     return 0
 
 

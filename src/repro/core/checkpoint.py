@@ -5,13 +5,15 @@ Dolev et al., *Efficient On-line Detection of Temporal Patterns*): a
 crashed client resumes from its last snapshot plus a dumpfile replay of
 the stream suffix, and must converge to the identical final state.
 
-The matcher's entire cross-event state is exactly four structures —
+The matcher's entire cross-event state is exactly five structures —
 the per-trace delivered counts (readable off the
 :class:`~repro.core.gpls.CausalIndex` trace lengths), the GP/LS index
 and communication epochs of the stream front it reads, the leaf
-histories (with their pruning bookkeeping), and the representative
-subset — everything else is recomputed per trigger.
-Serializing those four therefore makes recovery *exact*: a restored
+histories (with their pruning bookkeeping), the representative subset,
+and the evaluation plan cached per trigger leaf (written as the
+statistics it was computed from: the order is a function of them) —
+everything else is recomputed per trigger.
+Serializing those five therefore makes recovery *exact*: a restored
 monitor fed the stream suffix takes the same search decisions as an
 uninterrupted one, so the final representative subsets are equal, not
 merely equivalent.  The chaos matrix (``ocep chaos``, crash plan)
@@ -27,6 +29,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Union
+
+from repro.patterns.plan import LeafStats, plan_order
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.matcher import OCEPMatcher
@@ -73,6 +77,12 @@ def matcher_checkpoint(matcher: "OCEPMatcher") -> dict:
         "index": matcher.index.snapshot(),
         "history": matcher.history.snapshot(),
         "subset": matcher.subset.snapshot(),
+        # per planned trigger leaf: its refresh stamp and the (size,
+        # traces) row per leaf the plan was computed from
+        "plans": [
+            [leaf, stamp, [[row.size, row.traces] for row in plan.stats]]
+            for leaf, (stamp, plan) in matcher._plans.items()
+        ],
         # only present for patterns with negations — absent keys keep
         # pre-v2 checkpoints loadable
         **(
@@ -128,6 +138,12 @@ def restore_matcher(matcher: "OCEPMatcher", state: dict) -> None:
             negation_state = state.get("negation_history")
             if negation_state is not None:
                 matcher.negation_history.restore(negation_state)
+        # .get: a checkpoint older than the key restores unplanned
+        for leaf, stamp, rows in state.get("plans", ()):
+            stats = dict(enumerate(LeafStats(*map(int, row)) for row in rows))
+            matcher._plans[int(leaf)] = (int(stamp), plan_order(
+                matcher.pattern, int(leaf), stats, matcher.history.histories
+            ))
         counters = state["counters"]
         for name in _COUNTER_FIELDS:
             # .get: counters added after a checkpoint was taken

@@ -86,18 +86,6 @@ class MatcherConfig:
         ``OCEPMatcher.search_trace`` — see :mod:`repro.obs.trace`.
         ``None`` (default) disables recording; the hot path then pays
         one pointer comparison per decision point.
-    planner:
-        Use the cost-based constraint planner
-        (:mod:`repro.patterns.plan`) to order search levels from live
-        leaf-history statistics.  Only applied to patterns that carry a
-        v2 operator (Kleene closure, disjunction, negation, window) —
-        legacy patterns always keep the static heuristic order, so
-        their output is bit-identical with the planner on or off.
-        Plans are recomputed every ``plan_refresh_interval`` deliveries
-        as the statistics drift; before any statistics exist the
-        planner falls back to the static order.
-    plan_refresh_interval:
-        Deliveries between plan refreshes when ``planner`` is on.
     wall_clock:
         Extractor mapping an event to a wall-clock stamp, required to
         evaluate ``WITHIN n wall`` window guards (the logical ``sim``
@@ -131,6 +119,4 @@ class MatcherConfig:
     indexed_histories: bool = True
     search_trace_size: Optional[int] = None
     complete_stream: bool = True
-    planner: bool = True
-    plan_refresh_interval: int = 256
     wall_clock: Optional[Callable[..., float]] = None

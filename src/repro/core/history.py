@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import bisect
 import operator
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.domain import restrict
 from repro.core.gpls import CausalIndex
@@ -296,9 +296,10 @@ class LeafHistory:
                 text_index.setdefault(event.text, []).append(event)
             self._size += len(events)
 
-    def traces_with_events(self) -> Iterator[int]:
-        """Trace ids on which this leaf has at least one stored event."""
-        yield from self._nonempty
+    def traces_with_events(self) -> Sequence[int]:
+        """Trace ids on which this leaf has at least one stored event
+        (the live list: read, do not keep)."""
+        return self._nonempty
 
     def __len__(self) -> int:
         return self._size

@@ -245,7 +245,6 @@ class OCEPMatcher:
                 (leaf, not leaf.kleene), leaf.event_class.etypes()
             )
         # -- v2 operator state -----------------------------------------
-        self._v2 = pattern.has_v2_features
         #: Per Kleene leaf, the level program that evaluates it last:
         #: its final step is what a group member owes every other leaf.
         self._group_programs: Dict[int, Tuple[LevelStep, ...]] = {
@@ -275,9 +274,11 @@ class OCEPMatcher:
                 "pattern uses a 'WITHIN n wall' guard but the matcher "
                 "has no wall_clock extractor configured"
             )
-        # plan per trigger leaf (the order and the level program its
-        # searches execute), made on the first search; the planner's is
-        # recomputed as statistics drift (every plan_refresh_interval)
+        # (stamp, plan) per trigger leaf — the order and the level
+        # program its searches execute — made on the first search and
+        # again each time the stream has doubled (the stamp is the bit
+        # length of ``events_processed``): statistics drift, and O(log n)
+        # plans follow them.  Cross-event state: a checkpoint carries it.
         self._plans: Dict[int, Tuple[int, Plan]] = {}
         self.events_processed = 0
         self.searches_run = 0
@@ -502,56 +503,43 @@ class OCEPMatcher:
     # Backtracking search (Algorithms 1-3)
     # ------------------------------------------------------------------
 
-    def _leaf_stats(self) -> Dict[int, LeafStats]:
-        """Live leaf-history statistics for the planner."""
-        return {
-            history.leaf_id: LeafStats(size=history.size)
-            for history in self.history.histories
-        }
-
     def current_plan(self, trigger_leaf: int) -> Plan:
         """The evaluation plan a search at ``trigger_leaf`` would use
-        right now (explainable via ``Plan.explain()``), its level
-        program built over the leaf histories.
-
-        Output-compatibility guard: the cost-based order applies only
-        to patterns carrying a v2 operator.  Legacy patterns keep the
-        static heuristic order even with the planner enabled, so their
-        match output (including COVERAGE-mode subset sweeps) is
-        bit-identical to the pre-planner engine.
-        """
-        planned = self._v2 and self.config.planner
-        stats = self._leaf_stats() if planned else None
-        return plan_order(self.pattern, trigger_leaf, stats, self.history.histories)
+        if planned right now (explainable via ``Plan.explain()``), its
+        level program built over the leaf histories."""
+        histories = self.history.histories
+        stats = {
+            history.leaf_id: LeafStats(
+                history.size, len(history.traces_with_events())
+            )
+            for history in histories
+        }
+        return plan_order(self.pattern, trigger_leaf, stats, histories)
 
     def _plan(self, trigger_leaf: int) -> Plan:
         """The plan of one search: :meth:`current_plan` as of the last
-        refresh."""
-        planned = self._v2 and self.config.planner
-        stamp = -1  # a static plan never goes stale
-        if planned:
-            stamp = self.events_processed // max(self.config.plan_refresh_interval, 1)
+        refresh (two leaves have one order: planned once)."""
+        stamp = self.events_processed.bit_length()
         cached = self._plans.get(trigger_leaf)
-        if cached is not None and cached[0] == stamp:
+        if cached is not None and (
+            cached[0] == stamp or len(cached[1].order) < 3
+        ):
             return cached[1]
         plan = self.current_plan(trigger_leaf)
         self._plans[trigger_leaf] = (stamp, plan)
-        if planned:
-            self.plans_computed += 1
+        self.plans_computed += 1
         return plan
 
     def _search(
         self, trigger_leaf: int, trigger_event: Event, trigger_env: Bindings
     ) -> List[MatchReport]:
-        plan = self._plan(trigger_leaf)
-        program = plan.program
-        k = len(program)
         # Fail fast: a representative subset only contains events that
         # are part of a complete match, and a complete match needs one
         # event per leaf — if some leaf has never matched anything, no
-        # search can succeed.
-        for step in program[1:]:
-            if step.history.size == 0:
+        # search can succeed (and no order is planned without
+        # statistics).
+        for history in self.history.histories:
+            if history.size == 0:
                 return []
         # Nor can one whose trigger's ``<>`` partner cannot have been
         # delivered yet (see ``_partnered``).
@@ -560,6 +548,9 @@ class OCEPMatcher:
             or trigger_event.partner is None
         ):
             return []
+        plan = self._plan(trigger_leaf)
+        program = plan.program
+        k = len(program)
         levels = [_Level(step) for step in program]
         self._order, self._program = plan.order, program
         self._assigned = [trigger_event] * k

@@ -130,7 +130,7 @@ def _windows_ok(
     event: Event,
     wall_clock: WallClock,
 ) -> bool:
-    if not pattern.has_v2_features:
+    if not pattern.windows:
         return True
     for other_id, other in assignment.items():
         if not _window_pair_ok(

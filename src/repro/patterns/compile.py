@@ -34,8 +34,7 @@ import dataclasses
 import enum
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.patterns.ast import AttrVar, Exact, Operator
-from repro.patterns.classes import UnionClass
+from repro.patterns.ast import Operator
 from repro.patterns.errors import PatternError
 from repro.patterns.tree import (
     LeafNode,
@@ -154,7 +153,6 @@ class CompiledPattern:
         self.exist_checks: List[ExistCheck] = []
         self.entangle_checks: List[EntangleCheck] = []
         self._derive(tree.root)
-        self._orders: Dict[int, Tuple[int, ...]] = {}
         # dense matrix for O(1) lookups in the matcher's hot path
         size = len(self.leaves)
         self._dense = [
@@ -359,35 +357,12 @@ class CompiledPattern:
         """Time-window guards over leaf subsets (``WITHIN n``)."""
         return self.tree.windows
 
-    @property
-    def has_v2_features(self) -> bool:
-        """True when the pattern uses any v2 operator (Kleene closure,
-        disjunction, negation, or a window guard).  Legacy patterns —
-        where this is False — are guaranteed to evaluate exactly as
-        they did before the v2 engine existed."""
-        return bool(
-            self.tree.negations
-            or self.tree.windows
-            or any(
-                leaf.kleene or isinstance(leaf.event_class, UnionClass)
-                for leaf in self.leaves
-            )
-        )
-
     def window_bound(self, i: int, j: int, domain: str = "sim") -> Optional[int]:
         """The tightest window bound covering leaves ``i`` and ``j`` in
         the given clock domain, or ``None``.  ``window_bound(g, g)`` is
         the member-member bound for a Kleene group at leaf ``g``."""
         table = self._window_sim if domain == "sim" else self._window_wall
         return table[i][j]
-
-    @property
-    def window_matrix_sim(self) -> Sequence[Sequence[Optional[int]]]:
-        return self._window_sim
-
-    @property
-    def window_matrix_wall(self) -> Sequence[Sequence[Optional[int]]]:
-        return self._window_wall
 
     @property
     def has_wall_windows(self) -> bool:
@@ -437,73 +412,6 @@ class CompiledPattern:
             if not needs_later:
                 result.append(i)
         return tuple(result)
-
-    def evaluation_order(self, trigger_leaf: int) -> Tuple[int, ...]:
-        """Level order for a search triggered at ``trigger_leaf``.
-
-        This realises the leaf *Order* attribute: the trigger leaf is
-        level 1; remaining leaves follow by a most-selective-first
-        heuristic combining two signals:
-
-        * *attribute selectivity* — a leaf whose attribute variables
-          are already bound by ordered leaves admits very few
-          candidates (e.g. the ``$r``-keyed snapshot of the ordering
-          pattern), so instantiating it early prunes hardest;
-        * *constraint strength* into the ordered set — strict
-          precedence and partnership restrict domains more than
-          concurrency or weak precedence.
-        """
-        cached = self._orders.get(trigger_leaf)
-        if cached is not None:
-            return cached
-
-        weight = {
-            Constraint.PARTNER: 8,
-            Constraint.BEFORE: 4,
-            Constraint.AFTER: 4,
-            Constraint.LIMITED: 4,
-            Constraint.LIMITED_REV: 4,
-            Constraint.CONCURRENT: 3,
-            Constraint.NOT_AFTER: 1,
-            Constraint.NOT_BEFORE: 1,
-            Constraint.NONE: 0,
-        }
-
-        def attr_vars(leaf_id: int):
-            cls = self.leaves[leaf_id].event_class
-            return {
-                spec.name
-                for spec in (cls.process, cls.etype, cls.text)
-                if isinstance(spec, AttrVar)
-            }
-
-        def exact_count(leaf_id: int) -> int:
-            cls = self.leaves[leaf_id].event_class
-            return sum(
-                isinstance(spec, Exact)
-                for spec in (cls.process, cls.etype, cls.text)
-            )
-
-        order = [trigger_leaf]
-        remaining = [i for i in range(self.num_leaves) if i != trigger_leaf]
-        while remaining:
-            bound_vars = set()
-            for j in order:
-                bound_vars |= attr_vars(j)
-
-            def score(i: int):
-                constraint_weight = sum(
-                    weight[self.constraint(i, j)] for j in order
-                )
-                selectivity = 10 * len(attr_vars(i) & bound_vars)
-                return (selectivity + exact_count(i) + constraint_weight, -i)
-
-            best = max(remaining, key=score)
-            order.append(best)
-            remaining.remove(best)
-        result = tuple(order)
-        self._orders[trigger_leaf] = result
-        return result
 
     def __repr__(self) -> str:
         return (

@@ -1,21 +1,20 @@
-"""Cost-based constraint planner.
+"""The evaluation order: a cost-based constraint planner.
 
-The legacy evaluation order (``CompiledPattern.evaluation_order``) is a
-purely *static* heuristic: it ranks leaves by constraint strength and
-attribute-variable reuse, knowing nothing about the data.  That goes
-wrong exactly when class populations are skewed — a heavily-constrained
-class with a huge history gets ordered early and the search enumerates
-its thousands of candidates before a rare class would have cut the
-space to almost nothing.
-
-The planner replaces the ranking signal with *live statistics* sampled
-from the matcher's leaf histories: the estimated number of candidates a
-leaf contributes, discounted by how hard the constraints into the
-already-ordered prefix restrict its domain.  It is a greedy smallest-
-estimated-candidates-first join-order search — the classic Selinger
-recipe shrunk to the pattern-matching setting, where every "relation"
-is one leaf history and every "join predicate" is a pairwise causal
-constraint.
+The paper gives every leaf an *Order* attribute — the level at which
+the backtracking search instantiates it — and fixes only that the
+terminating event comes first.  :func:`plan_order` decides the rest,
+for every pattern, from *live statistics* of the matcher's leaf
+histories: the number of candidates a leaf contributes, discounted by
+how hard the constraints into the already-ordered prefix restrict its
+domain and multiplied by the traces the level has to sweep when nothing
+pins it to one.  It is a greedy smallest-estimated-candidates-first
+join-order search — the classic Selinger recipe shrunk to the
+pattern-matching setting, where every "relation" is one leaf history
+and every "join predicate" is a pairwise causal constraint.  A skewed
+population is where it matters: a heavily constrained class with a huge
+history is not enumerated before a rare class has cut the space to
+almost nothing.  Any order finds the same matches (the oracle suites
+check seeded permutations); the order decides only what a search costs.
 
 The plan also carries the *level program* the search executes
 (:func:`level_program`): per level, what the pattern and the order fix
@@ -24,17 +23,6 @@ but does not declare (:func:`effective_constraint`, off the closure
 :meth:`CompiledPattern.precedes` keeps) becomes a pair the search
 restricts by; the cost model reads the same function, so an estimate
 never calls a level the program restricts "unconstrained".
-
-Two guarantees keep it safe:
-
-* **Fallback** — with no statistics (cold start, or a caller that
-  never samples), :func:`plan_order` returns the legacy order wrapped
-  in a plan marked ``cost_based=False``.
-* **Output compatibility** — the planner is only *applied* by the
-  matcher to patterns carrying v2 operators; legacy patterns keep the
-  legacy order even with the planner enabled, so their match output is
-  bit-identical to the pre-planner engine (enforced by the committed
-  plan-equivalence fixture).
 """
 
 from __future__ import annotations
@@ -69,10 +57,12 @@ _ATTR_VAR_FACTOR = 0.1
 
 @dataclasses.dataclass(frozen=True)
 class LeafStats:
-    """Statistics of one leaf history at planning time."""
+    """Statistics of one leaf history at planning time: stored events
+    and the traces holding at least one (an empty history plans as one
+    event on one trace — no search runs before every leaf has one)."""
 
-    size: int
-    traces: int = 0
+    size: int = 0
+    traces: int = 1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -187,16 +177,18 @@ class Plan:
     trigger_leaf: int
     order: Tuple[int, ...]
     steps: Tuple[PlanStep, ...]
-    cost_based: bool
     total_estimate: float
     program: Tuple[LevelStep, ...]
+    #: Per leaf id, the statistics the order was computed from: with
+    #: the pattern they determine the plan, which is how a checkpoint
+    #: carries it.
+    stats: Tuple[LeafStats, ...]
 
     def explain(self) -> str:
         """Human-readable plan and the level program it implies, one
         line per level each."""
-        kind = "cost-based" if self.cost_based else "legacy heuristic"
         lines = [
-            f"plan for trigger leaf {self.trigger_leaf} ({kind}), "
+            f"plan for trigger leaf {self.trigger_leaf}, "
             f"estimated search space {self.total_estimate:.1f}:"
         ]
         for level, step in enumerate(self.steps, start=1):
@@ -239,30 +231,6 @@ def _attr_vars(pattern: CompiledPattern, leaf_id: int) -> set:
     }
 
 
-def _legacy_plan(
-    pattern: CompiledPattern, trigger_leaf: int, histories=None
-) -> Plan:
-    order = pattern.evaluation_order(trigger_leaf)
-    steps = tuple(
-        PlanStep(
-            leaf_id=leaf_id,
-            label=pattern.leaves[leaf_id].label,
-            history_size=0,
-            estimate=0.0,
-            reason="static heuristic order (no statistics)",
-        )
-        for leaf_id in order
-    )
-    return Plan(
-        trigger_leaf=trigger_leaf,
-        order=order,
-        steps=steps,
-        cost_based=False,
-        total_estimate=0.0,
-        program=level_program(pattern, order, histories),
-    )
-
-
 def plan_order(
     pattern: CompiledPattern,
     trigger_leaf: int,
@@ -271,25 +239,24 @@ def plan_order(
 ) -> Plan:
     """Greedy cheapest-leaf-next join order from live statistics.
 
-    ``stats`` maps leaf id -> :class:`LeafStats`; missing or empty
-    statistics select the legacy heuristic order (``cost_based=False``).
-    The trigger leaf is always level 1 — the search is anchored on the
-    newly delivered event, which is not a planning choice.  The plan's
+    ``stats`` maps leaf id -> :class:`LeafStats`; a leaf without an
+    entry counts as an empty history.  The trigger leaf is always level
+    1 — the search is anchored on the newly delivered event, which is
+    not a planning choice.  Deterministic in its arguments.  The plan's
     level program is built over ``histories`` (see :class:`LevelStep`).
     """
-    if not stats or all(s.size == 0 for s in stats.values()):
-        return _legacy_plan(pattern, trigger_leaf, histories)
+    stats = tuple(
+        (stats or {}).get(i, LeafStats()) for i in range(pattern.num_leaves)
+    )
+
+    def step(leaf_id: int, estimate: float, reason: str) -> PlanStep:
+        return PlanStep(
+            leaf_id, pattern.leaves[leaf_id].label, stats[leaf_id].size,
+            estimate, reason,
+        )
 
     order: List[int] = [trigger_leaf]
-    steps: List[PlanStep] = [
-        PlanStep(
-            leaf_id=trigger_leaf,
-            label=pattern.leaves[trigger_leaf].label,
-            history_size=stats.get(trigger_leaf, LeafStats(0)).size,
-            estimate=1.0,
-            reason="trigger (the newly delivered event)",
-        )
-    ]
+    steps = [step(trigger_leaf, 1.0, "trigger (the newly delivered event)")]
     remaining = [i for i in range(pattern.num_leaves) if i != trigger_leaf]
     total = 1.0
 
@@ -299,7 +266,7 @@ def plan_order(
             bound_vars |= _attr_vars(pattern, j)
 
         def estimate(i: int) -> Tuple[float, str]:
-            size = stats.get(i, LeafStats(0)).size
+            size = stats[i].size
             value = float(max(size, 1))
             factors = []
             best = Constraint.NONE
@@ -319,41 +286,47 @@ def plan_order(
                 factors.append(
                     "bound $" + ", $".join(sorted(shared))
                 )
-            if factors:
-                reason = f"history {size} × " + " × ".join(factors)
-            elif any(
-                pattern.window_bound(i, j, domain) is not None
-                for j in order for domain in ("sim", "wall")
-            ):
-                reason = f"history {size}, WITHIN only (not costed)"
-            else:
-                reason = f"history {size}, unconstrained"
+            costed = bool(factors)
+            # Nothing pins the level to one trace (an exact process, or
+            # a variable the prefix binds): the search runs it once per
+            # trace holding an event of the leaf.
+            process = pattern.leaves[i].event_class.process
+            pinned = isinstance(process, Exact) or (
+                isinstance(process, AttrVar) and process.name in bound_vars
+            )
+            if not pinned:
+                swept = max(stats[i].traces, 1)
+                value *= swept
+                factors.append(
+                    f"swept over {swept} trace{'s' * (swept != 1)}"
+                )
+            reason = " × ".join([f"history {size}"] + factors)
+            if pinned:
+                reason += ", trace pinned"
+            if not costed:
+                reason += (
+                    ", WITHIN only (not costed)" if any(
+                        pattern.window_bound(i, j, domain) is not None
+                        for j in order for domain in ("sim", "wall")
+                    ) else ", unconstrained"
+                )
             return value, reason
 
         # cheapest first; ties broken by leaf id for determinism
-        scored = sorted(
+        (value, reason), best_leaf = min(
             ((estimate(i), i) for i in remaining),
             key=lambda item: (item[0][0], item[1]),
         )
-        (value, reason), best_leaf = scored[0]
         order.append(best_leaf)
         remaining.remove(best_leaf)
         total *= max(value, 1.0)
-        steps.append(
-            PlanStep(
-                leaf_id=best_leaf,
-                label=pattern.leaves[best_leaf].label,
-                history_size=stats.get(best_leaf, LeafStats(0)).size,
-                estimate=value,
-                reason=reason,
-            )
-        )
+        steps.append(step(best_leaf, value, reason))
 
     return Plan(
         trigger_leaf=trigger_leaf,
         order=tuple(order),
         steps=tuple(steps),
-        cost_based=True,
         total_estimate=total,
         program=level_program(pattern, tuple(order), histories),
+        stats=stats,
     )

@@ -20,12 +20,16 @@ or POET server.
 
 :func:`random_computation` drives a Weaver from a seeded RNG — the
 generator behind the randomized oracle-equivalence and property tests.
+:func:`assert_contract` is what those tests hold a finished run to, and
+:func:`install_order` how a test picks the evaluation order itself.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
+import types
 from typing import List, Optional, Sequence
 
 from repro.clocks.encoded import ClockFrame
@@ -190,3 +194,51 @@ def random_computation(
             choices = [t for t in range(num_traces) if t != send.trace]
             weaver.recv(rng.choice(choices), send)
     return weaver
+
+
+def install_order(matcher, order_of) -> None:
+    """Make ``matcher`` search in ``order_of(trigger leaf)`` — any
+    permutation of the leaves that starts at the trigger — instead of
+    the order it would plan.  The order decides what a search costs,
+    never what it finds."""
+    from repro.patterns.plan import level_program
+
+    @functools.lru_cache(maxsize=None)
+    def plan(trigger_leaf: int):
+        order = tuple(order_of(trigger_leaf))
+        return types.SimpleNamespace(order=order, program=level_program(
+            matcher.pattern, order, matcher.history.histories
+        ))
+
+    matcher._plan = plan
+
+
+def assert_contract(pattern, events, reports, subset, config=None) -> None:
+    """The paper's guarantees, on a finished run of ``pattern`` over
+    ``events`` (a prefix short enough for the exponential oracle) that
+    gave ``reports`` and ``subset`` under ``config``: every report is a
+    match the oracle enumerates; the representative subset covers
+    exactly the ``(leaf, trace)`` slots some match covers, within the
+    ``k * n`` bound; and the same configuration gives the same output
+    again.  Which matches stand for a slot is the search's choice."""
+    from repro.core import oracle
+    from repro.core.matcher import OCEPMatcher
+
+    def key(match):
+        return frozenset((leaf, e.trace, e.index) for leaf, e in match.items())
+
+    wall = config.wall_clock if config is not None else None
+    matches = oracle.enumerate_matches(pattern, events, wall_clock=wall)
+    known = {key(match) for match in matches}
+    unknown = [r for r in reports if key(r.as_dict()) not in known]
+    assert not unknown, f"reports the oracle does not know: {unknown[:3]}"
+    coverable, covered = oracle.covered_slots(matches), subset.covered_slots
+    assert covered == coverable, (
+        f"slots left uncovered: {sorted(coverable - covered)}, "
+        f"covered by no match: {sorted(covered - coverable)}"
+    )
+    assert subset.check_bound(), f"{len(subset)} stored matches exceed k * n"
+    again = OCEPMatcher(pattern, subset.num_traces, config)
+    rerun = [report for event in events for report in again.on_event(event)]
+    assert rerun == list(reports), "a second run reported differently"
+    assert again.subset.signature() == subset.signature()

@@ -20,7 +20,7 @@ completeness benchmarks can verify OCEP's reports:
 Two further workloads exercise the v2 pattern operators:
 
 * :mod:`~repro.workloads.hotpath` — courier hot-path tracking
-  (Kleene closure + time window, the planner benchmark case);
+  (Kleene closure + time window, a skewed population for the planner);
 * :mod:`~repro.workloads.absence` — skipped-validation detection
   (negation with a shared process variable).
 """

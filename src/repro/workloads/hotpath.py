@@ -16,11 +16,9 @@ relations of the conjunction so each stays a *single-event* relation
 (dense pairwise constraints instead of compound existential ones);
 ``WITHIN`` bounds every pair (and the group internally) by the
 window.  The class ``M`` carries two exact attributes (etype ``Move``,
-text ``hot``), so the *static* most-selective-first heuristic orders
-the huge ``Move`` history right after the trigger — while the
-cost-based planner sees the live history sizes and instantiates the
-rare ``Pickup`` first.  That makes this the benchmark's head-to-head
-case for the planner.
+text ``hot``) and looks selective on paper, but its history is huge:
+the planner sees the live history sizes and instantiates the rare
+``Pickup`` first.
 """
 
 from __future__ import annotations

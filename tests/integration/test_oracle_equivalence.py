@@ -6,7 +6,8 @@ computations and a battery of patterns covering every operator,
 * EXHAUSTIVE mode must report *exactly* the oracle's match set — also
   on a gapped stream (a seeded share of events shed before delivery,
   ``complete_stream=False``), against the oracle over the delivered
-  events: a match whose events were all delivered is detected;
+  events: a match whose events were all delivered is detected — and it
+  must do so in *any* evaluation order, not only the planned one;
 * COVERAGE mode must never report a non-match (no false positives),
   must report at least one match for any trigger that participates in
   one (detection completeness), and its covered slots must be a subset
@@ -23,7 +24,7 @@ from repro import Kernel, MatcherConfig, Monitor, SweepMode, instrument
 from repro.core import enumerate_matches
 from repro.core.oracle import covered_slots
 from repro.poet import RecordingClient
-from repro.testing import random_computation
+from repro.testing import install_order, random_computation
 
 PATTERNS = [
     ("precedence", "A := ['', A, '']; B := ['', B, '']; pattern := A -> B;"),
@@ -140,8 +141,20 @@ def drop_rate_cells(patterns):
     ]
 
 
-@pytest.mark.parametrize("name,source,drop_rate", drop_rate_cells(PATTERNS))
-def test_exhaustive_equals_oracle(name, source, drop_rate):
+def in_seeded_order(monitor, seed):
+    """Replace the planned order of ``monitor``'s searches by a seeded
+    permutation of the non-trigger leaves, per trigger leaf."""
+
+    def order_of(trigger):
+        rest = [i for i in range(monitor.pattern.num_leaves) if i != trigger]
+        random.Random(seed * 31 + trigger).shuffle(rest)
+        return [trigger] + rest
+
+    install_order(monitor.matcher, order_of)
+    return monitor
+
+
+def exhaustive_equals_oracle(name, source, drop_rate, permuted):
     for seed in range(12):
         events, names = delivered_stream(seed, drop_rate)
         monitor = Monitor.from_source(
@@ -154,11 +167,25 @@ def test_exhaustive_equals_oracle(name, source, drop_rate):
                 complete_stream=not drop_rate,
             ),
         )
+        if permuted:
+            in_seeded_order(monitor, seed)
         for event in events:
             monitor.on_event(event)
         got = {canonical(r.assignment) for r in monitor.reports}
         want = {canonical(m.items()) for m in enumerate_matches(monitor.pattern, events)}
         assert got == want, f"{name} seed={seed} drop={drop_rate}"
+
+
+@pytest.mark.parametrize("name,source,drop_rate", drop_rate_cells(PATTERNS))
+def test_exhaustive_equals_oracle(name, source, drop_rate):
+    exhaustive_equals_oracle(name, source, drop_rate, permuted=False)
+
+
+@pytest.mark.parametrize("name,source,drop_rate", drop_rate_cells(PATTERNS))
+def test_any_order_finds_the_same_matches(name, source, drop_rate):
+    """What makes a data-driven order safe at all: the order decides
+    what a search costs, never what it finds."""
+    exhaustive_equals_oracle(name, source, drop_rate, permuted=True)
 
 
 @pytest.mark.parametrize("name,source", PATTERNS, ids=[n for n, _ in PATTERNS])

@@ -1,5 +1,6 @@
 """Unit tests for monitor checkpoint/recovery."""
 
+import functools
 import json
 
 import pytest
@@ -11,6 +12,8 @@ from repro.core.checkpoint import (
     save_checkpoint,
 )
 from repro.core.monitor import Monitor
+from repro.engine.cases import CASES
+from repro.engine.pipeline import Pipeline
 from repro.testing import random_computation
 
 AB = "A := ['', A, '']; B := ['', B, '']; pattern := A -> B;"
@@ -39,25 +42,95 @@ def _run(events):
     return monitor
 
 
+@functools.lru_cache(maxsize=None)
+def _uninterrupted(name, seed):
+    """``(source, trace names, events, finished monitor)`` of ``A -> B``
+    on a random computation (``"ab"``) or of a ``CASES`` entry."""
+    if name == "ab":
+        source, names, events = AB, ["P0", "P1", "P2"], _events(seed=seed)
+    else:
+        pipeline = Pipeline.for_case(name, 4, seed)
+        recorder = pipeline.record()
+        pipeline.run(max_events=500)
+        source, names = pipeline.case_pattern, pipeline.trace_names
+        events = recorder.events
+    return source, names, events, _fed(source, names, events)
+
+
+def _fed(source, names, events):
+    monitor = Monitor.from_source(source, names, record_timings=False)
+    for e in events:
+        monitor.on_event(e)
+    return monitor
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("cut_fraction", [0.25, 0.5, 0.9])
     def test_restore_and_replay_converges(self, seed, cut_fraction):
-        events = _events(seed=seed)
-        oracle = _run(events)
+        """Recovery is exact for every pattern: the restored run ends
+        with the uninterrupted run's subset, reports and counters —
+        ``plans_computed`` included, the cached plans being state."""
+        for name in ["ab", *CASES]:
+            source, names, events, oracle = _uninterrupted(name, seed)
+            cut = max(1, int(len(events) * cut_fraction))
+            first = _fed(source, names, events[:cut])
+            state = json.loads(json.dumps(first.checkpoint()))
 
-        cut = max(1, int(len(events) * cut_fraction))
-        first = _monitor()
-        for e in events[:cut]:
-            first.on_event(e)
-        state = json.loads(json.dumps(first.checkpoint()))
+            recovered = _fed(source, names, ())
+            recovered.restore(state)
+            assert recovered.replay_suffix(events) == len(events) - cut, name
+            assert recovered.subset.signature() == oracle.subset.signature(), name
+            assert first.reports + recovered.reports == oracle.reports, name
+            assert recovered.matcher.counters() == oracle.matcher.counters(), name
 
-        recovered = _monitor()
+    def test_checkpoint_without_plans_restores_unplanned(self):
+        """A document older than the ``"plans"`` key still loads; its
+        monitor plans afresh on its next search."""
+        source, names, events, oracle = _uninterrupted("ab", 0)
+        first = _fed(source, names, events[: len(events) // 2])
+        state = first.checkpoint()
+        assert [leaf for leaf, _, _ in state.pop("plans")] == [1]
+        recovered = _fed(source, names, ())
         recovered.restore(state)
-        replayed = recovered.replay_suffix(events)
-        assert replayed == len(events) - cut
-        assert recovered.subset.signature() == oracle.subset.signature()
-        assert recovered.matcher.counters() == oracle.matcher.counters()
+        assert recovered.matcher._plans == {}
+        recovered.replay_suffix(events)
+        assert first.reports + recovered.reports == oracle.reports
+        counters = recovered.matcher.counters()
+        assert counters.pop("plans_computed") == oracle.matcher.plans_computed + 1
+        assert counters.items() <= oracle.matcher.counters().items()
+
+    def test_sharded_restore_on_a_shared_front_converges(self):
+        """Two shards on one stream front, restored through
+        ``Pipeline.restore``: each resumes with the plans it ran."""
+        source, names, events, _ = _uninterrupted("hotpath", 1)
+        patterns = {"hotpath": source, "chain": (
+            "P := ['', Pickup, '']; M := ['', Move, '']; D := ['', Drop, ''];"
+            " M $m; pattern := (P -> $m) /\\ ($m -> D);"
+        )}
+
+        def deployment(stream):
+            pipeline = Pipeline.replay(stream, names)
+            for name, pattern in patterns.items():
+                pipeline.watch(name, pattern)
+            return pipeline
+
+        baseline = deployment(events).run()
+        prefix = deployment(events[: len(events) * 3 // 4]).run()
+        state = json.loads(json.dumps(prefix.checkpoint()))
+        assert all(shard["plans"] for shard in state["shards"].values())
+        resumed = deployment(events).restore(state).run()
+        for name in patterns:
+            assert resumed[name].subset.signature() == (
+                baseline[name].subset.signature()
+            )
+            assert prefix.reports(name) + resumed.reports(name) == (
+                baseline.reports(name)
+            )
+            assert resumed[name].matcher.counters() == (
+                baseline[name].matcher.counters()
+            )
+            assert baseline[name].matcher.plans_computed > 1
 
     def test_checkpoint_is_json_ready(self):
         events = _events()
@@ -137,6 +210,12 @@ class TestValidation:
         state = _run(_events()).checkpoint()
         state["history"]["last_append"] = [99, None, None]
         with pytest.raises(CheckpointError, match="last_append"):
+            _monitor().restore(state)
+
+    def test_plan_of_no_leaf_rejected(self):
+        state = _run(_events()).checkpoint()
+        state["plans"] = [[99, 1, [[1, 1], [1, 1]]]]
+        with pytest.raises(CheckpointError, match="corrupt"):
             _monitor().restore(state)
 
     def test_missing_header_rejected(self):

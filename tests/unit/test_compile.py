@@ -134,32 +134,6 @@ class TestTerminatingLeaves:
         assert p.terminating_leaves() == (0, 1)
 
 
-class TestEvaluationOrder:
-    def test_starts_at_trigger_and_covers_all(self):
-        p = compiled(
-            BASE + "B $b; C $c;"
-            "pattern := (A -> $b) /\\ ($c -> $b) /\\ ($c -> D);"
-        )
-        order = p.evaluation_order(1)
-        assert order[0] == 1
-        assert sorted(order) == [0, 1, 2, 3]
-
-    def test_connected_leaves_come_first(self):
-        # from trigger $b, the directly constrained A and $c should come
-        # before the only-indirectly-connected D
-        p = compiled(
-            BASE + "B $b; C $c;"
-            "pattern := (A -> $b) /\\ ($c -> $b) /\\ ($c -> D);"
-        )
-        order = p.evaluation_order(1)
-        assert set(order[1:3]) == {0, 2}
-        assert order[3] == 3
-
-    def test_order_is_cached(self):
-        p = compiled(BASE + "pattern := A -> B;")
-        assert p.evaluation_order(1) is p.evaluation_order(1)
-
-
 class TestStaticSatisfiability:
     VARS = "A $x; B $y; C $z;"
 
@@ -248,9 +222,14 @@ class TestImpliedPrecedence:
             BASE + self.VARS + "pattern := ($x -> $y) /\\ ($y -> $z);"
         )
         assert chain.terminating_leaves() == (2,)
-        # x is still unrelated to z for the static order's weights
-        assert chain.evaluation_order(2) == (2, 1, 0)
         assert chain.constraint_matrix[0][2] is Constraint.NONE
+        # the order's cost model is not a declared reader: x is costed
+        # by the x -> z the program will restrict it by
+        from repro.patterns.plan import plan_order
+
+        plan = plan_order(chain, 2)
+        assert plan.order == (2, 0, 1)
+        assert "before into prefix" in plan.steps[1].reason
 
     def test_kleene_leaves_linked_only_by_implication_compile(self):
         p = compiled(

@@ -1,8 +1,7 @@
 """Unit tests for the compile layer of the v2 pattern operators.
 
-Covers the derived window matrices, negation specs, Kleene-position
-restrictions, and the ``has_v2_features`` flag that gates the
-cost-based planner (legacy patterns must never change behavior).
+Covers the derived window matrices, negation specs and
+Kleene-position restrictions.
 """
 
 import pytest
@@ -14,7 +13,6 @@ from repro.patterns import (
     parse_pattern,
 )
 from repro.patterns.compile import Constraint
-from repro.engine.cases import CASES
 
 NAMES = ["P0", "P1", "P2"]
 
@@ -162,30 +160,6 @@ pattern := A -> !B -> C -> !D -> E;
             (0, 1),
             (1, 2),
         ]
-
-
-class TestHasV2Features:
-    def test_legacy_case_patterns_are_not_v2(self):
-        for name in ("deadlock", "race", "atomicity", "ordering"):
-            source = CASES[name].pattern(len(NAMES))
-            assert not compiled(source).has_v2_features, name
-
-    @pytest.mark.parametrize(
-        "expr",
-        [
-            "A -> B+",
-            "A \\/ B -> C",
-            "A -> !C -> B",
-            "A -> B WITHIN 4",
-        ],
-        ids=["kleene", "disjunction", "negation", "window"],
-    )
-    def test_each_operator_flips_the_flag(self, expr):
-        source = (
-            "A := ['', A, '']; B := ['', B, '']; C := ['', C, '']; "
-            f"pattern := {expr};"
-        )
-        assert compiled(source).has_v2_features
 
 
 class TestTerminatingLeaves:

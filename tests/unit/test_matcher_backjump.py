@@ -10,6 +10,7 @@ conflicts lets the back-jump hull prune a real match.
 from repro.core import MatcherConfig, OCEPMatcher, SweepMode
 from repro.core.oracle import enumerate_matches
 from repro.patterns import PatternTree, compile_pattern, parse_pattern
+from repro.patterns.plan import plan_order
 from repro.testing import Weaver
 
 
@@ -143,6 +144,6 @@ class TestSelectivityOrdering:
         compiled = compile_pattern(
             PatternTree(parse_pattern(ordering_bug_pattern()), ["P0", "P1"])
         )
-        labels = [compiled.leaves[i].label for i in compiled.evaluation_order(3)]
+        labels = [step.label for step in plan_order(compiled, 3).steps]
         assert labels[0] == "Forward#3"
         assert labels[1] == "$Diff"  # shares $l and $r with the trigger

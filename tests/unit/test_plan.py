@@ -1,9 +1,8 @@
 """Unit tests for the cost-based constraint planner."""
 
 from repro.core import Monitor
-from repro.core.matcher import MatcherConfig
 from repro.patterns import PatternTree, compile_pattern, parse_pattern
-from repro.patterns.plan import LeafStats, plan_order
+from repro.patterns.plan import LeafStats, level_program, plan_order
 from repro.testing import Weaver
 
 NAMES = ["P0", "P1", "P2"]
@@ -31,37 +30,32 @@ pattern := (S -> $t) /\\ ($t -> U);
 """
 
 
-class TestFallback:
-    def test_no_stats_selects_legacy_order(self):
-        pattern = compiled(SKEWED)
-        plan = plan_order(pattern, 2, None)
-        assert not plan.cost_based
-        assert plan.order == pattern.evaluation_order(2)
-
-    def test_empty_stats_select_legacy_order(self):
-        pattern = compiled(SKEWED)
-        stats = {i: LeafStats(size=0) for i in range(3)}
-        plan = plan_order(pattern, 2, stats)
-        assert not plan.cost_based
-        assert plan.order == pattern.evaluation_order(2)
-
-
 class TestCostBasedOrder:
     def test_rare_leaf_ordered_before_huge_leaf(self):
-        # the static heuristic ranks the doubly-exact Move class right
-        # after the trigger; live sizes flip that to Pickup-first
+        # both precede the Drop trigger: the populations decide
         pattern = compiled(SKEWED)
-        assert pattern.evaluation_order(2) == (2, 1, 0)
+        stats = {0: LeafStats(30), 1: LeafStats(5), 2: LeafStats(30)}
+        assert plan_order(pattern, 2, stats).order == (2, 1, 0)
         stats = {0: LeafStats(30), 1: LeafStats(5000), 2: LeafStats(30)}
-        plan = plan_order(pattern, 2, stats)
-        assert plan.cost_based
-        assert plan.order == (2, 0, 1)
+        assert plan_order(pattern, 2, stats).order == (2, 0, 1)
 
     def test_trigger_is_always_level_one(self):
         pattern = compiled(SKEWED)
         stats = {0: LeafStats(10), 1: LeafStats(10), 2: LeafStats(10)}
         for trigger in range(3):
             assert plan_order(pattern, trigger, stats).order[0] == trigger
+
+    def test_connected_leaves_come_first(self):
+        # from trigger $b, the directly constrained A and $c come before
+        # the only-indirectly-connected D, whatever the populations
+        pattern = compiled(
+            "A := ['', A, '']; B := ['', B, '']; C := ['', C, ''];"
+            "D := ['', D, '']; B $b; C $c;"
+            "pattern := (A -> $b) /\\ ($c -> $b) /\\ ($c -> D);"
+        )
+        for stats in (None, {i: LeafStats(50, 3) for i in range(4)}):
+            order = plan_order(pattern, 1, stats).order
+            assert set(order[1:3]) == {0, 2} and order[3] == 3
 
     def test_order_is_a_permutation(self):
         pattern = compiled(VARS)
@@ -89,13 +83,8 @@ class TestExplain:
         pattern = compiled(SKEWED)
         stats = {0: LeafStats(3), 1: LeafStats(100), 2: LeafStats(3)}
         text = plan_order(pattern, 2, stats).explain()
-        assert "cost-based" in text
         for leaf in pattern.leaves:
             assert leaf.label in text
-
-    def test_legacy_explain_says_so(self):
-        pattern = compiled(CHAIN)
-        assert "legacy heuristic" in plan_order(pattern, 1, None).explain()
 
 
 class TestLevelProgram:
@@ -104,10 +93,9 @@ class TestLevelProgram:
         from repro.workloads import message_race_pattern
 
         pattern = compiled(message_race_pattern())  # s1, r1, s2, r2
-        plan = plan_order(pattern, 1, None)
-        assert plan.order == (1, 3, 0, 2)
-        trigger, r2, s1, s2 = plan.program
-        assert [step.leaf_id for step in plan.program] == list(plan.order)
+        order = (1, 3, 0, 2)
+        program = trigger, r2, s1, s2 = level_program(pattern, order)
+        assert [step.leaf_id for step in program] == list(order)
         assert trigger.constraints == {} and trigger.partner_levels == ()
         assert r2.constraints == {} and r2.trace_pin == "$p"
         assert s1.constraints == {0: Constraint.PARTNER}
@@ -116,8 +104,8 @@ class TestLevelProgram:
             1: Constraint.PARTNER, 2: Constraint.CONCURRENT,
         }
         assert s2.partner_levels == (1,) and s2.text_pin is None
-        assert all(step.windows == () for step in plan.program)
-        assert all(step.history is None for step in plan.program)
+        assert all(step.windows == () for step in program)
+        assert all(step.history is None for step in program)
 
     def test_windows_and_pins_of_a_v2_pattern(self):
         pattern = compiled(SKEWED)  # P, $m+, D WITHIN 16
@@ -131,12 +119,13 @@ class TestLevelProgram:
     def test_explain_prints_the_level_program(self):
         from repro.workloads import message_race_pattern
 
-        text = plan_order(compiled(message_race_pattern()), 1, None).explain()
+        # r1, s1 (its partner), r2, s2
+        text = plan_order(compiled(message_race_pattern()), 1).explain()
         assert "level program" in text
-        assert "3. leaf 0: partner level 1" in text
-        assert "4. leaf 2: partner level 2; level 3 concurrent" in text
-        assert "2. leaf 3: no constraint into the prefix; trace pinned by $p" in text
-        assert "text pinned by hot" in plan_order(compiled(SKEWED), 2, None).explain()
+        assert "2. leaf 0: partner level 1" in text
+        assert "4. leaf 2: level 2 concurrent; partner level 3" in text
+        assert "3. leaf 3: no constraint into the prefix; trace pinned by $p" in text
+        assert "text pinned by hot" in plan_order(compiled(SKEWED), 2).explain()
 
 
 class TestImpliedRestrictions:
@@ -167,7 +156,7 @@ class TestImpliedRestrictions:
             "pattern := (($a /\\ X) -> $c) /\\ ($a -> $b) /\\ ($b -> $c);"
         )  # leaves a, X, c, b
         assert pattern.constraint(0, 2) is Constraint.NOT_AFTER
-        program = plan_order(pattern, 2, None).program
+        program = plan_order(pattern, 2).program
         by_leaf = {step.leaf_id: step for step in program}
         assert by_leaf[0].constraints[0] is Constraint.AFTER  # c after a
         assert by_leaf[0].implied == {0: 3}
@@ -188,7 +177,7 @@ class TestImpliedRestrictions:
         wall = compiled(
             "A := ['', A, '']; B := ['', B, '']; pattern := A -> B WITHIN 3 wall;"
         )
-        assert "within 3 wall of level 1" in plan_order(wall, 1, None).explain()
+        assert "within 3 wall of level 1" in plan_order(wall, 1).explain()
 
     def test_cost_model_reads_what_the_program_applies(self):
         # Pickup is no longer costed (or printed) as unconstrained, and
@@ -196,7 +185,9 @@ class TestImpliedRestrictions:
         plan = plan_order(compiled(SKEWED), 2, self.STATS)
         assert plan.order == (2, 0, 1)
         pickup = plan.steps[1]
-        assert pickup.reason == "history 30 × before into prefix"
+        assert pickup.reason == (
+            "history 30 × before into prefix × swept over 1 trace"
+        )
         assert pickup.estimate == 30 * 0.25
         assert "unconstrained" not in plan.explain()
         lone = compiled(
@@ -215,27 +206,51 @@ class TestImpliedRestrictions:
         monitor = pipeline.watch("hotpath", hotpath_pattern())
         pipeline.run()
         plan = monitor.matcher.current_plan(2)
-        assert plan.cost_based and plan.order == (2, 0, 1)
+        assert plan.order == (2, 0, 1)
+
+
+class TestSweepWidth:
+    """A level nothing pins to one trace runs once per trace holding an
+    event of its leaf, and is costed so."""
+
+    def ordering(self, traces):
+        from repro.workloads import ordering_bug_pattern
+
+        pattern = compile_pattern(PatternTree(
+            parse_pattern(ordering_bug_pattern()),
+            [f"P{i}" for i in range(traces)],
+        ))  # Synch, $Diff, $Write, Forward
+        stats = {
+            0: LeafStats(66, traces - 1), 1: LeafStats(66, traces - 1),
+            2: LeafStats(74, traces - 1), 3: LeafStats(66, traces - 1),
+        }
+        return plan_order(pattern, 3, stats)
+
+    def test_pinned_write_is_bound_before_the_swept_synch(self):
+        # per candidate count alone Synch (66 × 0.25 × 0.1, +1 after)
+        # looks cheaper than $Write (74 × 0.25 × 0.1); Synch names no
+        # process, $Write's is bound by the trigger
+        plan = self.ordering(12)
+        assert plan.order == (3, 1, 2, 0)
+        write, synch = plan.steps[2], plan.steps[3]
+        assert write.reason.endswith("bound $l, trace pinned")
+        assert synch.reason.endswith("bound $r × swept over 11 traces")
+        assert "swept over 11 traces" in plan.explain()
+
+    def test_a_pinned_level_is_not_multiplied(self):
+        for traces in (12, 40):
+            write = self.ordering(traces).steps[2]
+            assert write.label == "$Write"
+            assert write.estimate == 74 * 0.25 * 0.25 * 0.1
+
+    def test_an_unpinned_level_is_multiplied_by_the_traces_it_sweeps(self):
+        synch = self.ordering(12).steps[3]
+        assert synch.label.startswith("Synch")
+        assert synch.estimate == 66 * 0.25 ** 3 * 0.1 * 11
 
 
 class TestMatcherIntegration:
-    def test_legacy_patterns_never_use_cost_based_order(self):
-        # output-compatibility guard: no v2 operator -> legacy order,
-        # even with the planner enabled and live statistics available
-        monitor = Monitor.from_source(CHAIN, NAMES)
-        w = Weaver(3)
-        for _ in range(5):
-            w.local(0, "A")
-        w.local(1, "B")
-        for e in w.events:
-            monitor.on_event(e)
-        matcher = monitor.matcher
-        assert not matcher.pattern.has_v2_features
-        plan = matcher.current_plan(1)
-        assert not plan.cost_based
-        assert matcher.plans_computed == 0
-
-    def test_v2_pattern_uses_cost_based_order(self):
+    def test_order_follows_live_statistics(self):
         monitor = Monitor.from_source(SKEWED, NAMES)
         w = Weaver(3)
         w.local(0, "Pickup")
@@ -245,36 +260,36 @@ class TestMatcherIntegration:
         for e in w.events:
             monitor.on_event(e)
         matcher = monitor.matcher
-        assert matcher.current_plan(2).cost_based
-        assert matcher.plans_computed >= 1
-
-    def test_planner_disabled_by_config(self):
-        monitor = Monitor.from_source(
-            SKEWED, NAMES, config=MatcherConfig(planner=False)
+        assert matcher.current_plan(2).order == (2, 0, 1)
+        assert matcher.current_plan(2).stats == (
+            LeafStats(1, 1), LeafStats(6, 1), LeafStats(1, 1),
         )
-        w = Weaver(3)
-        w.local(0, "Pickup")
-        w.local(0, "Move", "hot")
-        w.local(0, "Drop")
-        for e in w.events:
-            monitor.on_event(e)
-        assert not monitor.matcher.current_plan(2).cost_based
-        assert monitor.matcher.plans_computed == 0
+        assert matcher.plans_computed == 1
 
     def test_plan_cache_refreshes_on_interval(self):
-        monitor = Monitor.from_source(
-            SKEWED, NAMES, config=MatcherConfig(plan_refresh_interval=2)
-        )
+        """The interval is a doubling of the stream: O(log n) plans,
+        and a population flip is followed within one doubling."""
+        monitor = Monitor.from_source(SKEWED, NAMES)
+        matcher = monitor.matcher
         w = Weaver(3)
-        w.local(0, "Pickup")
-        w.local(0, "Move", "hot")
-        for _ in range(4):
-            w.local(0, "Drop")
-        for e in w.events:
-            monitor.on_event(e)
-        # four Drop triggers across different refresh stamps recompute
-        # the plan more than once, but not once per search forever
-        assert 2 <= monitor.matcher.plans_computed <= 4
+        monitor.on_event(w.local(1, "Pickup"))
+        for etype in ("Pickup", "Move") + ("Drop",) * 125:
+            monitor.on_event(w.local(0, etype, "hot"))
+        # Drop triggers at events 4 .. 128: one plan per bit length of
+        # the event count (3 .. 8)
+        assert matcher.events_processed == 128
+        assert matcher.plans_computed == 6
+        assert matcher._plan(2).order == (2, 1, 0)  # the one Move first
+        # Moves now outnumber Pickups 50 : 1 ...
+        for _ in range(100):
+            monitor.on_event(w.local(1, "Move", "hot"))
+        assert matcher.plans_computed == 6  # ... no search, no plan
+        monitor.on_event(w.local(0, "Drop"))  # event 229: still 8 bits
+        assert matcher._plan(2).order == (2, 1, 0)
+        while matcher.events_processed < 256:
+            monitor.on_event(w.local(0, "Drop"))
+        assert matcher._plan(2).order == (2, 0, 1)
+        assert matcher.plans_computed == 7
 
     def test_one_program_per_trigger_leaf_over_the_live_histories(self):
         # built on a trigger leaf's first search, then reused: the
