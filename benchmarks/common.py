@@ -13,10 +13,7 @@ explicitly.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import os
-import platform
 import sys
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -89,13 +86,7 @@ def emit_report(
     groups: Dict[str, BoxplotStats],
     notes: str = "",
 ) -> str:
-    """Render, print, and persist one figure's boxplots + table.
-
-    Alongside the human-readable ``<name>.txt``, a machine-readable
-    ``BENCH_<name>.json`` is written so runs can be diffed across PRs
-    (the perf trajectory the ROADMAP asks for).
-    """
-    RESULTS_DIR.mkdir(exist_ok=True)
+    """Render, print, and persist one figure's boxplots + table."""
     body = [
         render_boxplots(groups, title=title),
         "",
@@ -103,46 +94,7 @@ def emit_report(
     ]
     if notes:
         body += ["", notes]
-    text = "\n".join(body)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-    emit_json(
-        name,
-        {
-            "title": title,
-            "unit": "us",
-            "groups": {
-                label: dataclasses.asdict(stats)
-                for label, stats in groups.items()
-            },
-            "notes": notes,
-        },
-    )
-    print(f"\n{text}", file=sys.stderr)
-    return text
-
-
-def emit_json(name: str, payload: dict) -> Path:
-    """Write one benchmark's machine-readable ``BENCH_<name>.json``.
-
-    The payload is wrapped with the benchmark name and the run
-    environment (python version, platform, repetitions) so files from
-    different machines/PRs remain comparable.
-    """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    document = {
-        "benchmark": name,
-        "environment": {
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-            "repetitions": REPETITIONS,
-            "events_budget": os.environ.get("OCEP_EVENTS"),
-            "full_scale": os.environ.get("OCEP_FULL_SCALE") == "1",
-        },
-        **payload,
-    }
-    path = RESULTS_DIR / f"BENCH_{name}.json"
-    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    return path
+    return emit_text(name, "\n".join(body))
 
 
 def emit_text(name: str, text: str) -> str:
@@ -160,7 +112,6 @@ __all__ = [
     "replay",
     "timing_stats",
     "emit_report",
-    "emit_json",
     "emit_text",
     "scaled",
 ]

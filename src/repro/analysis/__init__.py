@@ -14,14 +14,6 @@ from repro.analysis.export import causality_edges, to_dot
 from repro.analysis.metrics import ComputationMetrics, compute_metrics, happens_before_graph
 from repro.analysis.tables import format_table, quartile_table
 from repro.analysis.runner import CaseResult, run_case, scaled
-from repro.analysis.perf_trend import (
-    Regression,
-    build_trend,
-    collect_indicators,
-    diff_trends,
-    load_trend,
-    write_trend,
-)
 
 __all__ = [
     "BoxplotStats",
@@ -38,10 +30,4 @@ __all__ = [
     "CaseResult",
     "run_case",
     "scaled",
-    "Regression",
-    "build_trend",
-    "collect_indicators",
-    "diff_trends",
-    "load_trend",
-    "write_trend",
 ]

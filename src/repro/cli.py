@@ -47,12 +47,6 @@ patterns, and reporting:
     per-stage self-time split plus the hottest frames; ``-o FILE``
     writes collapsed stacks for ``flamegraph.pl`` / speedscope.
 
-``ocep perf trend|diff``
-    The perf-regression sentinel: ``trend`` flattens the git-tracked
-    ``benchmarks/results/BENCH_*.json`` into ``BENCH_trend.json``;
-    ``diff --baseline FILE`` exits 1 when any current indicator
-    regressed past the threshold (the CI perf gate).
-
 ``ocep trace <case>``
     Run a case study with span tracing on and write the full causal
     timeline — per-trace simulated-time tracks with happens-before
@@ -423,47 +417,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
                 fh.write("\n")
         print(f"wrote {len(lines)} collapsed stacks to {args.output} "
               "(flamegraph.pl / speedscope input)")
-    return 0
-
-
-def cmd_perf_trend(args: argparse.Namespace) -> int:
-    from repro.analysis import perf_trend
-
-    path = perf_trend.write_trend(args.results, args.output)
-    document = perf_trend.load_trend(path)
-    print(
-        f"wrote {len(document['indicators'])} indicators from "
-        f"{len(document['sources'])} benchmark files to {path}"
-    )
-    return 0
-
-
-def cmd_perf_diff(args: argparse.Namespace) -> int:
-    from repro.analysis import perf_trend
-
-    baseline = perf_trend.load_trend(args.baseline)
-    if args.current:
-        current = perf_trend.load_trend(args.current)
-    else:
-        current = perf_trend.build_trend(args.results)
-    shared = len(
-        set(baseline["indicators"]) & set(current["indicators"])
-    )
-    regressions = perf_trend.diff_trends(
-        baseline, current, threshold=args.threshold
-    )
-    if regressions:
-        print(
-            f"{len(regressions)} regression(s) past +{args.threshold:.0%} "
-            f"across {shared} shared indicators:"
-        )
-        for regression in regressions:
-            print(f"  {regression.describe()}")
-        return 1
-    print(
-        f"no regressions past +{args.threshold:.0%} "
-        f"({shared} shared indicators)"
-    )
     return 0
 
 
@@ -848,36 +801,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser(
-        "perf",
-        help="perf-regression sentinel over benchmarks/results/BENCH_*.json",
-    )
-    perf_sub = p.add_subparsers(dest="perf_command", required=True)
-    t = perf_sub.add_parser(
-        "trend", help="flatten the BENCH files into BENCH_trend.json"
-    )
-    t.add_argument("--results", default="benchmarks/results",
-                   help="directory holding the BENCH_*.json files")
-    t.add_argument("--output", default=None,
-                   help="trend file to write (default: "
-                        "<results>/BENCH_trend.json)")
-    t.set_defaults(func=cmd_perf_trend)
-    d = perf_sub.add_parser(
-        "diff",
-        help="exit 1 when current indicators regressed past the "
-             "threshold vs a baseline trend",
-    )
-    d.add_argument("--baseline", required=True,
-                   help="baseline BENCH_trend.json")
-    d.add_argument("--current", default=None,
-                   help="current trend file (default: rebuilt live from "
-                        "--results)")
-    d.add_argument("--results", default="benchmarks/results",
-                   help="directory holding the current BENCH_*.json files")
-    d.add_argument("--threshold", type=float, default=0.15,
-                   help="relative regression tolerance (0.15 = +15%%)")
-    d.set_defaults(func=cmd_perf_diff)
-
-    p = sub.add_parser(
         "trace",
         help="run a case with span tracing on and write a Perfetto timeline",
     )
@@ -933,7 +856,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "brute force; keep this small)")
     p.add_argument("--json", metavar="FILE",
                    help="also write the full report as JSON "
-                        "(the BENCH_overload.json payload)")
+                        "(the CI overload-smoke artifact)")
     p.set_defaults(func=cmd_shed)
 
     p = sub.add_parser(

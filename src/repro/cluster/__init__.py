@@ -1,10 +1,12 @@
 """``repro.cluster``: the multi-process sharded runtime.
 
-Everything before this package executes in one Python process, so the
-fastest deployment tops out at one core.  This package is the
-horizontal scale-out the ROADMAP targets — the shape of cloud-native
-scalable pattern-detection frameworks (Mavroudopoulos & Gounaris):
-a **stateless ingress** (the coordinator, owning the recorded stream
+An **isolation and crash-recovery** feature, not a faster deployment:
+a shard's process can be killed and respawned without losing a match,
+and the fleet moves 0.2-0.5x the events/s of the same shards in one
+process (every worker gets the full stream; numbers in ROADMAP
+"Carried over").  The shape is that of cloud-native pattern-detection
+frameworks (Mavroudopoulos & Gounaris): a
+**stateless ingress** (the coordinator, owning the recorded stream
 and the shard-routing policy) fanning events out to **stateful
 per-shard workers** (each a ``multiprocessing`` process running an
 ordinary single-shard :class:`~repro.engine.Pipeline` in stream mode),
@@ -40,6 +42,7 @@ from repro.cluster.transport import ClusterProtocolError, FrameConnection
 from repro.cluster.wire import (
     PROTOCOL_VERSION,
     FrameType,
+    WireFormatError,
     decode_event_batch,
     decode_json,
     encode_event_batch,
@@ -57,6 +60,7 @@ __all__ = [
     "FrameType",
     "PROTOCOL_VERSION",
     "ShardOutcome",
+    "WireFormatError",
     "WorkerHandle",
     "decode_event_batch",
     "decode_json",

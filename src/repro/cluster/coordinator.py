@@ -58,6 +58,7 @@ from repro.cluster.transport import (
 from repro.cluster.wire import (
     PROTOCOL_VERSION,
     FrameType,
+    WireFormatError,
     decode_json,
     encode_event_batch,
     report_from_record,
@@ -391,7 +392,7 @@ class ClusterCoordinator:
                 handle.conn.send(FrameType.EVENTS, payload)
                 handle.outstanding += 1
                 return
-            except (OSError, ClusterProtocolError):
+            except (OSError, ClusterProtocolError, WireFormatError):
                 self._recover(handle)
         raise ClusterError(
             f"worker {handle.index} keeps failing; restart budget "
@@ -471,7 +472,7 @@ class ClusterCoordinator:
                         )
                     merged_shards.update(document["state"].get("shards", {}))
                     break
-                except (OSError, ClusterProtocolError):
+                except (OSError, ClusterProtocolError, WireFormatError):
                     self._recover(handle)
             else:
                 raise ClusterError(
@@ -573,7 +574,7 @@ class ClusterCoordinator:
                         document = decode_json(payload)
                         break
                     break
-                except (OSError, ClusterProtocolError):
+                except (OSError, ClusterProtocolError, WireFormatError):
                     self._recover(handle)
             if document is None:
                 raise ClusterError(

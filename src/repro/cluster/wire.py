@@ -20,7 +20,7 @@ Event-batch codec (all integers big-endian)::
       u32 u32    trace, index
       u8         kind code (index into ``EventKind`` order below)
       u64        lamport
-      u8         partner flag; if 1: u32 u32 partner trace, index
+      u8         partner flag (0 or 1); if 1: u32 u32 partner trace, index
       u16 bytes  etype  (UTF-8, length-prefixed)
       u16 bytes  text   (UTF-8, length-prefixed)
       u16 u32*   clock components (count-prefixed full vector)
@@ -67,6 +67,10 @@ FRAME_HEADER_SIZE = struct.calcsize(FRAME_HEADER)
 MAX_FRAME_PAYLOAD = 256 * 1024 * 1024
 
 
+class WireFormatError(ValueError):
+    """Bytes read off a socket are not a well-formed frame or batch."""
+
+
 class FrameType(enum.IntEnum):
     """Frame discriminator; the protocol is strictly coordinator-driven
     except CREDIT/HEARTBEAT, which the worker volunteers."""
@@ -103,8 +107,11 @@ def unpack_header(header: bytes) -> Tuple[int, FrameType]:
     """(payload length, frame type) of a :data:`FRAME_HEADER_SIZE` read."""
     length, raw_type = struct.unpack(FRAME_HEADER, header)
     if length > MAX_FRAME_PAYLOAD:
-        raise ValueError(f"frame payload length {length} exceeds limit")
-    return length, FrameType(raw_type)
+        raise WireFormatError(f"frame payload length {length} exceeds limit")
+    try:
+        return length, FrameType(raw_type)
+    except ValueError:
+        raise WireFormatError(f"unknown frame type {raw_type}") from None
 
 
 def encode_json(document: Any) -> bytes:
@@ -113,7 +120,10 @@ def encode_json(document: Any) -> bytes:
 
 
 def decode_json(payload: bytes) -> Any:
-    return json.loads(payload.decode("utf-8"))
+    try:
+        return json.loads(payload.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
+        raise WireFormatError(f"payload is not UTF-8 JSON: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -126,7 +136,7 @@ _KIND_ORDER = (EventKind.SEND, EventKind.RECEIVE, EventKind.LOCAL,
                EventKind.UNARY)
 _KIND_CODE = {kind: code for code, kind in enumerate(_KIND_ORDER)}
 
-_EVENT_HEAD = struct.Struct("!IIBQ")
+_EVENT_HEAD = struct.Struct("!IIBQB")  # ..., kind, lamport, partner flag
 _PAIR = struct.Struct("!II")
 _U16 = struct.Struct("!H")
 _U32 = struct.Struct("!I")
@@ -136,14 +146,13 @@ def encode_event_batch(events: Sequence[Event]) -> bytes:
     """Binary payload of an :data:`FrameType.EVENTS` frame."""
     out = bytearray(_U32.pack(len(events)))
     for event in events:
+        partner = event.partner
         out += _EVENT_HEAD.pack(
-            event.trace, event.index, _KIND_CODE[event.kind], event.lamport
+            event.trace, event.index, _KIND_CODE[event.kind], event.lamport,
+            partner is not None,
         )
-        if event.partner is not None:
-            out += b"\x01"
-            out += _PAIR.pack(event.partner.trace, event.partner.index)
-        else:
-            out += b"\x00"
+        if partner is not None:
+            out += _PAIR.pack(partner.trace, partner.index)
         for text in (event.etype, event.text):
             raw = text.encode("utf-8")
             if len(raw) > 0xFFFF:
@@ -156,48 +165,71 @@ def encode_event_batch(events: Sequence[Event]) -> bytes:
     return bytes(out)
 
 
-def decode_event_batch(payload: bytes) -> List[Event]:
+def decode_event_batch(payload: bytes, num_traces: int) -> List[Event]:
     """Rebuild the events of :func:`encode_event_batch` (full-vector
-    :class:`~repro.clocks.vector_clock.VectorClock` timestamps)."""
-    (count,) = _U32.unpack_from(payload, 0)
-    offset = _U32.size
+    :class:`~repro.clocks.vector_clock.VectorClock` timestamps) for a
+    stream of ``num_traces`` traces.  The payload comes off a socket:
+    anything but a canonical batch of that width raises
+    :class:`WireFormatError` naming the offset and the field."""
+    offset = 0
+
+    def take(size: int, field: str) -> bytes:
+        nonlocal offset
+        if offset + size > len(payload):
+            raise WireFormatError(
+                f"{field} at offset {offset} needs {size} bytes, "
+                f"{len(payload) - offset} left"
+            )
+        offset += size
+        return payload[offset - size:offset]
+
+    def text(field: str) -> str:
+        (length,) = _U16.unpack(take(_U16.size, f"{field} length"))
+        try:
+            return take(length, field).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise WireFormatError(
+                f"{field} ending at offset {offset}: {exc}"
+            ) from exc
+
+    (count,) = _U32.unpack(take(_U32.size, "count"))
+    clock_fmt = struct.Struct(f"!{num_traces}I")
     events: List[Event] = []
     for _ in range(count):
-        trace, index, kind_code, lamport = _EVENT_HEAD.unpack_from(
-            payload, offset
-        )
-        offset += _EVENT_HEAD.size
-        partner = None
-        has_partner = payload[offset]
-        offset += 1
-        if has_partner:
-            p_trace, p_index = _PAIR.unpack_from(payload, offset)
-            offset += _PAIR.size
-            partner = EventId(p_trace, p_index)
-        texts = []
-        for _field in range(2):
-            (length,) = _U16.unpack_from(payload, offset)
-            offset += _U16.size
-            texts.append(payload[offset:offset + length].decode("utf-8"))
-            offset += length
-        (width,) = _U16.unpack_from(payload, offset)
-        offset += _U16.size
-        components = struct.unpack_from(f"!{width}I", payload, offset)
-        offset += width * _U32.size
-        events.append(
-            Event(
-                trace=trace,
-                index=index,
-                etype=texts[0],
-                text=texts[1],
-                clock=VectorClock(components),
-                kind=_KIND_ORDER[kind_code],
-                partner=partner,
-                lamport=lamport,
+        start = offset
+        try:
+            trace, index, kind_code, lamport, flag = _EVENT_HEAD.unpack(
+                take(_EVENT_HEAD.size, "event head")
             )
-        )
+            if kind_code >= len(_KIND_ORDER) or flag > 1:
+                raise ValueError(f"kind code {kind_code}, partner flag {flag}")
+            partner = None
+            if flag:
+                partner = EventId(*_PAIR.unpack(take(_PAIR.size, "partner")))
+            etype, attribute = text("etype"), text("text")
+            (width,) = _U16.unpack(take(_U16.size, "clock width"))
+            if width != num_traces:
+                raise ValueError(
+                    f"clock width {width} on a {num_traces}-trace stream"
+                )
+            events.append(
+                Event(
+                    trace=trace,
+                    index=index,
+                    etype=etype,
+                    text=attribute,
+                    clock=VectorClock(
+                        clock_fmt.unpack(take(clock_fmt.size, "clock"))
+                    ),
+                    kind=_KIND_ORDER[kind_code],
+                    partner=partner,
+                    lamport=lamport,
+                )
+            )
+        except ValueError as exc:  # also index, trace or partner out of range
+            raise WireFormatError(f"event at offset {start}: {exc}") from exc
     if offset != len(payload):
-        raise ValueError(
+        raise WireFormatError(
             f"event batch has {len(payload) - offset} trailing bytes"
         )
     return events
@@ -267,6 +299,7 @@ __all__ = [
     "FrameType",
     "MAX_FRAME_PAYLOAD",
     "PROTOCOL_VERSION",
+    "WireFormatError",
     "decode_event_batch",
     "decode_json",
     "encode_event_batch",

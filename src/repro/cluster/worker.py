@@ -193,7 +193,7 @@ def _worker_loop(
         while True:
             ftype, payload = conn.recv()
             if ftype is FrameType.EVENTS:
-                events = decode_event_batch(payload)
+                events = decode_event_batch(payload, pipeline.num_traces)
                 pipeline.feed(events)
                 counters["events"] += len(events)
                 if shards:

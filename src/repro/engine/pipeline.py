@@ -74,22 +74,6 @@ from repro.simulation.kernel import Kernel
 DEFAULT_BATCH_SIZE = 256
 
 
-class _InjectorStage(POETClient):
-    """Adapts a :class:`FaultInjector` to the POET client interface so
-    it can sit downstream of the server like any other stage."""
-
-    def __init__(self, injector: FaultInjector):
-        self.injector = injector
-
-    def on_event(self, event: Event) -> None:
-        self.injector.feed(event)
-
-    def on_batch(self, events: Sequence[Event]) -> None:
-        feed = self.injector.feed
-        for event in events:
-            feed(event)
-
-
 @dataclasses.dataclass
 class PipelineResult:
     """Outcome of one :meth:`Pipeline.run`.
@@ -758,9 +742,9 @@ class Pipeline:
                 registry=self.registry,
                 tracer=self.tracer,
             )
-            tail = _InjectorStage(injector)
+            tail = injector
             if telemetry is not None:
-                tail = telemetry.link("faults", tail)
+                tail = telemetry.link("faults", injector)
         if tail is not None:
             self.server.connect(tail)
 
@@ -872,9 +856,8 @@ class Pipeline:
 
         ``max_events`` bounds the live simulation (or truncates a
         replay).  ``batch_size`` sets the replay slice size
-        (default :data:`DEFAULT_BATCH_SIZE`; ``1`` forces the
-        per-event delivery path); live sources always deliver per
-        event.  A pipeline runs exactly once.
+        (default :data:`DEFAULT_BATCH_SIZE`); live sources always
+        deliver slices of one.  A pipeline runs exactly once.
 
         Shutdown is graceful: SIGTERM (when running on the main
         thread) and ``KeyboardInterrupt`` stop the source at the next
@@ -907,14 +890,9 @@ class Pipeline:
                         raise ValueError(
                             f"batch_size must be >= 1, got {size}"
                         )
-                    if size == 1:
-                        collect = self.server.collect
-                        for event in events:
-                            collect(event)
-                    else:
-                        collect_batch = self.server.collect_batch
-                        for start in range(0, len(events), size):
-                            collect_batch(events[start:start + size])
+                    collect_batch = self.server.collect_batch
+                    for start in range(0, len(events), size):
+                        collect_batch(events[start:start + size])
                 elif self.workload is not None:
                     outcome = self.workload.run(max_events=max_events)
                 elif self.kernel is not None:

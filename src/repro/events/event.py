@@ -70,10 +70,9 @@ class Event:
     """An immutable primitive event.
 
     Slotted: every event of the computation lives in the server store,
-    the leaf histories, and the hold-back buffer at once, so dropping
-    the per-instance ``__dict__`` measurably shrinks and speeds up the
-    hot path (``benchmarks/test_slots_overhead.py`` records the
-    before/after medians in ``BENCH_slots.json``).
+    the leaf histories, and the hold-back buffer at once, so there is
+    no per-instance ``__dict__`` (pinned in ``tests/unit/test_event.py``;
+    the memory it saves shows in the benchmark's ``peak_rss_mb``).
 
     Attributes
     ----------

@@ -2,9 +2,9 @@
 
 Two formats cover the two consumers the ROADMAP cares about:
 
-* **JSON** — machine-readable dumps for the benchmark harness and for
-  comparing runs across PRs (``BENCH_*.json``); round-trips through
-  :func:`parse_json` back to plain dicts keyed by ``(name, labels)``.
+* **JSON** — machine-readable dumps (``ocep stats --format json``,
+  ``/snapshot``); round-trips through :func:`parse_json` back to plain
+  dicts keyed by ``(name, labels)``.
 * **Prometheus text exposition format** — scrapeable output for a
   production deployment (``# TYPE``/``# HELP`` lines, cumulative
   ``_bucket`` series with ``le`` labels, ``_sum``/``_count``).

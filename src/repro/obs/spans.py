@@ -31,8 +31,7 @@ Everything is **off-by-default-cheap**: components hold
 :data:`NULL_TRACER` (a :class:`NullTracer`) unless a real tracer is
 installed, and every instrumentation site is guarded by a single
 ``tracer.enabled`` attribute load, mirroring the
-:data:`~repro.obs.metrics.NULL_REGISTRY` bargain (measured by
-``benchmarks/test_trace_overhead.py``).
+:data:`~repro.obs.metrics.NULL_REGISTRY` bargain.
 
 Exports are plain lists of trace-event dicts;
 :func:`validate_trace_events` checks the subset of the schema this

@@ -74,8 +74,7 @@ class StageLink:
     ``on_batch``), counts every event through the edge, times the
     inclusive downstream processing, and records batch sizes.  The
     wrapper adds two ``perf_counter`` reads per *delivery* (one per
-    batch on the batched path), keeping the serving-enabled overhead
-    inside the benchmark gate.
+    batch on the batched path).
     """
 
     __slots__ = ("_downstream", "_events", "_latency", "_batch")

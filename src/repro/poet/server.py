@@ -47,7 +47,7 @@ class POETServer:
         Defaults to the no-op registry.
     tracer:
         Optional :class:`~repro.obs.spans.SpanTracer`; when enabled,
-        each collected event's fan-out is recorded as a
+        each collected slice's fan-out is recorded as a
         ``poet.deliver`` span on the server's wall-clock track.
         Defaults to the no-op tracer.
     """
@@ -84,7 +84,7 @@ class POETServer:
         )
         self._errors_counter = registry.counter(
             "poet_delivery_errors_total",
-            "client on_event callbacks that raised",
+            "client deliveries that raised",
         )
         self._clients_gauge = registry.gauge(
             "poet_clients", "currently connected clients"
@@ -114,43 +114,23 @@ class POETServer:
     # ------------------------------------------------------------------
 
     def collect(self, event: Event) -> None:
-        """Ingest the next event: store it and deliver it to clients.
+        """Ingest the next event: a slice of one through
+        :meth:`collect_batch`."""
+        self.collect_batch((event,))
 
-        A client raising in ``on_event`` does not corrupt the server's
-        accounting: the event is stored and counted exactly once, every
-        *other* client still receives it, each successful delivery is
-        counted individually, the failure lands in
+    def collect_batch(self, events: Sequence[Event]) -> None:
+        """Ingest a contiguous slice of the linearization: store it and
+        deliver it to every client's ``on_batch`` hook.
+
+        A client raising does not corrupt the server's accounting: the
+        slice is stored and counted exactly once, every *other* client
+        still receives all of it, each successful delivery is counted
+        individually, the failure lands in
         ``delivery_errors``/``poet_delivery_errors_total``, and the
         first error is re-raised once fan-out has completed.  (A client
         that should survive its own failures — e.g. a quarantining
         :class:`~repro.engine.dispatch.ShardedDispatcher` — must catch
         them itself; the server never silently swallows an error.)
-        """
-        if self._verify:
-            self._check_order(event)
-        self.store.add(event)
-        self._collected_counter.inc()
-        if self._tracer.enabled:
-            with self._tracer.span(
-                "poet.deliver",
-                track="poet.server",
-                args={"event": repr(event.event_id),
-                      "clients": len(self._clients)},
-            ):
-                self._fan_out(event)
-        else:
-            self._fan_out(event)
-
-    def collect_batch(self, events: Sequence[Event]) -> None:
-        """Ingest a contiguous slice of the linearization at once.
-
-        Semantically identical to calling :meth:`collect` per event,
-        but the per-event fan-out loop, tracer check, and counter
-        updates are paid once per batch: clients receive the whole
-        slice through their ``on_batch`` hook.  Error accounting
-        matches :meth:`collect` — a client raising mid-batch is counted
-        once, the other clients still receive the full batch, and the
-        first error is re-raised after fan-out completes.
         """
         if not events:
             return
@@ -161,7 +141,7 @@ class POETServer:
         self._collected_counter.inc(len(events))
         if self._tracer.enabled:
             with self._tracer.span(
-                "poet.deliver_batch",
+                "poet.deliver",
                 track="poet.server",
                 args={"events": len(events),
                       "first": repr(events[0].event_id),
@@ -170,27 +150,6 @@ class POETServer:
                 self._fan_out_batch(events)
         else:
             self._fan_out_batch(events)
-
-    def _fan_out(self, event: Event) -> None:
-        first_error: Optional[BaseException] = None
-        for client in list(self._clients):
-            try:
-                client.on_event(event)
-            except Exception as exc:  # noqa: BLE001 - accounted, re-raised
-                self.delivery_errors += 1
-                self._errors_counter.inc()
-                _log.warning(
-                    "client delivery failed",
-                    extra={"event": repr(event.event_id),
-                           "client": type(client).__name__,
-                           "error": repr(exc)},
-                )
-                if first_error is None:
-                    first_error = exc
-            else:
-                self._deliveries_counter.inc()
-        if first_error is not None:
-            raise first_error
 
     def _fan_out_batch(self, events: Sequence[Event]) -> None:
         first_error: Optional[BaseException] = None
@@ -201,8 +160,9 @@ class POETServer:
                 self.delivery_errors += 1
                 self._errors_counter.inc()
                 _log.warning(
-                    "client batch delivery failed",
+                    "client delivery failed",
                     extra={"events": len(events),
+                           "first": repr(events[0].event_id),
                            "client": type(client).__name__,
                            "error": repr(exc)},
                 )

@@ -33,6 +33,7 @@ from typing import Callable, List, Optional
 from repro.events.event import Event, EventId
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.obs.spans import NULL_TRACER, SpanTracer
+from repro.poet.client import POETClient
 
 #: The fault kinds a plan can name.
 FAULT_KINDS = ("none", "reorder", "delay", "duplicate", "drop", "crash")
@@ -110,14 +111,16 @@ class FaultPlan:
         return random.Random(f"crash:{seed}").randrange(lo, hi)
 
 
-class FaultInjector:
+class FaultInjector(POETClient):
     """Perturbs an in-order event stream, deterministically per seed.
 
     Feed the original linearization through :meth:`feed` and call
     :meth:`flush` at end-of-stream; the perturbed stream comes out of
     ``sink``.  Usable as a drop-in event sink: wire it between a kernel
     and a server with ``kernel.add_sink(injector.feed)`` where
-    ``sink=server.collect``, or wrap any recorded stream replay.
+    ``sink=server.collect``, or connect it downstream of a server like
+    any stage: it is a :class:`~repro.poet.client.POETClient` whose
+    ``on_event`` *is* ``feed``.
 
     Reorder/delay faults defer a chosen event only past arrivals that
     are its *causal successors* (their clock already covers it), never
@@ -210,6 +213,8 @@ class FaultInjector:
         else:  # none / crash: pass-through
             self._emit(event)
         self._tick_duplicates()
+
+    on_event = feed
 
     def flush(self) -> None:
         """End of stream: release anything still deferred or queued."""

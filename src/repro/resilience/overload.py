@@ -29,8 +29,8 @@ This module gives the pipeline a third one — *degrade gracefully*:
 
 * :class:`LoadShedder` — the pipeline stage between the hold-back
   buffer and the :class:`~repro.engine.dispatch.ShardedDispatcher`.
-  In ``NORMAL`` state events pass through unscored (the disabled-path
-  overhead gate relies on this); in ``SHEDDING`` it drops events with
+  In ``NORMAL`` state events pass through unscored and output is
+  bit-identical to an unwired run; in ``SHEDDING`` it drops events with
   band <= ``shed_band`` and in ``CRITICAL`` band <= ``critical_band``,
   least-useful first, under an optional ``max_drop_rate`` budget.
   Fully instrumented (drop counters labelled by utility band and
@@ -440,11 +440,11 @@ class LoadShedder(POETClient):
 
     Sits between the hold-back buffer (or the server) and the sharded
     dispatcher.  While the detector reports ``NORMAL`` the stage is a
-    pass-through — no scoring, batches forwarded whole — so the
-    overload-disabled overhead gate holds.  Once the detector engages,
-    each event is scored and dropped when its band is at or below the
-    state's threshold (``shed_band`` in SHEDDING, ``critical_band`` in
-    CRITICAL), subject to the optional ``max_drop_rate`` budget.
+    pass-through — no scoring, batches forwarded whole.  Once the
+    detector engages, each event is scored and dropped when its band is
+    at or below the state's threshold (``shed_band`` in SHEDDING,
+    ``critical_band`` in CRITICAL), subject to the optional
+    ``max_drop_rate`` budget.
 
     Parameters
     ----------

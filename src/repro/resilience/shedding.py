@@ -29,9 +29,9 @@ Per cell it reports:
   report a false match through a shed ``~>`` in-between witness).
 
 :func:`run_shedding_sweep` grids this over case studies x seeds x drop
-rates and is the single producer of the ``BENCH_overload.json``
-payload (the ``ocep shed`` subcommand, the CI ``overload-smoke`` job,
-and the benchmark gate all call it).  :func:`run_overload_scenario`
+rates and is the single producer of the ``ocep shed --json`` report
+(the subcommand and the CI ``overload-smoke`` job, whose exit status
+is the recall-beats-random gate).  :func:`run_overload_scenario`
 exercises the detector *dynamics* instead: a deterministic latency
 burst must engage shedding, the EMA must fall back below the
 disengage threshold, and the survivors must converge with a fresh

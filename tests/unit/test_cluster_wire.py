@@ -1,8 +1,10 @@
 """Unit tests for the cluster wire format and shard routing policy."""
 
 import json
+import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.clocks.vector_clock import VectorClock
 from repro.cluster.wire import (
@@ -10,6 +12,7 @@ from repro.cluster.wire import (
     MAX_FRAME_PAYLOAD,
     PROTOCOL_VERSION,
     FrameType,
+    WireFormatError,
     decode_event_batch,
     decode_json,
     encode_event_batch,
@@ -27,6 +30,7 @@ from repro.core.matcher import MatchReport
 from repro.core.monitor import MonitorStats
 from repro.engine.dispatch import shard_worker, worker_shards
 from repro.events.event import Event, EventId, EventKind
+from repro.testing import random_computation
 
 
 def _event(trace=0, index=1, etype="A", text="", kind=EventKind.UNARY,
@@ -66,24 +70,25 @@ class TestFrameEnvelope:
             pack_frame(FrameType.EVENTS, b"\x00" * (MAX_FRAME_PAYLOAD + 1))
 
     def test_corrupt_length_refused_on_receive(self):
-        import struct
-
         header = struct.pack("!IB", MAX_FRAME_PAYLOAD + 1,
                              int(FrameType.EVENTS))
-        with pytest.raises(ValueError, match="exceeds limit"):
+        with pytest.raises(WireFormatError, match="exceeds limit"):
             unpack_header(header)
 
     def test_unknown_frame_type_refused(self):
-        import struct
-
         header = struct.pack("!IB", 0, 200)
-        with pytest.raises(ValueError):
+        with pytest.raises(WireFormatError, match="frame type 200"):
             unpack_header(header)
 
     def test_json_payload_roundtrip(self):
         document = {"version": PROTOCOL_VERSION, "shards": ["a", "b"],
                     "nested": {"k": [1, 2, 3]}}
         assert decode_json(encode_json(document)) == document
+
+    @pytest.mark.parametrize("payload", [b"\xff\xfe", b"{not json"])
+    def test_undecodable_json_payload_refused(self, payload):
+        with pytest.raises(WireFormatError, match="UTF-8 JSON"):
+            decode_json(payload)
 
 
 class TestEventBatchCodec:
@@ -96,7 +101,7 @@ class TestEventBatchCodec:
         local = _event(trace=2, index=1, etype="Work", text="unicode: 拍",
                        kind=EventKind.LOCAL, lamport=3)
         events = [send, recv, local]
-        decoded = decode_event_batch(encode_event_batch(events))
+        decoded = decode_event_batch(encode_event_batch(events), 3)
         assert len(decoded) == 3
         for original, copy in zip(events, decoded):
             assert copy.trace == original.trace
@@ -111,24 +116,88 @@ class TestEventBatchCodec:
             )
 
     def test_empty_batch(self):
-        assert decode_event_batch(encode_event_batch([])) == []
+        assert decode_event_batch(encode_event_batch([]), 3) == []
 
     def test_all_kinds_covered(self):
         for kind in EventKind:
             partner = (EventId(1, 1) if kind is EventKind.RECEIVE else None)
             event = _event(kind=kind, partner=partner)
-            (decoded,) = decode_event_batch(encode_event_batch([event]))
+            (decoded,) = decode_event_batch(encode_event_batch([event]), 3)
             assert decoded.kind is kind
 
     def test_trailing_bytes_rejected(self):
         payload = encode_event_batch([_event()]) + b"\x00"
-        with pytest.raises(ValueError, match="trailing"):
-            decode_event_batch(payload)
+        with pytest.raises(WireFormatError, match="trailing"):
+            decode_event_batch(payload, 3)
 
     def test_attribute_too_long_rejected(self):
         event = _event(text="x" * 70_000)
         with pytest.raises(ValueError, match="too long"):
             encode_event_batch(event and [event])
+
+
+def _canonical_or_refused(payload, num_traces=3):
+    """The decoder's whole contract on bytes from a socket: events that
+    re-encode to exactly ``payload``, or :class:`WireFormatError` (the
+    ``None`` return) — any other exception type escapes and fails."""
+    try:
+        events = decode_event_batch(payload, num_traces)
+    except WireFormatError:
+        return None
+    assert encode_event_batch(events) == payload
+    return events
+
+
+class TestEventBatchBoundary:
+    ONE = encode_event_batch([_event(etype="Work", text="x")])
+    #: Offsets inside ``ONE``: u32 count, then trace, index, kind, ...
+    KIND_AT = 4 + 8
+    ETYPE_AT = 4 + 18 + 2
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            (ONE[:-3], "clock"),                          # truncated
+            (struct.pack("!I", 2**32 - 1) + ONE[4:], "event head"),
+            (b"", "count"),                               # empty
+            (ONE[:KIND_AT] + b"\x09" + ONE[KIND_AT + 1:], "kind code 9"),
+            (ONE[:ETYPE_AT] + b"\xff" + ONE[ETYPE_AT + 1:], "etype"),
+            (ONE[:KIND_AT + 9] + b"\x02" + ONE[KIND_AT + 10:],
+             "partner flag 2"),
+        ],
+    )
+    def test_malformed_batch_refused_naming_the_field(self, payload, field):
+        with pytest.raises(WireFormatError, match=field):
+            decode_event_batch(payload, 3)
+
+    def test_batch_of_another_width_refused(self):
+        # a 3-wide clock was accepted by a 2-trace stream all the way
+        # to a match report
+        with pytest.raises(WireFormatError, match="clock width 3"):
+            decode_event_batch(self.ONE, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        position=st.integers(0, 10_000),
+        value=st.integers(0, 255),
+        suffix=st.binary(min_size=1, max_size=8),
+    )
+    def test_decode_returns_canonical_events_or_wire_format_error(
+        self, seed, position, value, suffix
+    ):
+        events = random_computation(
+            seed, num_traces=3, steps=8, texts=("", "é拍")
+        ).events
+        payload = encode_event_batch(events)
+        assert _canonical_or_refused(payload) == events
+        for cut in range(len(payload)):
+            assert _canonical_or_refused(payload[:cut]) is None
+        assert _canonical_or_refused(payload + suffix) is None
+        position %= len(payload)
+        _canonical_or_refused(
+            payload[:position] + bytes([value]) + payload[position + 1:]
+        )
 
 
 class TestResultSurface:

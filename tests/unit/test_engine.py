@@ -128,10 +128,14 @@ class TestBatchDeliveryIdentity:
         assert batched.stats() == per_event.stats()
 
     def test_batched_path_is_actually_taken(self):
+        """``batch_size`` is the slice size all the way to the
+        dispatcher; per-event delivery is slices of one through the
+        same loop, not a second path."""
+        total = len(_ab_stream())
         pipeline, _ = self._replay(batch_size=4)
-        assert pipeline.dispatcher.batches_seen > 0
+        assert pipeline.dispatcher.batches_seen == total // 4
         per_event_pipeline, _ = self._replay(batch_size=1)
-        assert per_event_pipeline.dispatcher.batches_seen == 0
+        assert per_event_pipeline.dispatcher.batches_seen == total
 
     def test_monitor_on_batch_equals_on_event_loop(self):
         events = _ab_stream()

@@ -59,6 +59,14 @@ class TestEventInvariants:
         assert hash(a) == hash(b)
 
 
+    def test_instances_carry_no_dict(self):
+        """Every event lives in the store, the histories and the
+        hold-back buffer at once: both classes stay slotted."""
+        event = Weaver(2).local(0, "E")
+        assert not hasattr(event, "__dict__")
+        assert not hasattr(event.event_id, "__dict__")
+
+
 class TestCausalityMethods:
     def test_happens_before_through_message(self):
         w = Weaver(2)

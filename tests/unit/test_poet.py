@@ -6,6 +6,7 @@ import pytest
 
 from repro.poet import (
     CallbackClient,
+    POETClient,
     POETServer,
     RecordingClient,
     dump_events,
@@ -95,7 +96,7 @@ class TestFanOutConsistency:
         """A client that raises on exactly its ``fail_on``-th delivery."""
         outer = self
 
-        class Exploding:
+        class Exploding(POETClient):
             def __init__(self):
                 self.seen = []
                 self.offers = 0

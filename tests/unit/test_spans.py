@@ -26,6 +26,7 @@ from repro.obs.spans import (
     validate_chrome_trace,
     validate_trace_events,
 )
+from repro.poet.client import POETClient
 from repro.poet.instrument import instrument
 from repro.workloads import build_message_race, message_race_pattern
 
@@ -400,7 +401,7 @@ class TestStructuredLog:
         stream = io.StringIO()
         handler = obs_log.configure(stream=stream, level=logging.WARNING)
 
-        class _Boom:
+        class _Boom(POETClient):
             def on_event(self, event):
                 raise RuntimeError("boom")
 

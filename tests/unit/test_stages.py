@@ -11,6 +11,7 @@ import pytest
 
 from repro.engine import Pipeline
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
+from repro.obs.spans import SpanTracer
 from repro.obs.stages import (
     STAGES,
     PipelineTelemetry,
@@ -184,16 +185,32 @@ class TestPipelineIntegration:
         assert monitor.stats().matches_reported > 0
 
     def test_match_output_identical_with_and_without_telemetry(self):
+        """A live registry, a bound scrape server and a live span
+        tracer each observe the run without changing its output."""
         events = _ab_stream()
         plain = Pipeline.replay(events, TRACES)
         plain_monitor = plain.watch("ab", AB)
         plain.run()
 
-        observed = Pipeline.replay(events, TRACES,
-                                   registry=MetricsRegistry())
-        observed_monitor = observed.watch("ab", AB)
-        observed.run()
-
-        assert observed_monitor.reports == plain_monitor.reports
-        assert (observed_monitor.subset.signature()
-                == plain_monitor.subset.signature())
+        tracer = SpanTracer()
+        observers = {
+            "registry": lambda: Pipeline.replay(
+                events, TRACES, registry=MetricsRegistry()
+            ),
+            "server": lambda: Pipeline.replay(events, TRACES).with_server(
+                port=0
+            ),
+            "tracer": lambda: Pipeline.replay(
+                events, TRACES, tracer=tracer
+            ),
+        }
+        for name, build in observers.items():
+            observed = build()
+            observed_monitor = observed.watch("ab", AB)
+            result = observed.run()
+            if result.obs_server is not None:
+                result.obs_server.stop()
+            assert observed_monitor.reports == plain_monitor.reports, name
+            assert (observed_monitor.subset.signature()
+                    == plain_monitor.subset.signature()), name
+        assert tracer.spans_opened > 0
