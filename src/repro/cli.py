@@ -14,7 +14,14 @@ patterns, and reporting:
 
 ``ocep case <case>``
     Simulate a case study and monitor it live with its built-in
-    pattern (ground truth checked).
+    pattern.  Every run carries a live metrics registry, the
+    detection-latency tracker and the search trace; flags add views of
+    that one run: ``--metrics``/``--describe`` (the registry as a
+    table, JSON, Prometheus text or a metric reference), ``--trace-out``
+    (a Chrome trace-event timeline for Perfetto), ``--serve-port``
+    (the embedded scrape server, kept up ``--linger`` seconds after
+    the run), ``--profile`` (collapsed stacks of the sampling profiler)
+    and ``--explain`` (the evaluation plan of every trigger leaf).
 
 ``ocep bench <case>``
     Replay a case study several times and print the per-event quartile
@@ -28,33 +35,6 @@ patterns, and reporting:
     Post-mortem analysis: enumerate *every* match in a complete log
     (the offline comparison point to the online monitor).
 
-``ocep stats <case>``
-    Run a case study with full observability on and emit the metrics
-    registry (matcher counters, latency histograms, subset/history
-    gauges, POET delivery counts, end-to-end detection latency) as a
-    table, JSON, or Prometheus text, plus an optional tail of the
-    search trace (embedded in the document with ``--format json``).
-
-``ocep serve <case>``
-    Run a case with the embedded scrape server bound (``/metrics``,
-    ``/snapshot``, ``/healthz``, ``/readyz``, ``/spans``) and keep
-    serving the end-of-run state afterwards (``--linger`` bounds it;
-    default is until Ctrl-C).  ``ocep case`` and ``ocep stats`` accept
-    ``--serve-port`` for a server scoped to the run itself.
-
-``ocep profile <case>``
-    Sample the pipeline run with the wall-clock profiler and print the
-    per-stage self-time split plus the hottest frames; ``-o FILE``
-    writes collapsed stacks for ``flamegraph.pl`` / speedscope.
-
-``ocep trace <case>``
-    Run a case study with span tracing on and write the full causal
-    timeline — per-trace simulated-time tracks with happens-before
-    flow arrows, plus wall-clock delivery/search spans — as Chrome
-    trace-event JSON, loadable in Perfetto or ``chrome://tracing``.
-    ``ocep case`` and ``ocep chaos`` accept ``--trace-out FILE`` for
-    the same recording alongside their normal output.
-
 ``ocep chaos <case>``
     Record a case study's stream, then replay it through the seeded
     fault matrix (reorder / delay / duplicate / drop / crash x seeds),
@@ -64,11 +44,12 @@ patterns, and reporting:
     crash must converge.  Exit status 1 when any cell fails.
 
 ``ocep pipeline <case|all>``
-    The sharded-equivalence check (the CI pipeline-smoke job): run the
-    four case-study patterns in ONE batched sharded pass over each
-    requested workload, then diff the matches, subsets, and per-monitor
-    counters against four independent per-event single-pattern runs.
-    Exit status 1 on any divergence.
+    The sharded-equivalence check: run the case-study patterns in ONE
+    batched sharded pass over each requested workload — in process, or
+    through a ``--workers N`` multi-process deployment (``--kill``
+    SIGKILLs a worker mid-stream) — and diff the matches, subsets, and
+    per-monitor counters against independent per-event single-pattern
+    runs.  Exit status 1 on any divergence.
 
 Installed as the ``ocep`` console script; also runnable as
 ``python -m repro.cli``.
@@ -77,6 +58,7 @@ Installed as the ``ocep`` console script; also runnable as
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -85,11 +67,13 @@ from typing import Optional
 from repro.analysis import compute_boxplot, quartile_table
 from repro.analysis.runner import replay_through_monitor
 from repro.core.config import MatcherConfig
-from repro.engine import CASE_STUDY_NAMES, CASES, Pipeline, case_patterns
+from repro.engine import CASE_STUDY_NAMES, CASES, Pipeline
 from repro.obs import MetricsRegistry, to_json, to_prometheus
 from repro.obs.latency import track_detection_latency
+from repro.obs.profile import SamplingProfiler
 from repro.obs.spans import SpanTracer, to_chrome_json, validate_trace_events
 from repro.poet.dumpfile import dump_events, load_events
+from repro.resilience.cluster_chaos import run_equivalence_cell
 from repro.resilience.shedding import (
     DEFAULT_RATES as DEFAULT_SHED_RATES,
     DEFAULT_SHED_EVENTS,
@@ -138,13 +122,13 @@ def cmd_match(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_trace(tracer: SpanTracer, path: str) -> dict:
+def _write_trace(tracer: SpanTracer, path: str, emit=print) -> dict:
     """Validate and write a tracer's recording as Chrome trace JSON."""
     counts = validate_trace_events(tracer.events())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(to_chrome_json(tracer))
         fh.write("\n")
-    print(
+    emit(
         f"wrote {counts['events']} trace events to {path} "
         f"({counts['spans']} spans, {counts['flows']} flows, "
         f"{counts['sim_events']} sim slices, {counts['instants']} instants)"
@@ -153,80 +137,129 @@ def _write_trace(tracer: SpanTracer, path: str) -> dict:
 
 
 def cmd_case(args: argparse.Namespace) -> int:
+    registry = MetricsRegistry()
+    # Span tracing slows the run by a quarter to double: on request only.
     tracer = SpanTracer() if args.trace_out else None
     pipeline = Pipeline.for_case(
-        args.case, args.traces, args.seed, tracer=tracer,
+        args.case, args.traces, args.seed, registry=registry, tracer=tracer,
     )
     if args.serve_port is not None:
-        pipeline.with_server(port=args.serve_port)
+        pipeline.with_server(port=args.serve_port, host=args.host)
     names = pipeline.trace_names
+    wants_document = bool(args.metrics or args.describe or args.metrics_out)
+    # A metrics document written to stdout is the run's only output.
+    silent = wants_document and not args.metrics_out
+    emit = (lambda *_: None) if silent else print
+    latency = track_detection_latency(pipeline.kernel, registry)
+
+    def on_match(report) -> None:
+        latency.observe_report(report)
+        if not (args.quiet or silent):
+            _print_report(report, names)
+
     monitor = pipeline.watch_case(
-        on_match=None if args.quiet else (lambda r: _print_report(r, names)),
+        config=MatcherConfig(search_trace_size=args.trace_size),
+        on_match=on_match,
     )
-    result = pipeline.run(max_events=args.max_events)
+    profiler = SamplingProfiler() if args.profile else None
+    with profiler or contextlib.nullcontext():
+        result = pipeline.run(max_events=args.max_events)
+    monitor.publish_metrics()
     stats = monitor.stats()
-    print(
+    emit(
         f"\ncase={args.case} traces={args.traces}: {result.num_events} events"
         f"{' (deadlocked)' if result.deadlocked else ''}, "
         f"{stats.matches_reported} matches, subset {stats.subset_size}"
     )
-    if result.obs_server is not None:
-        print(f"served {result.obs_server.requests_served} requests on "
-              f"{result.obs_server.url}")
-        result.obs_server.stop()
-    if tracer is not None:
-        _write_trace(tracer, args.trace_out)
-    return 0
-
-
-def cmd_plan(args: argparse.Namespace) -> int:
-    """Run a case, then explain the evaluation plan of every trigger
-    leaf — the order the planner derives from the live leaf histories
-    and the level program a search would execute."""
-    pipeline = Pipeline.for_case(args.case, args.traces, args.seed)
-    monitor = pipeline.watch_case(on_match=None)
-    result = pipeline.run(max_events=args.max_events)
-    matcher = monitor.matcher
-    pattern = matcher.pattern
-    print(
-        f"case={args.case} traces={args.traces}: "
-        f"{result.num_events} events processed"
-    )
-    for history in matcher.history.histories:
-        leaf = pattern.leaves[history.leaf_id]
-        print(f"  leaf {history.leaf_id} [{leaf.label}]: history {history.size}")
-    for trigger_leaf in pattern.terminating_leaves():
-        print()
-        print(matcher.current_plan(trigger_leaf).explain())
-    return 0
-
-
-def cmd_trace(args: argparse.Namespace) -> int:
-    registry = MetricsRegistry()
-    tracer = SpanTracer()
-    pipeline = Pipeline.for_case(
-        args.case, args.traces, args.seed, registry=registry, tracer=tracer,
-    )
-    latency = track_detection_latency(pipeline.kernel, registry)
-    monitor = pipeline.watch_case(
-        config=MatcherConfig(search_trace_size=args.trace_size),
-        on_match=latency.observe_report,
-    )
-    result = pipeline.run(max_events=args.max_events)
-    monitor.publish_metrics()
-    stats = monitor.stats()
-    print(
-        f"case={args.case} traces={args.traces}: {result.num_events} events"
-        f"{' (deadlocked)' if result.deadlocked else ''}, "
-        f"{stats.matches_reported} matches, "
-        f"{stats.searches_run} searches"
-    )
-    print(
+    emit(
         f"detection latency: {latency.latencies_observed} observations "
         f"from {latency.reports_observed} reports"
     )
-    _write_trace(tracer, args.output)
+    if args.explain:
+        # The order the planner derives from the live leaf histories and
+        # the level program a search from each trigger leaf would execute.
+        matcher = monitor.matcher
+        for history in matcher.history.histories:
+            leaf = matcher.pattern.leaves[history.leaf_id]
+            emit(f"  leaf {history.leaf_id} [{leaf.label}]: "
+                 f"history {history.size}")
+        for trigger_leaf in matcher.pattern.terminating_leaves():
+            emit()
+            emit(matcher.current_plan(trigger_leaf).explain())
+    if profiler is not None:
+        emit(profiler.report())
+        lines = profiler.collapsed()
+        with open(args.profile, "w", encoding="utf-8") as fh:
+            fh.writelines(line + "\n" for line in lines)
+        emit(f"wrote {len(lines)} collapsed stacks to {args.profile} "
+             "(flamegraph.pl / speedscope input)")
+    if tracer is not None:
+        _write_trace(tracer, args.trace_out, emit)
+
+    records = []
+    if args.show_trace:
+        records = monitor.search_trace.records()[-args.show_trace:]
+    embedded = args.metrics == "json" and not args.describe
+    if wants_document:
+        text = _metrics_document(args, registry, monitor.search_trace, records)
+        if args.metrics_out:
+            with open(args.metrics_out, "w", encoding="utf-8") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+            print(f"wrote metrics to {args.metrics_out}")
+        else:
+            print(text)
+    if records and not (embedded or args.describe):
+        print(f"\nsearch trace (last {len(records)} of "
+              f"{monitor.search_trace.recorded_total} recorded):",
+              file=sys.stderr)
+        for record in records:
+            where = f"@{names[record.trace]}" if record.trace is not None else ""
+            print(
+                f"  search {record.search} level {record.level} "
+                f"leaf {record.leaf_id}{where}: {record.kind} {record.detail}",
+                file=sys.stderr,
+            )
+    if result.obs_server is not None:
+        _linger(result.obs_server, args.linger, emit)
     return 0
+
+
+def _metrics_document(args, registry, search_trace, records) -> str:
+    """The ``--metrics`` / ``--describe`` document of a case run."""
+    if args.describe:
+        return _describe_metrics(registry)
+    if args.metrics == "json":
+        # Structured output stays structured: the search-trace tail is
+        # embedded in the document, not printed to stderr.
+        document = json.loads(to_json(registry))
+        if records:
+            document["search_trace"] = {
+                "recorded_total": search_trace.recorded_total,
+                "capacity": search_trace.capacity,
+                "records": [record.as_dict() for record in records],
+            }
+        return json.dumps(document, indent=2, sort_keys=True)
+    if args.metrics == "prometheus":
+        return to_prometheus(registry)
+    return _metrics_table(registry)
+
+
+def _linger(server, seconds: float, emit) -> None:
+    """Keep the scrape server up ``seconds`` after the run (``inf`` =
+    until Ctrl-C), then stop it."""
+    if seconds > 0:
+        emit(f"serving {server.url}  (/metrics /snapshot /healthz /readyz "
+             "/spans); Ctrl-C to stop")
+        deadline = time.monotonic() + seconds
+        remaining = seconds
+        try:
+            while remaining > 0:
+                time.sleep(min(remaining, 3600.0))
+                remaining = deadline - time.monotonic()
+        except KeyboardInterrupt:
+            pass
+    emit(f"served {server.requests_served} requests on {server.url}")
+    server.stop()
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -274,68 +307,6 @@ def _metrics_table(registry: MetricsRegistry) -> str:
     return "\n".join(lines)
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
-    registry = MetricsRegistry()
-    pipeline = Pipeline.for_case(
-        args.case, args.traces, args.seed, registry=registry,
-    )
-    if args.serve_port is not None:
-        pipeline.with_server(port=args.serve_port)
-    names = pipeline.trace_names
-    latency = track_detection_latency(pipeline.kernel, registry)
-    monitor = pipeline.watch_case(
-        config=MatcherConfig(search_trace_size=args.trace_size),
-        on_match=latency.observe_report,
-    )
-    result = pipeline.run(max_events=args.max_events)
-    monitor.publish_metrics()
-    if result.obs_server is not None:
-        result.obs_server.stop()
-
-    show_trace = args.show_trace and monitor.search_trace is not None
-
-    if args.describe:
-        text = _describe_metrics(registry)
-        show_trace = False
-    elif args.format == "json":
-        # Structured output stays structured: the search-trace tail is
-        # embedded in the document, not printed as text to stderr.
-        document = json.loads(to_json(registry))
-        if show_trace:
-            records = monitor.search_trace.records()[-args.show_trace:]
-            document["search_trace"] = {
-                "recorded_total": monitor.search_trace.recorded_total,
-                "capacity": monitor.search_trace.capacity,
-                "records": [record.as_dict() for record in records],
-            }
-        text = json.dumps(document, indent=2, sort_keys=True)
-    elif args.format == "prometheus":
-        text = to_prometheus(registry)
-    else:
-        text = _metrics_table(registry)
-
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-        print(f"wrote {args.format} metrics to {args.output}")
-    else:
-        print(text)
-
-    if show_trace and args.format != "json":
-        records = monitor.search_trace.records()[-args.show_trace:]
-        print(f"\nsearch trace (last {len(records)} of "
-              f"{monitor.search_trace.recorded_total} recorded):",
-              file=sys.stderr)
-        for record in records:
-            where = f"@{names[record.trace]}" if record.trace is not None else ""
-            print(
-                f"  search {record.search} level {record.level} "
-                f"leaf {record.leaf_id}{where}: {record.kind} {record.detail}",
-                file=sys.stderr,
-            )
-    return 0
-
-
 def _describe_metrics(registry: MetricsRegistry) -> str:
     """Markdown reference table of every registered metric (the
     auto-generated section of ``docs/observability.md``)."""
@@ -360,66 +331,6 @@ def _describe_metrics(registry: MetricsRegistry) -> str:
     return "\n".join(lines)
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    registry = MetricsRegistry()
-    tracer = SpanTracer()
-    pipeline = Pipeline.for_case(
-        args.case, args.traces, args.seed, registry=registry, tracer=tracer,
-    ).with_server(port=args.port, host=args.host)
-    latency = track_detection_latency(pipeline.kernel, registry)
-    monitor = pipeline.watch_case(on_match=latency.observe_report)
-    result = pipeline.run(max_events=args.max_events)
-    monitor.publish_metrics()
-    stats = monitor.stats()
-    server = pipeline.obs_server
-    print(
-        f"case={args.case} traces={args.traces}: {result.num_events} events"
-        f"{' (deadlocked)' if result.deadlocked else ''}, "
-        f"{stats.matches_reported} matches"
-    )
-    print(f"serving {server.url}  "
-          "(/metrics /snapshot /healthz /readyz /spans)")
-    try:
-        if args.linger is None:
-            print("Ctrl-C to stop")
-            while True:
-                time.sleep(3600)
-        else:
-            time.sleep(args.linger)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        served = server.requests_served
-        server.stop()
-    print(f"served {served} requests")
-    return 0
-
-
-def cmd_profile(args: argparse.Namespace) -> int:
-    from repro.obs.profile import SamplingProfiler
-
-    pipeline = Pipeline.for_case(args.case, args.traces, args.seed)
-    monitor = pipeline.watch_case()
-    with SamplingProfiler(interval=args.interval) as profiler:
-        result = pipeline.run(max_events=args.max_events)
-    stats = monitor.stats()
-    print(
-        f"case={args.case} traces={args.traces}: {result.num_events} events"
-        f"{' (deadlocked)' if result.deadlocked else ''}, "
-        f"{stats.matches_reported} matches"
-    )
-    print(profiler.report(args.top))
-    if args.output:
-        lines = profiler.collapsed()
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines))
-            if lines:
-                fh.write("\n")
-        print(f"wrote {len(lines)} collapsed stacks to {args.output} "
-              "(flamegraph.pl / speedscope input)")
-    return 0
-
-
 def _parse_rates(text: str) -> list:
     """Drop-rate spec: comma-separated floats in (0, 1)."""
     rates = [float(part) for part in text.split(",") if part.strip()]
@@ -439,7 +350,10 @@ def _parse_seeds(text: str) -> list:
         if hi < lo:
             raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
         return list(range(lo, hi + 1))
-    return [int(part) for part in text.split(",") if part.strip()]
+    seeds = [int(part) for part in text.split(",") if part.strip()]
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed spec {text!r}")
+    return seeds
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
@@ -524,94 +438,16 @@ def cmd_shed(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _pipeline_cell(case: str, seed: int, traces: int, max_events: int,
-                   batch_size: int) -> dict:
-    """One sharded-vs-independent equivalence cell.
-
-    Runs the case's workload once, then the four case-study patterns
-    (a) in one batched sharded pass and (b) as four independent
-    per-event single-pattern replays, and diffs matches, subset
-    signatures, and full per-monitor counters.
-    """
-    source = Pipeline.for_case(case, traces, seed)
-    recorder = source.record()
-    outcome = source.run(max_events=max_events)
-    events, names = recorder.events, source.trace_names
-    patterns = case_patterns(len(names))
-    if case not in patterns:
-        # a v2 case (hotpath, absence): its own pattern rides the
-        # sharded pass alongside the four legacy ones
-        patterns = {case: CASES[case].pattern(len(names)), **patterns}
-
-    sharded = Pipeline.replay(events, names)
-    for name, pattern in patterns.items():
-        sharded.watch(name, pattern, record_timings=False)
-    sharded_result = sharded.run(batch_size=batch_size)
-
-    mismatches = []
-    total_matches = 0
-    for name, pattern in patterns.items():
-        solo = Pipeline.replay(events, names)
-        monitor = solo.watch(name, pattern, record_timings=False)
-        solo.run(batch_size=1)
-        shard = sharded_result[name]
-        total_matches += len(monitor.reports)
-        if shard.reports != monitor.reports:
-            mismatches.append(f"{name}: match reports differ")
-        if shard.subset.signature() != monitor.subset.signature():
-            mismatches.append(f"{name}: subset signatures differ")
-        if shard.stats() != monitor.stats():
-            mismatches.append(
-                f"{name}: counters differ "
-                f"(sharded={shard.stats()}, independent={monitor.stats()})"
-            )
-    return {
-        "case": case,
-        "seed": seed,
-        "events": outcome.num_events,
-        "matches": total_matches,
-        "ok": not mismatches,
-        "mismatches": mismatches,
-    }
-
-
 def cmd_pipeline(args: argparse.Namespace) -> int:
+    if args.kill and not args.workers:
+        print("--kill needs --workers N: an in-process pass has no worker "
+              "to kill", file=sys.stderr)
+        return 2
     cases = list(CASE_STUDY_NAMES) if args.case == "all" else [args.case]
     cells = []
     for case in cases:
         for seed in args.seeds:
-            cell = _pipeline_cell(
-                case, seed, args.traces, args.max_events, args.batch_size
-            )
-            cells.append(cell)
-            status = "ok  " if cell["ok"] else "FAIL"
-            line = (
-                f"  {status} case={case:<9} seed={seed:<3} "
-                f"events={cell['events']:<6} matches={cell['matches']}"
-            )
-            print(line)
-            for mismatch in cell["mismatches"]:
-                print(f"       {mismatch}")
-    passed = sum(cell["ok"] for cell in cells)
-    print(f"pipeline equivalence: {passed}/{len(cells)} cells passed "
-          f"(4 shards each, batch={args.batch_size})")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump({"ok": passed == len(cells), "cells": cells}, fh,
-                      indent=2)
-            fh.write("\n")
-        print(f"wrote JSON report to {args.json}")
-    return 0 if passed == len(cells) else 1
-
-
-def cmd_cluster(args: argparse.Namespace) -> int:
-    from repro.resilience.cluster_chaos import run_cluster_cell
-
-    cases = list(CASE_STUDY_NAMES) if args.case == "all" else [args.case]
-    cells = []
-    for case in cases:
-        for seed in args.seeds:
-            cell = run_cluster_cell(
+            cell = run_equivalence_cell(
                 case, seed,
                 traces=args.traces,
                 max_events=args.max_events,
@@ -631,8 +467,9 @@ def cmd_cluster(args: argparse.Namespace) -> int:
                 print(f"       {mismatch}")
     passed = sum(cell["ok"] for cell in cells)
     mode = "kill/recovery" if args.kill else "equivalence"
-    print(f"cluster {mode}: {passed}/{len(cells)} cells passed "
-          f"({args.workers} workers, batch={args.batch_size})")
+    where = f"{args.workers} workers" if args.workers else "in process"
+    print(f"pipeline {mode}: {passed}/{len(cells)} cells passed "
+          f"({where}, batch={args.batch_size})")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump({"ok": passed == len(cells), "workers": args.workers,
@@ -726,91 +563,45 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("case", help="simulate + monitor a case study live")
     p.add_argument("case", choices=sorted(CASES))
     p.add_argument("--quiet", action="store_true", help="suppress per-match output")
+    p.add_argument("--trace-size", type=_positive_int, default=4096,
+                   help="search-trace ring buffer capacity")
+    p.add_argument("--metrics", choices=["table", "json", "prometheus"],
+                   help="emit the metrics registry in this format (to "
+                        "stdout: the run's only output)")
+    p.add_argument("--metrics-out", metavar="FILE",
+                   help="write the metrics document to FILE instead")
+    p.add_argument("--show-trace", type=_nonnegative_int, default=0,
+                   metavar="K",
+                   help="also print the last K search-trace records "
+                        "(embedded in the document with --metrics json)")
+    p.add_argument("--describe", action="store_true",
+                   help="emit the metric reference table (markdown) "
+                        "instead of the values")
     p.add_argument("--trace-out", metavar="FILE",
                    help="also record a Chrome trace-event timeline to FILE")
     p.add_argument("--serve-port", type=_nonnegative_int, default=None,
                    metavar="PORT",
                    help="also serve live /metrics on PORT while the case "
                         "runs (0 = auto-pick)")
+    p.add_argument("--host", default="127.0.0.1",
+                   help="bind address of --serve-port")
+    p.add_argument("--linger", type=float, default=0.0, metavar="SECONDS",
+                   help="keep serving this long after the run finishes "
+                        "(inf = until Ctrl-C; default 0)")
+    p.add_argument("--profile", metavar="FILE",
+                   help="sample the run, print the per-stage self time and "
+                        "write collapsed stacks (flamegraph.pl / speedscope "
+                        "input) to FILE")
+    p.add_argument("--explain", action="store_true",
+                   help="print the evaluation plan of every trigger leaf")
     add_common(p, 10)
     p.set_defaults(func=cmd_case)
-
-    p = sub.add_parser(
-        "plan",
-        help="explain the planner's evaluation order for a case pattern",
-    )
-    p.add_argument("case", choices=sorted(CASES))
-    add_common(p, 10)
-    p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("bench", help="quartile table for a case study")
     p.add_argument("case", choices=sorted(CASES))
     p.add_argument("--repetitions", type=int, default=3)
     add_common(p, 10)
     p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser(
-        "stats", help="run a case with observability on and emit metrics"
-    )
-    p.add_argument("case", choices=sorted(CASES))
-    p.add_argument("--format", choices=["table", "json", "prometheus"],
-                   default="table", help="output format")
-    p.add_argument("--output", help="write metrics to a file instead of stdout")
-    p.add_argument("--trace-size", type=_positive_int, default=4096,
-                   help="search-trace ring buffer capacity")
-    p.add_argument("--show-trace", type=_nonnegative_int, default=0,
-                   metavar="K",
-                   help="also print the last K search-trace records")
-    p.add_argument("--describe", action="store_true",
-                   help="emit the metric reference table (markdown) "
-                        "instead of the values")
-    p.add_argument("--serve-port", type=_nonnegative_int, default=None,
-                   metavar="PORT",
-                   help="also serve live /metrics on PORT while the case "
-                        "runs (0 = auto-pick)")
-    add_common(p, 10)
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser(
-        "serve",
-        help="run a case with the embedded scrape server and keep serving",
-    )
-    p.add_argument("case", choices=sorted(CASES))
-    p.add_argument("--port", type=_nonnegative_int, default=0,
-                   help="bind port (0 = auto-pick; printed after the run)")
-    p.add_argument("--host", default="127.0.0.1", help="bind address")
-    p.add_argument("--linger", type=float, default=None, metavar="SECONDS",
-                   help="keep serving this long after the run finishes "
-                        "(default: until Ctrl-C)")
-    add_common(p, 10)
-    p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser(
-        "profile",
-        help="sample the pipeline run and report hot code per stage",
-    )
-    p.add_argument("case", choices=sorted(CASES))
-    p.add_argument("-o", "--output", metavar="FILE",
-                   help="write collapsed stacks (flamegraph.pl / "
-                        "speedscope input) to FILE")
-    p.add_argument("--interval", type=float, default=0.005,
-                   help="sampling interval in seconds")
-    p.add_argument("--top", type=_positive_int, default=10,
-                   help="hottest frames to print")
-    add_common(p, 10)
-    p.set_defaults(func=cmd_profile)
-
-    p = sub.add_parser(
-        "trace",
-        help="run a case with span tracing on and write a Perfetto timeline",
-    )
-    p.add_argument("case", choices=sorted(CASES))
-    p.add_argument("-o", "--output", default="trace.json",
-                   help="Chrome trace-event JSON file to write")
-    p.add_argument("--trace-size", type=_positive_int, default=4096,
-                   help="search-trace ring buffer capacity")
-    add_common(p, 10)
-    p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser(
         "chaos",
@@ -861,43 +652,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "pipeline",
-        help="sharded single-pass equivalence check (the CI smoke job)",
+        help="sharded single-pass equivalence check, in process or "
+             "across worker processes",
     )
     p.add_argument("case", choices=sorted(CASES) + ["all"],
                    help="one case study ('all' = the four paper cases); "
                         "a v2 case adds its own pattern to the pass")
-    p.add_argument("--seeds", type=_parse_seeds, default=list(range(10)),
-                   metavar="SPEC",
-                   help="workload seeds: '0..9', '1,4,7', or a single int")
-    p.add_argument("--batch-size", type=_positive_int, default=256,
-                   help="replay slice size of the sharded pass")
-    p.add_argument("--json", metavar="FILE",
-                   help="also write the full report as JSON")
-    add_common(p, 4)
-    p.set_defaults(func=cmd_pipeline)
-
-    p = sub.add_parser(
-        "cluster",
-        help="multi-process deployment vs in-process equivalence check",
-    )
-    p.add_argument("case", choices=sorted(CASE_STUDY_NAMES) + ["all"],
-                   help="one case study, or 'all' four")
-    p.add_argument("--workers", type=_positive_int, default=2,
-                   help="worker processes in the deployment")
+    p.add_argument("--workers", type=_nonnegative_int, default=0,
+                   help="run the pass through a deployment of this many "
+                        "worker processes (0 = in process)")
+    p.add_argument("--kill", action="store_true",
+                   help="SIGKILL a shard-owning worker mid-stream and "
+                        "require counter-exact convergence after recovery "
+                        "(needs --workers)")
     p.add_argument("--seeds", type=_parse_seeds, default=list(range(5)),
                    metavar="SPEC",
                    help="workload seeds: '0..9', '1,4,7', or a single int")
+    p.add_argument("--traces", type=int, default=4,
+                   help="number of traces / processes")
+    p.add_argument("--max-events", type=int, default=4000,
+                   help="event budget per recorded stream")
     p.add_argument("--batch-size", type=_positive_int, default=128,
-                   help="events per EVENTS frame")
-    p.add_argument("--kill", action="store_true",
-                   help="SIGKILL a shard-owning worker mid-stream and "
-                        "require counter-exact convergence after recovery")
+                   help="replay slice size (events per EVENTS frame with "
+                        "--workers) of the sharded pass")
     p.add_argument("--json", metavar="FILE",
                    help="also write the full report as JSON")
-    add_common(p, 4)
-    # Every cell runs the stream twice (in-process oracle + cluster);
-    # default to a budget that keeps an 'all'-cases sweep snappy.
-    p.set_defaults(func=cmd_cluster, max_events=4000)
+    p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("diagram", help="render a dump as a diagram")
     p.add_argument("dump", help="POET dump file")

@@ -27,7 +27,7 @@ Shard semantics match the in-process
 :class:`~repro.engine.dispatch.ShardedDispatcher` exactly: every shard
 observes the full linearization, so cluster match output is
 bit-identical to the single-process sharded run — the equivalence
-``ocep cluster`` and the CI ``cluster-smoke`` job assert.
+``ocep pipeline --workers N`` and the CI ``cluster-smoke`` job assert.
 """
 
 from repro.cluster.coordinator import (

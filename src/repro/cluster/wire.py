@@ -251,6 +251,10 @@ def report_to_record(report: MatchReport) -> dict:
         ],
         "bindings": [list(pair) for pair in report.bindings],
         "new_slots": [list(pair) for pair in report.new_slots],
+        "groups": [
+            [leaf, [event.to_record() for event in events]]
+            for leaf, events in report.groups
+        ],
     }
 
 
@@ -269,6 +273,10 @@ def report_from_record(record: dict) -> MatchReport:
         ),
         new_slots=tuple(
             (int(a), int(b)) for a, b in record["new_slots"]
+        ),
+        groups=tuple(
+            (leaf, tuple(event_from_record(r) for r in event_records))
+            for leaf, event_records in record["groups"]
         ),
     )
 

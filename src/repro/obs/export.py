@@ -2,7 +2,7 @@
 
 Two formats cover the two consumers the ROADMAP cares about:
 
-* **JSON** — machine-readable dumps (``ocep stats --format json``,
+* **JSON** — machine-readable dumps (``ocep case --metrics json``,
   ``/snapshot``); round-trips through :func:`parse_json` back to plain
   dicts keyed by ``(name, labels)``.
 * **Prometheus text exposition format** — scrapeable output for a

@@ -9,7 +9,7 @@ itself costs — and aggregates:
 
 * **collapsed stacks** (``root;child;leaf count`` lines), the input
   format of Brendan Gregg's ``flamegraph.pl`` and of speedscope's
-  collapsed importer, written by ``ocep profile -o``;
+  collapsed importer, written by ``ocep case --profile``;
 * **per-stage self time**: each sample is attributed to the pipeline
   stage owning its innermost ``repro``-module frame (see
   :data:`STAGE_MODULES`), yielding the exclusive-time split the

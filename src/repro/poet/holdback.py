@@ -31,12 +31,10 @@ Failure handling:
   itself stalled and :meth:`missing_predecessors` names the exact
   (trace, index) holes.
 * **Overflow**: the buffer is bounded by ``capacity`` with an explicit
-  policy — ``"raise"`` (default; fail loudly), ``"shed"`` (drop the
-  arriving event, surfacing later as a stall), or ``"block"``
-  (:meth:`offer` returns ``False`` and the caller must retry later —
-  backpressure for pull-style sources; as a push-style
-  :class:`~repro.poet.client.POETClient` this degenerates to raising,
-  since ``on_event`` cannot refuse).
+  policy — ``"raise"`` (default; fail loudly) or ``"shed"`` (drop the
+  arriving event, surfacing later as a stall).  A push-style
+  :class:`~repro.poet.client.POETClient` cannot refuse an arrival, so
+  there is no backpressure policy.
 
 Instrumentation flows through the standard
 :class:`~repro.obs.metrics.MetricsRegistry`: a held-back depth gauge
@@ -56,7 +54,7 @@ from repro.poet.client import POETClient
 _log = get_logger("poet.holdback")
 
 #: Overflow policies for a full buffer.
-OVERFLOW_POLICIES = ("raise", "shed", "block")
+OVERFLOW_POLICIES = ("raise", "shed")
 
 
 class _Held:
@@ -101,7 +99,7 @@ class HoldbackBuffer(POETClient):
         detection).
     raise_on_stall:
         When true, a detected stall raises :class:`HoldbackStallError`
-        from :meth:`offer` instead of only being recorded.
+        from :meth:`on_event` instead of only being recorded.
     utility_scorer:
         Optional :class:`~repro.resilience.overload.EventUtilityScorer`.
         When set, the ``shed`` overflow policy becomes pattern-aware:
@@ -114,7 +112,7 @@ class HoldbackBuffer(POETClient):
         Optional metrics registry; defaults to the shared no-op one.
         The shed counter is labelled ``reason="overflow"`` — the load
         shedder reports into the same series with
-        ``reason="overload"``, so ``ocep stats`` tells the two apart.
+        ``reason="overload"``, so ``ocep case --metrics`` tells them apart.
     tracer:
         Optional span tracer; when enabled, held-back arrivals,
         suppressed duplicates, sheds, and stalls become instant
@@ -193,18 +191,7 @@ class HoldbackBuffer(POETClient):
     # ------------------------------------------------------------------
 
     def on_event(self, event: Event) -> None:
-        """POET client hook: like :meth:`offer`, but a ``block`` refusal
-        has nowhere to go in push delivery, so it raises."""
-        if not self.offer(event):
-            raise HoldbackOverflowError(
-                f"hold-back buffer full ({self._capacity}) and the block "
-                "policy cannot backpressure a push-style delivery"
-            )
-
-    def offer(self, event: Event) -> bool:
-        """Accept the next arrival; returns False only when the buffer
-        is full under the ``block`` policy (caller should retry after
-        offering the missing predecessors)."""
+        """Accept the next arrival."""
         if len(event.clock) != self.num_traces:
             raise ValueError(
                 f"event {event.event_id} clock width {len(event.clock)} "
@@ -222,7 +209,7 @@ class HoldbackBuffer(POETClient):
                     args={"event": repr(event.event_id)},
                 )
             self._check_stall()
-            return True
+            return
 
         if self._ready(event):
             self._release(event)
@@ -238,8 +225,6 @@ class HoldbackBuffer(POETClient):
                         f"while offering {event.event_id}; missing "
                         f"predecessors: {self.missing_predecessors()[:5]}"
                     )
-                if self._overflow == "block":
-                    return False
                 # shed: something is lost and its successors will
                 # stall — the loud failure this policy trades for
                 # bounded memory.  With a utility scorer the victim is
@@ -257,7 +242,7 @@ class HoldbackBuffer(POETClient):
                             args={"event": repr(event.event_id)},
                         )
                     self._check_stall()
-                    return True
+                    return
                 victim = self._pending.pop(victim_key)
                 if self._tracer.enabled:
                     self._tracer.instant(
@@ -279,7 +264,6 @@ class HoldbackBuffer(POETClient):
                           "pending": len(self._pending)},
                 )
         self._check_stall()
-        return True
 
     def _shed_victim(self, event: Event) -> Optional[Tuple[int, int]]:
         """Pick the overflow victim: ``None`` means the arriving event

@@ -25,13 +25,12 @@ asserting on them:
   oracle on the unshedded stream (slot recall, match precision), and
   utility-aware drops must beat count-matched random drops.  Driven by
   the ``ocep shed`` subcommand and the CI ``overload-smoke`` job;
-* :mod:`~repro.resilience.cluster_chaos` — the same oracle-diff
-  discipline for the multi-process runtime: every ``(case, seed,
-  workers)`` cell diffs an ``ocep cluster`` deployment against the
-  in-process sharded run, and ``kill`` cells SIGKILL a shard-owning
-  worker mid-stream and require counter-exact convergence after
-  checkpoint recovery.  Driven by the ``ocep cluster`` subcommand and
-  the CI ``cluster-smoke`` job.
+* :mod:`~repro.resilience.cluster_chaos` — the same diff discipline
+  for sharding: every ``(case, seed, workers)`` cell diffs one batched
+  sharded pass, in process or across worker processes, against
+  independent per-event single-pattern runs, and ``kill`` cells SIGKILL
+  a shard-owning worker mid-stream and require counter-exact
+  convergence after checkpoint recovery.  Driven by ``ocep pipeline``.
 
 The repair half — the causal hold-back buffer — lives with the
 delivery substrate as :mod:`repro.poet.holdback`.
@@ -62,11 +61,7 @@ from repro.resilience.overload import (
     OverloadDetector,
     OverloadState,
 )
-from repro.resilience.cluster_chaos import (
-    DEFAULT_CELL_BATCH_SIZE,
-    pick_victim_worker,
-    run_cluster_cell,
-)
+from repro.resilience.cluster_chaos import run_equivalence_cell
 from repro.resilience.shedding import (
     DEFAULT_RATES,
     OverloadScenarioRun,
@@ -108,7 +103,5 @@ __all__ = [
     "burst_latency_profile",
     "run_shedding_sweep",
     "run_overload_scenario",
-    "DEFAULT_CELL_BATCH_SIZE",
-    "pick_victim_worker",
-    "run_cluster_cell",
+    "run_equivalence_cell",
 ]

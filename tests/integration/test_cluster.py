@@ -1,13 +1,14 @@
 """Integration: the multi-process cluster runtime end to end.
 
-The headline equivalence of the cluster PR: an ``ocep cluster``
+The headline equivalence of the cluster: a ``Pipeline.distributed``
 deployment — N worker processes each running a single-shard stream
 pipeline behind the socket transport — produces bit-identical match
-output (reports, representative-subset signatures, the full counter
-set) to the in-process :class:`~repro.engine.dispatch.ShardedDispatcher`
-run over the same recorded stream; and it still converges
-counter-exactly after a worker is SIGKILLed mid-stream and recovered
-from the last deployment checkpoint.
+output (reports with their Kleene groups, representative-subset
+signatures, the full counter set) to the in-process
+:class:`~repro.engine.dispatch.ShardedDispatcher` run over the same
+recorded stream; and it still converges counter-exactly after a worker
+is SIGKILLed mid-stream and recovered from the last deployment
+checkpoint.
 
 Workloads are kept deliberately small: every test here pays real
 process spawns and socket round trips.
@@ -16,10 +17,10 @@ process spawns and socket round trips.
 import pytest
 
 from repro.cluster import ClusterPipeline
-from repro.engine import Pipeline, case_patterns
+from repro.engine import CASES, Pipeline, case_patterns
 from repro.engine.dispatch import shard_worker
 from repro.obs.metrics import MetricsRegistry
-from repro.resilience.cluster_chaos import run_cluster_cell
+from repro.resilience.cluster_chaos import run_equivalence_cell
 from repro.testing import full_vectors
 
 TRACES = 5
@@ -96,6 +97,23 @@ class TestClusterEquivalence:
         result = _cluster(workload, workers=1).run(batch_size=256)
         _assert_equivalent(result, oracle, case_patterns(TRACES))
 
+    def test_kleene_groups_cross_the_wire(self):
+        # Reports carry each Kleene leaf's expanded group; a worker's
+        # RESULT frame must not drop them.
+        source = Pipeline.for_case("hotpath", traces=4, seed=0)
+        recorder = source.record()
+        source.run(max_events=3000)
+        events, names = list(recorder.events), source.trace_names
+        pattern = CASES["hotpath"].pattern(len(names))
+        local = Pipeline.replay(events, names)
+        monitor = local.watch("hotpath", pattern)
+        local.run()
+        assert monitor.reports and all(r.groups for r in monitor.reports)
+        cluster = Pipeline.distributed(events, names, workers=1)
+        cluster.watch("hotpath", pattern)
+        shard = cluster.run()["hotpath"]
+        assert shard.reports == monitor.reports
+
 
 class TestClusterRecovery:
     def test_kill_and_recover_converges(self, workload, oracle):
@@ -116,14 +134,14 @@ class TestClusterRecovery:
         assert result.final_checkpoint is not None
 
     def test_cell_harness_kill_mode(self):
-        cell = run_cluster_cell(
+        cell = run_equivalence_cell(
             "ordering", 2, traces=4, max_events=400, workers=2, kill=True
         )
         assert cell["ok"], cell["mismatches"]
         assert cell["restarts"] >= 1
 
     def test_cell_harness_plain_mode(self):
-        cell = run_cluster_cell(
+        cell = run_equivalence_cell(
             "deadlock", 0, traces=4, max_events=400, workers=3
         )
         assert cell["ok"], cell["mismatches"]

@@ -72,6 +72,36 @@ class TestCaseCommand:
         out = capsys.readouterr().out
         assert "match:" not in out
 
+    def test_every_view_on_one_run(self, tmp_path, capsys):
+        import json
+        import re
+
+        from repro.obs.spans import validate_chrome_trace
+
+        trace_file = tmp_path / "trace.json"
+        stacks_file = tmp_path / "profile.folded"
+        metrics_file = tmp_path / "metrics.json"
+        rc = main(
+            ["case", "hotpath", "--traces", "4", "--max-events", "3000",
+             "--quiet", "--explain", "--trace-out", str(trace_file),
+             "--profile", str(stacks_file), "--metrics", "json",
+             "--metrics-out", str(metrics_file)]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        counts = validate_chrome_trace(json.loads(trace_file.read_text()))
+        assert counts["flows"] >= 1 and counts["spans"] >= 1
+        for line in stacks_file.read_text().splitlines():
+            stack, samples = line.rsplit(" ", 1)
+            assert ";" in stack and int(samples) > 0
+        assert "plan for trigger leaf" in out
+        assert "leaf 0: level 1 after (implied via leaf 1)" in out
+        document = json.loads(metrics_file.read_text())
+        metrics = {m["name"]: m for m in document["metrics"]}
+        events = int(re.search(r"case=hotpath traces=4: (\d+) events",
+                               out).group(1))
+        assert metrics["poet_events_collected_total"]["value"] == events > 0
+
 
 class TestBenchCommand:
     def test_quartile_table_printed(self, capsys):
@@ -112,11 +142,11 @@ class TestDiagramCommand:
 
 
 class TestStatsCommand:
-    ARGS = ["stats", "race", "--traces", "3", "--seed", "1",
+    ARGS = ["case", "race", "--traces", "3", "--seed", "1",
             "--max-events", "500"]
 
     def test_table_output(self, capsys):
-        rc = main(self.ARGS + ["--show-trace", "3"])
+        rc = main(self.ARGS + ["--metrics", "table", "--show-trace", "3"])
         assert rc == 0
         captured = capsys.readouterr()
         assert "ocep_matcher_searches_run_total" in captured.out
@@ -127,7 +157,7 @@ class TestStatsCommand:
     def test_json_round_trips_counters(self, capsys):
         import json
 
-        rc = main(self.ARGS + ["--format", "json"])
+        rc = main(self.ARGS + ["--metrics", "json"])
         assert rc == 0
         document = json.loads(capsys.readouterr().out)
         metrics = {m["name"]: m for m in document["metrics"]}
@@ -150,8 +180,8 @@ class TestStatsCommand:
 
     def test_prometheus_output_to_file(self, tmp_path, capsys):
         out_file = tmp_path / "metrics.prom"
-        rc = main(self.ARGS + ["--format", "prometheus",
-                               "--output", str(out_file)])
+        rc = main(self.ARGS + ["--metrics", "prometheus",
+                               "--metrics-out", str(out_file)])
         assert rc == 0
         assert "wrote" in capsys.readouterr().out
         text = out_file.read_text()
@@ -168,6 +198,17 @@ class TestChaosCommand:
         assert _parse_seeds("5") == [5]
         with pytest.raises(Exception):
             _parse_seeds("9..0")
+
+    def test_empty_seed_spec_rejected(self, capsys):
+        import argparse
+
+        from repro.cli import _parse_seeds
+
+        with pytest.raises(argparse.ArgumentTypeError):
+            _parse_seeds(",")
+        for command in ("chaos", "pipeline"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "race", "--seeds", ","])
 
     def test_matrix_passes_on_race_case(self, capsys):
         rc = main(
@@ -234,8 +275,8 @@ class TestTraceCommand:
 
         out_file = tmp_path / "trace.json"
         rc = main(
-            ["trace", "race", "--traces", "4", "--seed", "0",
-             "--max-events", "2000", "-o", str(out_file)]
+            ["case", "race", "--traces", "4", "--seed", "0", "--quiet",
+             "--max-events", "2000", "--trace-out", str(out_file)]
         )
         assert rc == 0
         out = capsys.readouterr().out
@@ -287,13 +328,13 @@ class TestTraceCommand:
 
 
 class TestStatsTraceInJson:
-    ARGS = ["stats", "race", "--traces", "3", "--seed", "1",
+    ARGS = ["case", "race", "--traces", "3", "--seed", "1",
             "--max-events", "500"]
 
     def test_search_trace_embedded_in_json_document(self, capsys):
         import json
 
-        rc = main(self.ARGS + ["--format", "json", "--show-trace", "5"])
+        rc = main(self.ARGS + ["--metrics", "json", "--show-trace", "5"])
         assert rc == 0
         captured = capsys.readouterr()
         # Structured output stays structured: nothing on stderr, the
@@ -309,7 +350,7 @@ class TestStatsTraceInJson:
     def test_json_without_show_trace_has_no_trace_key(self, capsys):
         import json
 
-        rc = main(self.ARGS + ["--format", "json"])
+        rc = main(self.ARGS + ["--metrics", "json"])
         assert rc == 0
         document = json.loads(capsys.readouterr().out)
         assert "search_trace" not in document
@@ -317,7 +358,7 @@ class TestStatsTraceInJson:
     def test_detection_latency_histogram_in_stats(self, capsys):
         import json
 
-        rc = main(self.ARGS + ["--format", "json"])
+        rc = main(self.ARGS + ["--metrics", "json"])
         assert rc == 0
         document = json.loads(capsys.readouterr().out)
         metrics = {m["name"]: m for m in document["metrics"]}
@@ -330,7 +371,7 @@ class TestStatsTraceInJson:
         assert "ocep_detection_latency_sim_time" not in metrics
 
     def test_detection_latency_in_table_output(self, capsys):
-        rc = main(self.ARGS)
+        rc = main(self.ARGS + ["--metrics", "table"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "ocep_detection_latency_sim_time_units" in out
@@ -344,7 +385,8 @@ class TestStatsTraceInJson:
 
 class TestClusterCommand:
     def test_parser_defaults(self):
-        args = build_parser().parse_args(["cluster", "race"])
+        args = build_parser().parse_args(["pipeline", "race",
+                                          "--workers", "2"])
         assert args.workers == 2
         assert args.seeds == [0, 1, 2, 3, 4]
         assert args.batch_size == 128
@@ -356,13 +398,13 @@ class TestClusterCommand:
 
         report_file = tmp_path / "cluster.json"
         rc = main(
-            ["cluster", "race", "--traces", "4", "--seeds", "0",
+            ["pipeline", "race", "--traces", "4", "--seeds", "0",
              "--max-events", "400", "--workers", "2",
              "--json", str(report_file)]
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "cluster equivalence: 1/1 cells passed" in out
+        assert "pipeline equivalence: 1/1 cells passed" in out
         document = json.loads(report_file.read_text())
         assert document["ok"] is True
         assert document["workers"] == 2
@@ -370,10 +412,16 @@ class TestClusterCommand:
 
     def test_kill_cell_recovers(self, capsys):
         rc = main(
-            ["cluster", "ordering", "--traces", "4", "--seeds", "0",
+            ["pipeline", "ordering", "--traces", "4", "--seeds", "0",
              "--max-events", "400", "--workers", "2", "--kill"]
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "cluster kill/recovery: 1/1 cells passed" in out
+        assert "pipeline kill/recovery: 1/1 cells passed" in out
         assert "restarts=1" in out
+
+    def test_kill_needs_workers(self, capsys):
+        assert build_parser().parse_args(["pipeline", "race"]).workers == 0
+        rc = main(["pipeline", "race", "--seeds", "0", "--kill"])
+        assert rc == 2
+        assert "--kill needs --workers" in capsys.readouterr().err

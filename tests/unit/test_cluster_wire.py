@@ -212,6 +212,7 @@ class TestResultSurface:
             assignment=((0, a), (1, b)),
             bindings=(("x", "payload"),),
             new_slots=((1, 1),),
+            groups=((0, (a,)),),
         )
 
     def test_report_roundtrip_is_json_safe(self):

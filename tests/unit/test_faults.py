@@ -80,7 +80,7 @@ class TestCausalSlack:
         repaired = []
         buf = HoldbackBuffer(3, repaired.append)
         for e in perturbed:
-            buf.offer(e)
+            buf.on_event(e)
         assert buf.flush() == []
         assert repaired == events  # bit-identical restoration
 

@@ -45,7 +45,7 @@ class TestInOrder:
         events = _stream()
         buf, out = _buffer()
         for e in events:
-            assert buf.offer(e)
+            buf.on_event(e)
         assert out == events
         assert buf.pending_count == 0
         assert buf.stats()["reordered"] == 0
@@ -54,7 +54,7 @@ class TestInOrder:
         events = _stream()
         buf, _ = _buffer(num_traces=2)
         with pytest.raises(ValueError, match="clock width"):
-            buf.offer(events[0])
+            buf.on_event(events[0])
 
 
 class TestReordering:
@@ -70,7 +70,7 @@ class TestReordering:
 
         buf, out = _buffer()
         for e in perturbed:
-            assert buf.offer(e)
+            buf.on_event(e)
         assert out == events
         assert buf.pending_count == 0
         assert buf.stats()["reordered"] >= 1
@@ -84,10 +84,10 @@ class TestReordering:
         s, r = w.message(0, 1)
         buf, out = _buffer(num_traces=2)
         # b arrives before a; both are immediately ready.
-        assert buf.offer(b)
-        assert buf.offer(a)
-        assert buf.offer(s)
-        assert buf.offer(r)
+        buf.on_event(b)
+        buf.on_event(a)
+        buf.on_event(s)
+        buf.on_event(r)
         assert out == [b, a, s, r]
 
     @pytest.mark.parametrize("seed", range(5))
@@ -99,7 +99,7 @@ class TestReordering:
         # so feed a worst case: completely reversed stream.
         buf, out = _buffer()
         for e in reversed(events):
-            buf.offer(e)
+            buf.on_event(e)
         leftover = buf.flush()
         assert leftover == []
         # Everything was released and in *some* valid linearization.
@@ -114,8 +114,8 @@ class TestDuplicates:
         events = _stream()
         buf, out = _buffer()
         for e in events:
-            buf.offer(e)
-        assert buf.offer(events[0])
+            buf.on_event(e)
+        buf.on_event(events[0])
         assert out == events
         assert buf.stats()["duplicates"] == 1
 
@@ -126,11 +126,11 @@ class TestDuplicates:
         buf, out = _buffer(num_traces=2)
         events = w.events
         # r held back (s not yet released), then offered again.
-        buf.offer(events[0])
-        buf.offer(r)
-        buf.offer(r)
+        buf.on_event(events[0])
+        buf.on_event(r)
+        buf.on_event(r)
         assert buf.stats()["duplicates"] == 1
-        buf.offer(s)
+        buf.on_event(s)
         assert out == events
 
 
@@ -148,45 +148,27 @@ class TestOverflow:
         events, dropped = self._gap_stream()
         arriving = [e for e in events if e is not dropped]
         buf, _ = _buffer(num_traces=2, capacity=1, overflow="raise")
-        buf.offer(arriving[0])
-        buf.offer(arriving[1])  # r: held (s missing)
-        with pytest.raises(HoldbackOverflowError):
-            buf.offer(arriving[2])  # b: would exceed capacity
-
-    def test_block_policy_refuses_then_recovers(self):
-        events, dropped = self._gap_stream()
-        arriving = [e for e in events if e is not dropped]
-        buf, out = _buffer(num_traces=2, capacity=1, overflow="block")
-        assert buf.offer(arriving[0])
-        assert buf.offer(arriving[1])
-        assert not buf.offer(arriving[2])  # refused, caller must retry
-        assert buf.offer(dropped)  # the missing predecessor arrives
-        assert buf.offer(arriving[2])  # retry now succeeds
-        assert out == events
-
-    def test_block_policy_raises_via_push_interface(self):
-        events, dropped = self._gap_stream()
-        arriving = [e for e in events if e is not dropped]
-        buf, _ = _buffer(num_traces=2, capacity=1, overflow="block")
         buf.on_event(arriving[0])
-        buf.on_event(arriving[1])
+        buf.on_event(arriving[1])  # r: held (s missing)
         with pytest.raises(HoldbackOverflowError):
-            buf.on_event(arriving[2])
+            buf.on_event(arriving[2])  # b: would exceed capacity
 
     def test_shed_policy_drops_and_counts(self):
         events, dropped = self._gap_stream()
         arriving = [e for e in events if e is not dropped]
         buf, out = _buffer(num_traces=2, capacity=1, overflow="shed")
-        buf.offer(arriving[0])
-        buf.offer(arriving[1])
-        assert buf.offer(arriving[2])  # absorbed (shed)
+        buf.on_event(arriving[0])
+        buf.on_event(arriving[1])
+        buf.on_event(arriving[2])  # absorbed (shed)
         assert buf.stats()["shed"] == 1
-        buf.offer(dropped)
+        buf.on_event(dropped)
         assert arriving[2] not in out  # genuinely lost
 
     def test_bad_policy_rejected(self):
-        with pytest.raises(ValueError, match="overflow"):
-            HoldbackBuffer(2, lambda e: None, overflow="panic")
+        # "block" is gone: a push-style client cannot refuse an arrival.
+        for policy in ("panic", "block"):
+            with pytest.raises(ValueError, match="overflow"):
+                HoldbackBuffer(2, lambda e: None, overflow=policy)
 
     def test_bad_capacity_rejected(self):
         with pytest.raises(ValueError, match="capacity"):
@@ -207,10 +189,10 @@ class TestUtilityShedding:
             num_traces=2, capacity=1, overflow="shed",
             utility_scorer=_ab_scorer(),
         )
-        buf.offer(a)
-        buf.offer(r)             # pends (s missing): capacity now full
-        assert buf.offer(noise)  # chaff loses to everything pending
-        assert buf.offer(b)
+        buf.on_event(a)
+        buf.on_event(r)  # pends (s missing): capacity now full
+        buf.on_event(noise)  # chaff loses to everything pending
+        buf.on_event(b)
         assert buf.stats()["shed"] >= 1
         assert noise not in out and noise not in buf.flush()
         # The leaf-band arrival was retained (held, awaiting repair).
@@ -225,10 +207,10 @@ class TestUtilityShedding:
             num_traces=2, capacity=1, overflow="shed",
             utility_scorer=_ab_scorer(),
         )
-        buf.offer(b)          # pends (x missing)
-        assert buf.offer(noise)  # overflow: chaff arrival is the victim
+        buf.on_event(b)  # pends (x missing)
+        buf.on_event(noise)  # overflow: chaff arrival is the victim
         assert buf.stats()["shed"] == 1
-        buf.offer(x)          # repair: the held leaf event drains
+        buf.on_event(x)  # repair: the held leaf event drains
         assert out == [x, b]
         assert buf.pending_count == 0
 
@@ -241,9 +223,9 @@ class TestUtilityShedding:
             num_traces=2, capacity=1, overflow="shed",
             utility_scorer=_ab_scorer(),
         )
-        buf.offer(c1)         # pends
-        assert buf.offer(c2)  # same band: newest (arrival) dropped
-        buf.offer(x)
+        buf.on_event(c1)  # pends
+        buf.on_event(c2)  # same band: newest (arrival) dropped
+        buf.on_event(x)
         assert out == [x, c1]
         assert c2 not in out
 
@@ -258,8 +240,8 @@ class TestUtilityShedding:
             2, out.append, capacity=1, overflow="shed",
             utility_scorer=_ab_scorer(), registry=registry,
         )
-        buf.offer(b)
-        buf.offer(noise)
+        buf.on_event(b)
+        buf.on_event(noise)
         snapshot = {(m.name, m.labels): m.value for m in registry.metrics()}
         assert snapshot[
             ("poet_holdback_shed_total", (("reason", "overflow"),))
@@ -271,9 +253,9 @@ class TestUtilityShedding:
         b = w.local(0, "B")
         noise = w.local(0, "Noise")
         buf, out = _buffer(num_traces=2, capacity=1, overflow="shed")
-        buf.offer(b)
-        assert buf.offer(noise)  # legacy policy: arrival absorbed
-        buf.offer(x)
+        buf.on_event(b)
+        buf.on_event(noise)  # legacy policy: arrival absorbed
+        buf.on_event(x)
         assert out == [x, b]
 
 
@@ -286,15 +268,15 @@ class TestStalls:
         buf, out = _buffer(
             num_traces=2, stall_watermark=watermark, **kwargs
         )
-        buf.offer(a)
-        buf.offer(r)  # s never arrives: permanent hole
+        buf.on_event(a)
+        buf.on_event(r)  # s never arrives: permanent hole
         return buf, out, s, fillers
 
     def test_stall_detected_after_watermark(self):
         buf, _, s, fillers = self._stalled_buffer()
         assert not buf.stalled
         for f in fillers:
-            buf.offer(f)
+            buf.on_event(f)
         assert buf.stalled
         assert buf.stats()["stalls"] == 1
         assert s.event_id in buf.missing_predecessors()
@@ -303,14 +285,14 @@ class TestStalls:
         buf, _, _, fillers = self._stalled_buffer(raise_on_stall=True)
         with pytest.raises(HoldbackStallError):
             for f in fillers:
-                buf.offer(f)
+                buf.on_event(f)
 
     def test_stall_clears_on_release(self):
         buf, out, s, fillers = self._stalled_buffer()
         for f in fillers:
-            buf.offer(f)
+            buf.on_event(f)
         assert buf.stalled
-        buf.offer(s)  # hole filled: r and s released
+        buf.on_event(s)  # hole filled: r and s released
         assert not buf.stalled
         assert buf.pending_count == 0
         assert buf.missing_predecessors() == []
@@ -320,10 +302,10 @@ class TestStalls:
         w.local(0, "A")
         s, r = w.message(0, 1)
         buf, _ = _buffer(num_traces=2)
-        buf.offer(w.events[0])
-        buf.offer(r)
+        buf.on_event(w.events[0])
+        buf.on_event(r)
         for _ in range(100):
-            buf.offer(r)  # duplicates keep arriving
+            buf.on_event(r)  # duplicates keep arriving
         assert not buf.stalled
 
 
@@ -334,8 +316,8 @@ class TestInstrumentation:
         out = []
         buf = HoldbackBuffer(3, out.append, registry=registry)
         for e in events:
-            buf.offer(e)
-        buf.offer(events[0])  # one duplicate
+            buf.on_event(e)
+        buf.on_event(events[0])  # one duplicate
         snapshot = {m.name: m.value for m in registry.metrics()}
         assert snapshot["poet_holdback_released_total"] == len(events)
         assert snapshot["poet_holdback_duplicates_total"] == 1
@@ -345,7 +327,7 @@ class TestInstrumentation:
         events = _stream()
         buf, _ = _buffer()
         for e in events:
-            buf.offer(e)
+            buf.on_event(e)
         stats = buf.stats()
         assert stats["released"] == len(events)
         assert stats["offers"] == len(events)
