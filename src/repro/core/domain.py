@@ -13,8 +13,8 @@ event ``e`` confines ``e_i`` to a contiguous interval of positions on
 
 :func:`restrict` intersects these intervals for every ``(constraint,
 event)`` pair of a position.  It is the only place that does: the
-search, the Kleene group expansion, the negation veto and the ``~>``
-immediacy check all call it with their own anchors and slice the
+search, the Kleene group expansion, the negation veto and bound and the
+``~>`` immediacy check all call it with their own anchors and slice the
 history with :meth:`~repro.core.history.LeafHistory.window`.
 
 Two restrictions reach the domain without a row of their own.  A
@@ -193,6 +193,16 @@ def restrict(
         if hi is not None and lo > hi:
             return None, None, key, key, exact
     return lo, hi, lo_key, hi_key, exact
+
+
+def narrow(index: CausalIndex, trace: int, pairs, witnesses, lo, hi) -> Bounds:
+    """``[lo, hi]`` less the positions on ``trace`` a negation witness
+    vetoes, by its ``NOT_AFTER`` (floor) or ``NOT_BEFORE`` (ceiling)
+    pair; ``hi < lo`` when nothing is left."""
+    nlo, nhi, _, _, _ = restrict(index, trace, pairs, witnesses)
+    if nlo is None:
+        return lo, lo - 1
+    return max(lo, nlo), hi if nhi is None or (hi is not None and hi < nhi) else nhi
 
 
 def lamport_range(

@@ -220,6 +220,26 @@ class LeafHistory:
             ]
         return events
 
+    def nearest(self, anchor: Event, trace: int, index: CausalIndex,
+                floor: bool, event_class, env) -> Optional[Event]:
+        """The negation witness that bounds a later anchor: the stored
+        class event on ``trace`` (under ``env``) nearest ``anchor`` with
+        ``x -> anchor`` (``floor``) or ``anchor -> x``, checked where
+        the interval is only a superset (a gapped stream)."""
+        relation = Constraint.AFTER if floor else Constraint.BEFORE
+        lo, hi, _, _, exact = restrict(index, trace, ((0, relation),), (anchor,))
+        if lo is None:
+            return None
+        text = event_class.required_text(env)
+        events, left, right = self.window(trace, lo, hi, text)
+        for pos in range(right - 1, left - 1, -1) if floor else range(left, right):
+            event = events[pos]
+            if (exact or anchor.happens_before(event)) and (
+                event_class.matches(event, env) is not None
+            ):
+                return event
+        return None
+
     def has_between(self, low: Event, high: Event, index: CausalIndex) -> bool:
         """True when some stored event ``x`` satisfies
         ``low -> x -> high`` — the side condition of the

@@ -47,6 +47,7 @@ from repro.core.domain import (
     admit_bounds_upper,
     bounds_hull,
     lamport_range,
+    narrow,
     restrict,
     satisfies,
 )
@@ -137,6 +138,7 @@ class _Level:
         "env",
         "extra_lo",
         "extra_hi",
+        "bound",
         "conflicts",
         "accepted_any",
         "filter_rejected",
@@ -160,6 +162,8 @@ class _Level:
         self.env: Optional[Bindings] = None
         self.extra_lo: Optional[int] = None
         self.extra_hi: Optional[int] = None
+        # this activation's _negation_bound; None: not computed yet
+        self.bound: Optional[tuple] = None
         self.conflicts: List[Conflict] = []
         self.accepted_any = False
         self.filter_rejected = False
@@ -798,6 +802,9 @@ class OCEPMatcher:
                     partner_trace = -1 if partner is None else partner.trace
                     break
 
+        bound = level.bound
+        if bound is None and step.negations and self.config.restrict_domains:
+            bound = level.bound = self._negation_bound(step, levels[i - 1].env)
         next_nonempty = leaf_history.next_nonempty
         num_traces = self.num_traces
         cover_check = (
@@ -864,15 +871,18 @@ class OCEPMatcher:
                     lamport_range(step.windows, self._assigned)
                     if step.windows else None
                 )
+                cut_lo, cut_hi = lo, hi
+                if bound:
+                    cut_lo, cut_hi = narrow(self.index, trace, *bound, lo, hi)
                 level.candidates, level.floor, right = leaf_history.window(
-                    trace, lo, hi, required_text, span
+                    trace, cut_lo, cut_hi, required_text, span
                 )
                 level.pos = right - 1  # newest first
-                if span is not None and clamp_cut(
+                if (span is not None or bound) and clamp_cut(
                     level.candidates, level.floor, right, lo, hi
                 ):
-                    # WITHIN kept a stored candidate of the interval
-                    # out: a rejection that depends on the candidate
+                    # WITHIN or a negation bound kept a stored candidate
+                    # of the interval out: a rejection that depends on it
                     # (no back-jump from here), not a Figure-5 conflict
                     level.filter_rejected = True
                 elif right <= level.floor:
@@ -950,6 +960,23 @@ class OCEPMatcher:
                 return True
 
             level.advance_trace()
+
+    def _negation_bound(self, step: LevelStep, env: Bindings):
+        """``(pairs, witnesses)`` for :func:`~repro.core.domain.narrow`,
+        the nearest witness per trace of each negation ``step`` anchors
+        last; ``()`` when there is none."""
+        pairs, witnesses = [], []
+        for d, event_class, j, floor in step.negations:
+            history = self.negation_history.leaf(d)
+            relation = Constraint.NOT_AFTER if floor else Constraint.NOT_BEFORE
+            for trace in self._guard_traces(history, event_class, env):
+                witness = history.nearest(
+                    self._assigned[j], trace, self.index, floor, event_class, env
+                )
+                if witness is not None:
+                    pairs.append((len(witnesses), relation))
+                    witnesses.append(witness)
+        return (pairs, witnesses) if witnesses else ()
 
     def _record_domain_conflict(
         self, level: _Level, i: int, trace: int, j: int

@@ -100,6 +100,11 @@ class LevelStep(NamedTuple):
     #: Earlier level -> the leaf its entry of ``constraints`` is implied
     #: through, for the entries the pattern does not declare.
     implied: Dict[int, int]
+    #: ``(negation, absent class, level of the other anchor, floor)``
+    #: per negation the leaf anchors last, where the prefix binds every
+    #: variable of the absent class: a floor on a left anchor, else a
+    #: ceiling on a right one.
+    negations: Tuple[Tuple[int, object, int, bool], ...] = ()
 
 
 #: Declared forms a strict precedence implied by other pairs replaces.
@@ -146,8 +151,18 @@ def level_program(
     """The level program of evaluating ``pattern`` in ``order``, over
     the per-leaf ``histories`` of the matcher that will run it."""
     steps = []
+    bound_vars: set = set()
     for level, leaf_id in enumerate(order):
         event_class = pattern.leaves[leaf_id].event_class
+        negations = []
+        for d, spec in enumerate(pattern.negations):
+            other = {spec.left_leaf: spec.right_leaf,
+                     spec.right_leaf: spec.left_leaf}.get(leaf_id)
+            absent = spec.event_class  # a plain class, never a union
+            if other in order[:level] and _attr_vars(absent) <= bound_vars:
+                negations.append((d, absent, order.index(other),
+                                  leaf_id == spec.left_leaf))
+        bound_vars |= _attr_vars(event_class)
         effective = {
             j: effective_constraint(pattern, order[j], leaf_id)
             for j in range(level)
@@ -166,6 +181,7 @@ def level_program(
             tuple(b for b in bounds if b[1:] != (None, None)),
             histories[leaf_id] if histories else None,
             {j: via for j, (_, via) in effective.items() if via is not None},
+            tuple(negations),
         ))
     return tuple(steps)
 
@@ -214,6 +230,11 @@ class Plan:
                 if bound is not None
             ]
             parts += [
+                f"no {absent.name} between level {j + 1} and this "
+                f"({'floor' if floor else 'ceiling'})"
+                for _, absent, j, floor in step.negations
+            ]
+            parts += [
                 f"{what} pinned by {pin}"
                 for what, pin in (("trace", step.trace_pin), ("text", step.text_pin))
                 if pin is not None
@@ -222,8 +243,9 @@ class Plan:
         return "\n".join(lines)
 
 
-def _attr_vars(pattern: CompiledPattern, leaf_id: int) -> set:
-    cls = pattern.leaves[leaf_id].event_class
+def _attr_vars(cls) -> set:
+    """The variables a class binds (a union's attributes read as
+    wildcards: which branch binds is not known before one matches)."""
     return {
         spec.name
         for spec in (cls.process, cls.etype, cls.text)
@@ -263,7 +285,7 @@ def plan_order(
     while remaining:
         bound_vars: set = set()
         for j in order:
-            bound_vars |= _attr_vars(pattern, j)
+            bound_vars |= _attr_vars(pattern.leaves[j].event_class)
 
         def estimate(i: int) -> Tuple[float, str]:
             size = stats[i].size
@@ -280,7 +302,7 @@ def plan_order(
                 value *= factor
             if best is not Constraint.NONE:
                 factors.append(f"{best.value} into prefix")
-            shared = _attr_vars(pattern, i) & bound_vars
+            shared = _attr_vars(pattern.leaves[i].event_class) & bound_vars
             if shared:
                 value *= _ATTR_VAR_FACTOR ** len(shared)
                 factors.append(

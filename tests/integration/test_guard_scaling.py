@@ -1,12 +1,13 @@
 """The v2 guards look at in-interval events only.
 
-The negation veto and the Kleene group expansion are served from the
-Figure-4 causal interval of the events they are asked about, so the
-number of stored events one veto / one report inspects must not grow
-with the stream.  Counted deterministically (calls to the guarded
-class's ``matches`` made from inside the guard), not timed: a guard
-that goes back to walking whole histories doubles the count when the
-stream doubles.
+The negation bound (its witness lookup, and the veto that arbitrates
+what the bound did not decide) and the Kleene group expansion are
+served from the Figure-4 causal interval of the events they are asked
+about, so the number of stored events one search / one report inspects
+must not grow with the stream.  Counted deterministically (calls to the
+guarded class's ``matches`` made from inside a guard), not timed: a
+guard that goes back to walking whole histories doubles the count when
+the stream doubles.
 """
 
 from __future__ import annotations
@@ -31,30 +32,33 @@ def record(workload):
     return recorder.events, list(pipeline.trace_names)
 
 
-def inspected_per_unit(monkeypatch, workload, source, guard, unit_counter):
-    """Events ``guard`` inspected, per unit of ``unit_counter``."""
+def inspected_per_unit(monkeypatch, workload, source, guards, unit_counter):
+    """Events the ``guards`` inspected, per unit of ``unit_counter``."""
     events, names = record(workload)
     monitor = Monitor.from_source(source, names, record_timings=False)
     matcher = monitor.matcher
     state = {"inside": False, "inspected": 0}
     plain_matches = EventClass.matches
-    plain_guard = getattr(matcher, guard)
 
     def counting_matches(self, event, bindings=None):
         if state["inside"]:
             state["inspected"] += 1
         return plain_matches(self, event, bindings)
 
-    def flagged_guard(*args):
-        state["inside"] = True
-        try:
-            return plain_guard(*args)
-        finally:
-            state["inside"] = False
+    def flagged(plain_guard):
+        def flagged_guard(*args):
+            state["inside"] = True
+            try:
+                return plain_guard(*args)
+            finally:
+                state["inside"] = False
+
+        return flagged_guard
 
     with monkeypatch.context() as patch:
         patch.setattr(EventClass, "matches", counting_matches)
-        patch.setattr(matcher, guard, flagged_guard)
+        for guard in guards:
+            patch.setattr(matcher, guard, flagged(getattr(matcher, guard)))
         for event in events:
             monitor.on_event(event)
     units = matcher.counters()[unit_counter]
@@ -66,8 +70,8 @@ CASES = {
     "negation_veto": (
         lambda size: build_absence(num_workers=6, seed=3, jobs_per_worker=size),
         absence_pattern(),
-        "_negation_witness",
-        "negation_vetoes",
+        ("_negation_bound", "_negation_witness"),
+        "searches_run",
         20,
     ),
     "kleene_expansion": (
@@ -76,7 +80,7 @@ CASES = {
             express_probability=1.0,
         ),
         hotpath_pattern(),
-        "_expand_group",
+        ("_expand_group",),
         "matches_found",
         10,
     ),
@@ -85,12 +89,12 @@ CASES = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_inspected_events_stay_flat_when_stream_doubles(monkeypatch, name):
-    build, source, guard, unit_counter, size = CASES[name]
+    build, source, guards, unit_counter, size = CASES[name]
     small, small_events = inspected_per_unit(
-        monkeypatch, build(size), source, guard, unit_counter
+        monkeypatch, build(size), source, guards, unit_counter
     )
     large, large_events = inspected_per_unit(
-        monkeypatch, build(2 * size), source, guard, unit_counter
+        monkeypatch, build(2 * size), source, guards, unit_counter
     )
     assert large_events >= 1.9 * small_events
     # a full-history guard reads 2x here; in-interval work reads ~1x

@@ -71,6 +71,26 @@ Y := [$1, B, ''];
 pattern := X -> !Z -> Y;
 """
 
+# $1 is bound only by the left anchor: the search from Y cannot bound
+# X's domain by the newest Z before Y, whose trace $1 has not named yet
+NEGATION_VAR_LEFT = """
+X := [$1, A, ''];
+Z := [$1, C, ''];
+Y := ['', B, ''];
+pattern := X -> !Z -> Y;
+"""
+
+# Y and W both terminate: from W the order binds X before Y, and the
+# oldest Z after X puts a ceiling on Y's domain
+NEGATION_CEILING = """
+X := ['', A, ''];
+Z := ['', C, ''];
+Y := ['', B, ''];
+W := ['', A, ''];
+X $x;
+pattern := ($x -> !Z -> Y) /\\ ($x -> W);
+"""
+
 DISJUNCTION = """
 X := ['', A, ''];
 Z := ['', C, ''];
@@ -159,6 +179,8 @@ ALL_PATTERNS = {
     "window_wall": WINDOW_WALL,
     "negation": NEGATION,
     "negation_var": NEGATION_VAR,
+    "negation_var_left": NEGATION_VAR_LEFT,
+    "negation_ceiling": NEGATION_CEILING,
     "disjunction": DISJUNCTION,
     "kleene_of_disjunction": KLEENE_OF_DISJUNCTION,
     "kleene_window": KLEENE_WINDOW,

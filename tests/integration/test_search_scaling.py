@@ -8,9 +8,10 @@ goes back to copying history suffixes into candidate lists doubles its
 peak when the stream doubles.
 
 Nor must the candidates a search scans: the domain carries what the
-pattern implies and the ``WITHIN`` bound, so a courier's ``Drop`` meets
-its own job's ``Pickup``, not every older one.  Counted off the
-matcher's own counters.
+pattern implies, the ``WITHIN`` bound and the negation bound, so a
+courier's ``Drop`` meets its own job's ``Pickup`` and a worker's
+``Commit`` its own unvalidated ``Request``, not every older one.
+Counted off the matcher's own counters.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import tracemalloc
 from repro.core import Monitor
 from repro.engine import Pipeline
 from repro.workloads import (
+    absence_pattern,
+    build_absence,
     build_hotpath,
     build_message_race,
     hotpath_pattern,
@@ -69,13 +72,11 @@ def test_search_allocation_stays_flat_when_stream_doubles():
     assert large <= 1.25 * small, (small, large)
 
 
-def candidates_per_search(jobs):
-    """``candidates_scanned / searches_run`` over the courier workload
-    at the generator's default 8 % express mix (most searches fail)."""
-    pipeline = Pipeline.for_workload(
-        build_hotpath(num_couriers=11, seed=7, jobs_per_courier=jobs)
-    )
-    monitor = pipeline.watch("hotpath", hotpath_pattern(), record_timings=False)
+def candidates_per_search(workload, name, source):
+    """``candidates_scanned / searches_run`` of ``source`` over
+    ``workload``, and the searches run."""
+    pipeline = Pipeline.for_workload(workload)
+    monitor = pipeline.watch(name, source, record_timings=False)
     pipeline.run()
     matcher = monitor.matcher
     assert matcher.matches_found > 0
@@ -84,9 +85,34 @@ def candidates_per_search(jobs):
 
 
 def test_candidates_per_search_stay_flat_when_stream_doubles():
-    small, small_searches = candidates_per_search(34)
-    large, large_searches = candidates_per_search(68)
+    """The courier workload at the generator's default 8 % express mix
+    (most searches fail)."""
+    small, small_searches = candidates_per_search(
+        build_hotpath(num_couriers=11, seed=7, jobs_per_courier=34),
+        "hotpath", hotpath_pattern(),
+    )
+    large, large_searches = candidates_per_search(
+        build_hotpath(num_couriers=11, seed=7, jobs_per_courier=68),
+        "hotpath", hotpath_pattern(),
+    )
     assert large_searches == 2 * small_searches
     # without the implied P -> D and the Lamport clamp a Drop sweeps
     # every stored Pickup: 190 -> 371 per search; with both, ~0.15
+    assert large <= 1.25 * small and large < 1, (small, large)
+
+
+def test_absence_candidates_per_search_stay_flat_when_stream_doubles():
+    """Every ``Commit`` searches; 4 % of them commit unvalidated."""
+    small, small_searches = candidates_per_search(
+        build_absence(num_workers=11, seed=7, jobs_per_worker=57),
+        "absence", absence_pattern(),
+    )
+    large, large_searches = candidates_per_search(
+        build_absence(num_workers=11, seed=7, jobs_per_worker=114),
+        "absence", absence_pattern(),
+    )
+    assert large_searches == 2 * small_searches
+    # vetoed one complete assignment at a time, a Commit scans every
+    # older Request of its worker: ~25 -> ~50 per search; floored by
+    # the newest Validate before it, ~0.04
     assert large <= 1.25 * small and large < 1, (small, large)

@@ -412,3 +412,60 @@ class TestWindowClamp:
             ((0, y0.event_id), (1, x1.event_id), (2, z.event_id))
         }
         assert matcher.empty_slice_conflicts == 0 and matcher.back_jumps == 0
+
+
+class TestNegationBound:
+    """A negation narrows its later anchor's domain to the candidates no
+    stored witness vetoes, instead of vetoing complete assignments."""
+
+    ABSENCE = (
+        "R := [$1, Request, '']; V := [$1, Validate, ''];"
+        "C := [$1, Commit, '']; pattern := R -> !V -> C;"
+    )
+
+    def test_a_floored_out_candidate_is_a_rejection_not_a_veto(self):
+        w = Weaver(1)
+        for etype in ("Request", "Validate", "Commit"):
+            w.local(0, etype)
+        r = w.local(0, "Request")
+        c = w.local(0, "Commit")
+        matcher = build_matcher(self.ABSENCE, 1)
+        got, want = got_and_want(matcher, w.events)
+        assert got == want == {((0, r.event_id), (1, c.event_id))}
+        # the first Request lies below the newest Validate before either
+        # Commit: never scanned, never vetoed, never a Figure-5 conflict
+        assert matcher.candidates_scanned == 1
+        assert matcher.negation_vetoes == 0
+        assert matcher.empty_slice_conflicts == 0
+
+    def test_a_gapped_ceiling_verifies_its_witness(self):
+        """z precedes x's message to trace 1, so it is no successor of
+        x; but the shed event on trace 2 makes the index gapped, where
+        the lower bound of ``x -> Z`` is ``GP(x, 1) + 1`` — z's position.
+        Taken as the witness unverified, z would put y (z -> y) above
+        the ceiling and lose the match."""
+        w = Weaver(3)
+        w.local(1, "C")  # z
+        x = w.local(0, "A")
+        w.recv(1, w.send(0))
+        y = w.local(1, "B")
+        shed = w.local(2, "F")
+        w.local(2, "F")
+        v = w.local(0, "A")
+        source = (
+            "X := ['', A, '']; Z := ['', C, '']; Y := ['', B, ''];"
+            "W := ['', A, '']; X $x;"
+            "pattern := ($x -> !Z -> Y) /\\ ($x -> W);"
+        )
+        matcher = build_matcher(source, 3, complete_stream=False)
+        # from v (leaf 2), bind x before y: y's domain gets the ceiling
+        install_order(matcher, lambda trigger: (trigger,) + tuple(
+            leaf for leaf in (0, 1, 2) if leaf != trigger
+        ))
+        got, want = got_and_want(
+            matcher, [e for e in w.events if e is not shed]
+        )
+        assert matcher.index.gaps == 1
+        assert got == want == {
+            ((0, x.event_id), (1, y.event_id), (2, v.event_id))
+        }

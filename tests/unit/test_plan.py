@@ -128,6 +128,45 @@ class TestLevelProgram:
         assert "text pinned by hot" in plan_order(compiled(SKEWED), 2).explain()
 
 
+class TestNegationBounds:
+    """A negation bounds the level of whichever anchor the order binds
+    second, where the prefix binds every variable of the absent class."""
+
+    ABSENCE = (
+        "R := [$1, Request, '']; V := [$1, Validate, ''];"
+        "C := [$1, Commit, '']; pattern := R -> !V -> C;"
+    )
+
+    def test_the_later_anchor_carries_the_bound(self):
+        commit, request = level_program(compiled(self.ABSENCE), (1, 0))
+        assert commit.negations == ()
+        ((d, absent, level, floor),) = request.negations
+        assert (d, absent.name, level, floor) == (0, "V", 0, True)
+        ceiling = compiled(
+            "X := ['', A, '']; Z := ['', C, '']; Y := ['', B, ''];"
+            "W := ['', A, '']; X $x; pattern := ($x -> !Z -> Y) /\\ ($x -> W);"
+        )  # leaves x, Y, W
+        _, x, y = level_program(ceiling, (2, 0, 1))
+        assert x.negations == ()
+        assert [(d, level, floor) for d, _, level, floor in y.negations] == [
+            (0, 1, False)
+        ]
+
+    def test_no_bound_while_a_variable_of_the_absent_class_is_unbound(self):
+        pattern = compiled(
+            "X := [$1, A, '']; Z := [$1, C, '']; Y := ['', B, ''];"
+            "pattern := X -> !Z -> Y;"
+        )
+        assert all(not s.negations for s in level_program(pattern, (1, 0)))
+
+    def test_explain_names_the_bound(self):
+        text = plan_order(compiled(self.ABSENCE), 1).explain()
+        assert (
+            "2. leaf 0: level 1 after; no V between level 1 and this "
+            "(floor); trace pinned by $1" in text
+        )
+
+
 class TestImpliedRestrictions:
     """The program restricts by what the pattern implies, and the plan
     says so."""
