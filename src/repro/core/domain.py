@@ -147,11 +147,11 @@ def restrict(
                 nlo = ls_floor(index, assigned, trace)
                 exact = False
             else:
-                col = index._values[trace][atrace]
+                col, positions = index.column(trace, atrace)
                 pos = bisect_left(col, aindex)
                 if pos == len(col):
                     return None, None, key, key, exact
-                nlo = index._positions[trace][atrace][pos]
+                nlo = positions[pos]
         elif constraint is _AFTER or constraint is _LIMITED_REV:
             # candidate -> assigned: candidate at or before GP
             nhi = (
@@ -173,10 +173,10 @@ def restrict(
                 if constraint is _CONCURRENT:
                     nlo = aindex
             else:
-                col = index._values[trace][atrace]
+                col, positions = index.column(trace, atrace)
                 pos = bisect_left(col, aindex)
                 if pos < len(col):
-                    nhi = index._positions[trace][atrace][pos] - 1
+                    nhi = positions[pos] - 1
                 if constraint is _CONCURRENT:
                     nlo = assigned.clock.components[trace] + 1
                 if index.gaps:

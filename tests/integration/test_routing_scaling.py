@@ -5,15 +5,20 @@ The dispatcher admits an event into the shared front (one
 ``matcher.on_event`` only on the shards whose pattern names the event's
 type.  Counted deterministically, not timed: a dispatcher that goes
 back to offering every event to every shard multiplies both counts by
-the number of shards.
+the number of shards.  The admission itself stays flat in the trace
+count: the index holds at most one entry per receive until a search
+reads a column.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 from repro.core.gpls import CausalIndex
 from repro.engine import Pipeline, ShardedDispatcher
+from repro.events.event import EventKind
 from repro.workloads import build_ordering_bug, ordering_bug_pattern
 
 PATTERN_DIR = Path(__file__).resolve().parents[2] / "benchmarks/e2e/patterns"
@@ -112,6 +117,19 @@ def test_per_event_delivery_routes_the_same_way(monkeypatch):
         monkeypatch, patterns, events, names, slice_size=1
     )
     assert (event_calls, event_observes) == (batch_calls, batch_observes)
+
+
+@pytest.mark.parametrize("traces", [48, 96])
+def test_index_holds_one_entry_per_receive_at_most(traces):
+    """A receive records its knowledge row, not the columns it raises:
+    with no least-successor read, the index stays flat in the width."""
+    events, _ = record(size=4, traces=traces)
+    index = CausalIndex(traces)
+    for event in events:
+        index.observe(event)
+    receives = sum(event.kind is EventKind.RECEIVE for event in events)
+    assert receives > 0
+    assert index.index_size() <= receives
 
 
 def test_multi_tenant_benchmark_counts(monkeypatch):

@@ -1,16 +1,19 @@
 """Property-based tests for the substrate: GP/LS, subset bound,
 dump/reload, simulation delivery."""
 
+import bisect
+import json
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import CausalIndex, RepresentativeSubset
+from repro.events.event import EventKind
 from repro.poet import dump_events, is_linearization, load_events
 from repro.simulation import Kernel
 from repro.poet import RecordingClient, instrument
-from repro.testing import Weaver
+from repro.testing import CLOCK_BACKENDS, Weaver, random_computation
 
 
 @st.composite
@@ -73,6 +76,73 @@ class TestGPLSProperties:
                         continue
                     inside = gp < other.index < hi
                     assert inside == other.concurrent_with(event)
+
+
+def eager_columns(events, num_traces):
+    """Reference index: every receive folds its clock into every column
+    at once, as ``(values, positions)`` per ``[trace][column]``."""
+    values = [[[] for _ in range(num_traces)] for _ in range(num_traces)]
+    positions = [[[] for _ in range(num_traces)] for _ in range(num_traces)]
+    for event in events:
+        if event.kind is EventKind.RECEIVE:
+            for m, v in enumerate(event.clock.components):
+                col = values[event.trace][m]
+                if m != event.trace and v > 0 and (not col or v > col[-1]):
+                    col.append(v)
+                    positions[event.trace][m].append(event.index)
+    return values, positions
+
+
+@st.composite
+def delivered_streams(draw):
+    """``(num_traces, delivered events, gapped)`` of a random
+    computation under either clock backend, a seeded share shed."""
+    num_traces = draw(st.integers(min_value=1, max_value=5))
+    steps = draw(st.integers(min_value=1, max_value=60))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    backend = draw(st.sampled_from(CLOCK_BACKENDS))
+    drop_rate = draw(st.sampled_from((0.0, 0.2)))
+    weaver = random_computation(seed, num_traces, steps, clock_backend=backend)
+    rng = random.Random(seed ^ 0x5BD1E995)
+    delivered = [e for e in weaver.events if rng.random() >= drop_rate]
+    return num_traces, delivered, drop_rate > 0
+
+
+class TestLazyColumns:
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_folds_equal_the_eager_index(self, data):
+        """Columns folded on read, at any points of the stream and across
+        a checkpoint round trip, answer as the eager reference."""
+        num_traces, delivered, gapped = data.draw(delivered_streams())
+        traces = st.integers(min_value=0, max_value=num_traces - 1)
+        steps = st.integers(min_value=0, max_value=len(delivered))
+        reads = data.draw(st.lists(st.tuples(steps, traces, traces), max_size=15))
+        cut = data.draw(steps)
+        index = CausalIndex(num_traces, allow_gaps=gapped)
+        for step in range(len(delivered) + 1):
+            if step == cut:
+                document = json.loads(json.dumps(index.snapshot()))
+                index = CausalIndex(num_traces, allow_gaps=gapped)
+                index.restore(document)
+            seen = delivered[:step]
+            values, positions = eager_columns(seen, num_traces)
+            for at, trace, m in reads:
+                if at != step:
+                    continue
+                assert index.column(trace, m) == (
+                    values[trace][m], positions[trace][m]
+                )
+                latest = [e for e in seen if e.trace == m]
+                if latest and trace != m:
+                    col = values[trace][m]
+                    pos = bisect.bisect_left(col, latest[-1].index)
+                    want = positions[trace][m][pos] if pos < len(col) else None
+                    assert index.ls(latest[-1], trace) == want
+            if step < len(delivered):
+                index.observe(delivered[step])
+        snapshot = index.snapshot()
+        assert (snapshot["values"], snapshot["positions"]) == (values, positions)
 
 
 class TestSubsetBound:

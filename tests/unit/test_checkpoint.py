@@ -222,6 +222,54 @@ class TestValidation:
         with pytest.raises(CheckpointError, match="header"):
             _monitor().restore({"index": {}})
 
+    def test_index_of_the_wrong_shape_rejected(self):
+        """A 6-trace document whose index holds one column must not load:
+        the suffix replay would fail inside ``restrict``."""
+        source, names, state = _ordering_prefix()
+        state["index"]["values"] = [[[]]]
+        with pytest.raises(CheckpointError, match="6 x 6"):
+            _fed(source, names, ()).restore(state)
+
+    @pytest.mark.parametrize("corrupt", [
+        "unequal_lengths", "non_increasing", "position_past_trace",
+    ])
+    def test_malformed_index_column_rejected(self, corrupt):
+        source, names, state = _ordering_prefix()
+        index = state["index"]
+        trace, m = next(
+            (t, m)
+            for t, row in enumerate(index["values"])
+            for m, col in enumerate(row)
+            if len(col) >= 2
+        )
+        values, positions = index["values"][trace][m], index["positions"][trace][m]
+        if corrupt == "unequal_lengths":
+            positions.pop()
+        elif corrupt == "non_increasing":
+            values.reverse()
+        else:
+            positions[-1] = index["lengths"][trace] + 1
+        with pytest.raises(CheckpointError, match=f"column \\({trace}, {m}\\)"):
+            _fed(source, names, ()).restore(state)
+
+
+@functools.lru_cache(maxsize=None)
+def _ordering_document():
+    pipeline = Pipeline.for_case("ordering", 6, 0)
+    recorder = pipeline.record()
+    pipeline.run(max_events=500)
+    source, names = pipeline.case_pattern, pipeline.trace_names
+    events = recorder.events
+    first = _fed(source, names, events[: len(events) // 2])
+    return source, names, json.dumps(first.checkpoint())
+
+
+def _ordering_prefix():
+    """``(source, names, checkpoint)`` of the 6-trace ordering case,
+    the checkpoint taken half-way through the stream (a fresh copy)."""
+    source, names, document = _ordering_document()
+    return source, names, json.loads(document)
+
 
 class TestPersistence:
     def test_save_and_load(self, tmp_path):

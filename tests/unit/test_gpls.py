@@ -124,4 +124,6 @@ class TestAgainstBruteForce:
         index2 = CausalIndex(2)
         for e in w.events:
             index2.observe(e)
-        assert index2.index_size() == 1  # one column increase at the receive
+        assert index2.index_size() == 1  # one change point at the receive
+        assert index2.ls(s, 1) == r.index
+        assert index2.index_size() == 2  # ... and the column it folded into
