@@ -171,21 +171,22 @@ class LeafHistory:
         events, left, right = self.window(trace, lo, hi)
         return events[left:right]
 
-    def slice_by_text(
-        self, trace: int, lo: int, hi: Optional[int], text: str
-    ) -> Sequence[Event]:
-        """Like :meth:`slice`, restricted to events carrying exactly
-        ``text``."""
-        events, left, right = self.window(trace, lo, hi, text)
-        return events[left:right]
-
-    def next_nonempty(self, trace: int) -> Optional[int]:
+    def next_nonempty(
+        self, trace: int, text: Optional[str] = None
+    ) -> Optional[int]:
         """Smallest trace id ``>= trace`` holding at least one stored
-        event, or ``None`` when no such trace exists — the sweep's
-        skip-ahead query."""
+        event (carrying exactly ``text`` when given: its text bucket
+        exists — a prune that empties one deletes it), or ``None`` when
+        no such trace exists — the sweep's skip-ahead query."""
         nonempty = self._nonempty
         pos = bisect.bisect_left(nonempty, trace)
-        return nonempty[pos] if pos < len(nonempty) else None
+        if text is None:
+            return nonempty[pos] if pos < len(nonempty) else None
+        by_text = self._by_text
+        for pos in range(pos, len(nonempty)):
+            if text in by_text[nonempty[pos]]:
+                return nonempty[pos]
+        return None
 
     def earliest_on(self, trace: int) -> Optional[Event]:
         events = self._by_trace[trace]
@@ -316,10 +317,14 @@ class LeafHistory:
                 text_index.setdefault(event.text, []).append(event)
             self._size += len(events)
 
-    def traces_with_events(self) -> Sequence[int]:
+    def traces_with_events(self, text: Optional[str] = None) -> Sequence[int]:
         """Trace ids on which this leaf has at least one stored event
-        (the live list: read, do not keep)."""
-        return self._nonempty
+        (the live list: read, do not keep) — carrying exactly ``text``
+        when given (a new list)."""
+        if text is None:
+            return self._nonempty
+        by_text = self._by_text
+        return [trace for trace in self._nonempty if text in by_text[trace]]
 
     def __len__(self) -> int:
         return self._size

@@ -59,6 +59,7 @@ from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import NULL_TRACER, SpanTracer
 from repro.obs.trace import SearchTrace
+from repro.patterns.ast import AttrVar
 from repro.patterns.classes import Bindings
 from repro.patterns.compile import CompiledPattern, Constraint
 from repro.patterns.errors import PatternError
@@ -164,7 +165,12 @@ class _Level:
         self.extra_hi: Optional[int] = None
         # this activation's _negation_bound; None: not computed yet
         self.bound: Optional[tuple] = None
-        self.conflicts: List[Conflict] = []
+        # the level that fixed this level's pin is a contributor to
+        # every failure here, as the partner level of a ``<>`` is
+        pin_level = self.step.pin_level
+        self.conflicts: List[Conflict] = (
+            [] if pin_level is None else [Conflict(pin_level)]
+        )
         self.accepted_any = False
         self.filter_rejected = False
         self.match_since_assign = False
@@ -760,10 +766,14 @@ class OCEPMatcher:
         """Traces a v2 guard has to visit for ``event_class`` under the
         final bindings: one when the process attribute is exact or
         bound (none when it names no trace), else every trace holding
-        a class event."""
+        a class event — with the bound text, when the text attribute
+        is a variable."""
         pinned = event_class.pinned_trace(env)
         if pinned is None:
-            return history.traces_with_events()
+            text = event_class.text
+            return history.traces_with_events(
+                env.get(text.name) if isinstance(text, AttrVar) else None
+            )
         return (pinned,) if pinned >= 0 else ()
 
     # -- goForward ------------------------------------------------------
@@ -776,13 +786,17 @@ class OCEPMatcher:
         leaf_history = step.history
         coverage = self.config.sweep is SweepMode.COVERAGE
 
-        pinned = required_text = None
+        pinned = required_text = swept_text = None
         if self.config.indexed_histories:
             env_prev = levels[i - 1].env
             if step.trace_pin is not None:
                 pinned = step.event_class.pinned_trace(env_prev)
             if step.text_pin is not None:
                 required_text = step.event_class.required_text(env_prev)
+                # an exact text is carried by every stored event: only
+                # a bound ``$var`` leaves traces without a candidate
+                if step.pin_binders[1] is not None:
+                    swept_text = required_text
 
         # A PARTNER constraint against an assigned receive (or unary)
         # event pins the candidate to one trace (Figure 4): every other
@@ -837,9 +851,11 @@ class OCEPMatcher:
                         level.trace = partner_trace
                 else:
                     # Jump the sweep over traces this leaf never
-                    # matched on: each would just fail the on_trace
-                    # check below and advance.
-                    nxt = next_nonempty(level.trace)
+                    # matched on (with the bound text): each would just
+                    # fail the on_trace check below, or yield no
+                    # candidate, and advance.  The level that bound the
+                    # text is blamed by the seeded conflict.
+                    nxt = next_nonempty(level.trace, swept_text)
                     if nxt is None:
                         return False
                     level.trace = nxt

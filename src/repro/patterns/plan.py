@@ -105,6 +105,14 @@ class LevelStep(NamedTuple):
     #: variable of the absent class: a floor on a left anchor, else a
     #: ceiling on a right one.
     negations: Tuple[Tuple[int, object, int, bool], ...] = ()
+    #: Per pin (``trace_pin``, ``text_pin``): the earlier level whose
+    #: event fixes its ``$var`` (the deepest that may bind one), or
+    #: None — an exact value, no pin, or a variable this level binds.
+    pin_binders: Tuple[Optional[int], Optional[int]] = (None, None)
+    #: The deepest of ``pin_binders`` past the trigger, or None: another
+    #: event there moves a pin, so every failure of this level is
+    #: blamed on it too (the search seeds the level's conflicts with it).
+    pin_level: Optional[int] = None
 
 
 #: Declared forms a strict precedence implied by other pairs replaces.
@@ -152,8 +160,28 @@ def level_program(
     the per-leaf ``histories`` of the matcher that will run it."""
     steps = []
     bound_vars: set = set()
+    # $var -> the deepest level so far that may bind it: the first that
+    # surely does (a class naming it, a union naming it in every
+    # branch), and until then each union naming it in some branch
+    binder: Dict[str, int] = {}
+    surely: set = set()
     for level, leaf_id in enumerate(order):
         event_class = pattern.leaves[leaf_id].event_class
+        branches = getattr(event_class, "alternatives", (event_class,))
+        pins = (_pin(event_class, "process"), _pin(event_class, "text"))
+        pin_binders = tuple(
+            None if pin is None else max((
+                binder[var]
+                for branch in branches
+                for var in _attr_vars(branch, (attribute,))
+                if var in binder
+            ), default=None)
+            for attribute, pin in zip(("process", "text"), pins)
+        )
+        named = [_attr_vars(branch) for branch in branches]
+        for var in set().union(*named) - surely:
+            binder[var] = level
+        surely |= set.intersection(*named)
         negations = []
         for d, spec in enumerate(pattern.negations):
             other = {spec.left_leaf: spec.right_leaf,
@@ -177,11 +205,13 @@ def level_program(
             leaf_id, event_class,
             {j: c for j, c in into.items() if c is not Constraint.NONE},
             tuple(j for j, c in into.items() if c is Constraint.PARTNER),
-            _pin(event_class, "process"), _pin(event_class, "text"),
+            *pins,
             tuple(b for b in bounds if b[1:] != (None, None)),
             histories[leaf_id] if histories else None,
             {j: via for j, (_, via) in effective.items() if via is not None},
             tuple(negations),
+            pin_binders,
+            max((j for j in pin_binders if j), default=None),
         ))
     return tuple(steps)
 
@@ -235,20 +265,26 @@ class Plan:
                 for _, absent, j, floor in step.negations
             ]
             parts += [
-                f"{what} pinned by {pin}"
-                for what, pin in (("trace", step.trace_pin), ("text", step.text_pin))
+                f"{what} pinned by {pin}" + (
+                    f" (bound at level {j + 1})" if j is not None else ""
+                )
+                for what, pin, j in zip(
+                    ("trace", "text"), (step.trace_pin, step.text_pin),
+                    step.pin_binders,
+                )
                 if pin is not None
             ]
             lines.append(f"  {level}. leaf {step.leaf_id}: " + "; ".join(parts))
         return "\n".join(lines)
 
 
-def _attr_vars(cls) -> set:
-    """The variables a class binds (a union's attributes read as
-    wildcards: which branch binds is not known before one matches)."""
+def _attr_vars(cls, attributes=("process", "etype", "text")) -> set:
+    """The variables a class binds among ``attributes`` (a union's
+    attributes read as wildcards: which branch binds is not known
+    before one matches)."""
     return {
         spec.name
-        for spec in (cls.process, cls.etype, cls.text)
+        for spec in (getattr(cls, attribute) for attribute in attributes)
         if isinstance(spec, AttrVar)
     }
 

@@ -260,3 +260,61 @@ def test_backjumping_does_not_lose_matches(name, source):
                 monitor.on_event(event)
             results.append({canonical(r.assignment) for r in monitor.reports})
         assert results[0] == results[1], f"{name} seed={seed}"
+
+
+def _pin_bound_mid_search(pin, b, t, union):
+    """A D -> C precedence under A, with C pinned to a trace (``b``) or a
+    text (``t``) by a variable a leaf evaluated between D and C binds:
+    B, or — behind a union naming it in one branch only — B or F."""
+    if union:
+        classes = f"E := ['', E, '']; F := [{b}, F, {t}]; F $g;"
+        between = "((B \\/ E) -> $a) /\\ ($g -> $a)"
+    else:
+        classes, between = "", "($b -> $a)"
+    return pytest.param(
+        "A := ['', A, '']; D := ['', D, '']; "
+        f"B := [{b}, B, {t}]; C := [{b}, C, {t}]; {classes}"
+        "A $a; D $d; B $b; C $c;"
+        f"pattern := ($d -> $a) /\\ {between} /\\ ($c -> $a) /\\ ($d -> $c);",
+        ("A", "B", "C", "D") + ("E", "F") * union,
+        id=pin + "-union" * union,
+    )
+
+
+@pytest.mark.parametrize("source,etypes", [
+    _pin_bound_mid_search(pin, b, t, union)
+    for pin, b, t in (("trace-pin", "$f", "''"), ("text-pin", "''", "$r"))
+    for union in (False, True)
+])
+def test_a_pin_bound_past_the_trigger_is_a_backjump_contributor(source, etypes):
+    """Evaluated in the order the leaves are written — trigger A, then
+    D, the binder(s), C — exhaustive search must report exactly the
+    oracle's matches: a Figure-5 conflict from D must not jump back over
+    the level that moved C's pin.  That level is blamed for every
+    failure at C, as the partner level of a ``<>`` is, and a union that
+    may or may not bind the variable does not stand in for the later
+    leaf that then binds it."""
+    for seed in range(120):
+        weaver = random_computation(
+            seed, num_traces=4, steps=40, etypes=etypes, texts=("x", "y")
+        )
+        monitor = Monitor.from_source(
+            source,
+            [f"P{t}" for t in range(4)],
+            config=MatcherConfig(
+                sweep=SweepMode.EXHAUSTIVE, prune_history=False, paranoid=True
+            ),
+        )
+        leaves = range(monitor.pattern.num_leaves)
+        assert [monitor.pattern.leaves[i].label for i in (0, 1)] == ["$d", "$a"]
+        install_order(monitor.matcher, lambda trigger: [trigger] + [
+            i for i in leaves if i != trigger
+        ])
+        for event in weaver.events:
+            monitor.on_event(event)
+        got = {canonical(r.assignment) for r in monitor.reports}
+        want = {
+            canonical(m.items())
+            for m in enumerate_matches(monitor.pattern, weaver.events)
+        }
+        assert got == want, f"seed={seed}"

@@ -7,10 +7,13 @@ copied, so a search costs what it inspects, not what is stored), and
 ``events[left:right]`` is exactly what a brute-force filter on
 position and text selects — for every bound shape the search produces
 (empty, unbounded above, inverted) and after in-place prunes replaced
-the newest entry of a trace.  Given a Lamport range (the ``WITHIN``
-clamp) the window is that filter with the range added — equal Lamport
-times included — except on a trace whose stored Lamport times were seen
-to decrease, which comes back unclamped for the per-candidate check.
+the newest entry of a trace.  The sweep's skip-ahead
+``next_nonempty(trace, text)`` equals a brute-force scan of the stored
+lists, also after a prune emptied a text bucket and after a restore.
+Given a Lamport range (the ``WITHIN`` clamp) the window is that filter
+with the range added — equal Lamport times included — except on a
+trace whose stored Lamport times were seen to decrease, which comes
+back unclamped for the per-candidate check.
 """
 
 from __future__ import annotations
@@ -98,11 +101,53 @@ def test_window_is_the_live_list_and_equals_a_brute_force_filter(built, data):
         assert list(events) == bucket
         if bucket:  # the no-copy contract, for the text index too
             assert events is history.window(trace, 1, None, text)[0]
-    # the copying views are the same window, copied
+    # the copying view is the same window, copied
     if text is None:
         assert list(history.slice(trace, lo, hi)) == want
-    else:
-        assert list(history.slice_by_text(trace, lo, hi, text)) == want
+
+
+def _first_holding(traces, start, text):
+    """Brute force: the first trace at or after ``start`` whose events
+    include one carrying ``text`` (any event when ``text`` is None)."""
+    return next((
+        trace for trace in range(start, len(traces))
+        if any(text is None or e.text == text for e in traces[trace])
+    ), None)
+
+
+@given(appended_history(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_next_nonempty_by_text_equals_a_brute_force_scan(built, data):
+    """The sweep's skip-ahead with a bound text: after prunes that
+    emptied a text bucket, and on a copy restored from a snapshot."""
+    history, stored, _ = built
+    num_traces = len(stored)
+    restored = LeafHistory(0, num_traces)
+    restored.restore(history.snapshot())
+    start = data.draw(st.integers(min_value=0, max_value=num_traces))
+    text = data.draw(st.none() | st.sampled_from(TEXTS + ("absent",)))
+    want = _first_holding(stored, start, text)
+    for h in (history, restored):
+        on_trace = [h.on_trace(t) for t in range(num_traces)]
+        assert _first_holding(on_trace, start, text) == want
+        assert h.next_nonempty(start, text) == want
+        assert list(h.traces_with_events(text)) == [
+            t for t in range(num_traces) if _first_holding(stored, t, text) == t
+        ]
+
+
+def test_a_prune_that_empties_a_text_bucket_moves_the_skip_ahead():
+    w = Weaver(2)
+    history = LeafHistory(0, 2)
+    history.append(w.local(0, "A", "x"), epoch=1, may_prune=False)
+    history.append(w.local(1, "A", "x"), epoch=1, may_prune=False)
+    assert history.next_nonempty(0, "x") == 0
+    history.append(w.local(0, "A", "y"), epoch=1, may_prune=True)
+    assert history.next_nonempty(0, "x") == 1  # trace 0 holds no x now
+    assert history.next_nonempty(0, "y") == 0
+    assert history.next_nonempty(1, "y") is None
+    assert history.next_nonempty(0) == 0
+    assert history.traces_with_events("x") == [1]
 
 
 def test_window_sees_an_in_place_prune_of_the_newest_entry():

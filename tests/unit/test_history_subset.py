@@ -223,8 +223,14 @@ class TestRepresentativeSubset:
         assert stored.as_dict() == match
 
 
+def _text_window(history, trace, lo, hi, text):
+    events, left, right = history.window(trace, lo, hi, text)
+    return list(events[left:right])
+
+
 class TestTextIndex:
     def test_slice_by_text(self):
+        """The text index read through ``window(trace, lo, hi, text)``."""
         from repro.testing import Weaver
 
         w = Weaver(1)
@@ -234,9 +240,9 @@ class TestTextIndex:
         history = LeafHistory(0, 1)
         for i, e in enumerate((a1, a2, a3)):
             history.append(e, epoch=i, may_prune=False)
-        assert list(history.slice_by_text(0, 1, None, "x")) == [a1, a3]
-        assert list(history.slice_by_text(0, 2, None, "x")) == [a3]
-        assert list(history.slice_by_text(0, 1, None, "z")) == []
+        assert _text_window(history, 0, 1, None, "x") == [a1, a3]
+        assert _text_window(history, 0, 2, None, "x") == [a3]
+        assert _text_window(history, 0, 1, None, "z") == []
 
     def test_prune_replacement_updates_index(self):
         from repro.testing import Weaver
@@ -247,8 +253,8 @@ class TestTextIndex:
         history = LeafHistory(0, 1)
         history.append(a1, epoch=5, may_prune=False)
         history.append(a2, epoch=5, may_prune=True)
-        assert list(history.slice_by_text(0, 1, None, "x")) == []
-        assert list(history.slice_by_text(0, 1, None, "y")) == [a2]
+        assert _text_window(history, 0, 1, None, "x") == []
+        assert _text_window(history, 0, 1, None, "y") == [a2]
 
 
 class TestSearchHints:

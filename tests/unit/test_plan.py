@@ -116,6 +116,28 @@ class TestLevelProgram:
         assert move.text_pin == "hot" and move.trace_pin is None
         assert (drop.history, pickup.history, move.history) == ("D", "P", "M")
 
+    def test_a_pin_names_the_level_that_binds_it(self):
+        pattern = compiled(VARS)  # S [_, _, $r], T [$l, _, $r], U [$l, _, $r]
+        trigger, t, u = level_program(pattern, (0, 1, 2))
+        assert trigger.pin_binders == (None, None) and trigger.pin_level is None
+        # T binds $l itself; $r is the trigger's, which no jump moves
+        assert t.pin_binders == (None, 0) and t.pin_level is None
+        assert u.pin_binders == (1, 0) and u.pin_level == 1
+        text = plan_order(pattern, 0).explain()
+        assert "trace pinned by $l (bound at level 2)" in text
+        assert "text pinned by $r (bound at level 1)" in text
+
+    def test_a_union_binding_in_one_branch_does_not_stand_in_for_a_later_binder(self):
+        pattern = compiled(
+            "A := ['', A, '']; B := [$f, B, '']; E := ['', E, '']; "
+            "F := [$f, F, '']; C := [$f, C, '']; A $a; F $g; C $c;"
+            "pattern := ((B \\/ E) -> $a) /\\ ($g -> $a) /\\ ($c -> $a);"
+        )  # (B \/ E), $a, $g, $c
+        *_, f, c = level_program(pattern, (1, 0, 2, 3))
+        assert f.pin_binders == (1, None) and c.pin_binders == (2, None)
+        *_, c, f = level_program(pattern, (1, 0, 3, 2))
+        assert c.pin_level == 1 and f.pin_level == 2
+
     def test_explain_prints_the_level_program(self):
         from repro.workloads import message_race_pattern
 
