@@ -21,7 +21,7 @@ shared :class:`~repro.obs.metrics.MetricsRegistry`:
   downstream stages: the outermost stage's histogram is end-to-end
   delivery time, and subtracting adjacent stages yields self time);
 * ``ocep_stage_batch_size_events{stage=...}`` — sizes of the
-  contiguous slices delivered on the batch path.
+  contiguous slices delivered (a per-event delivery is a slice of one).
 
 Stages with a synchronous push interface (faults, holdback, shedder,
 dispatcher) are measured live by interposing a :class:`StageLink` on
@@ -70,11 +70,11 @@ _BATCH_HELP = "contiguous slice sizes delivered to the stage"
 class StageLink:
     """Instrumented inter-stage edge.
 
-    Wraps a downstream stage (anything with ``on_event`` /
-    ``on_batch``), counts every event through the edge, times the
-    inclusive downstream processing, and records batch sizes.  The
-    wrapper adds two ``perf_counter`` reads per *delivery* (one per
-    batch on the batched path).
+    Wraps a downstream stage (anything with ``on_batch``), counts every
+    event through the edge, times the inclusive downstream processing,
+    and records batch sizes — a per-event delivery is a slice of one
+    and records a 1.  The wrapper adds two ``perf_counter`` reads per
+    *delivery* (one per slice).
     """
 
     __slots__ = ("_downstream", "_events", "_latency", "_batch")
@@ -87,10 +87,8 @@ class StageLink:
         self._batch = batch_histogram
 
     def on_event(self, event) -> None:
-        started = time.perf_counter()
-        self._downstream.on_event(event)
-        self._latency.observe(time.perf_counter() - started)
-        self._events.inc()
+        """Deliver one event: a slice of one."""
+        self.on_batch((event,))
 
     def on_batch(self, events: Sequence) -> None:
         started = time.perf_counter()

@@ -43,13 +43,17 @@ plus released / reordered / duplicate / shed / stall counters.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from operator import le
+from typing import (
+    Callable, Dict, List, Optional, Sequence, Set, Tuple, Union,
+)
 
+from repro.clocks.encoded import EncodedClock
 from repro.events.event import Event, EventId
 from repro.obs.log import get_logger
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.obs.spans import NULL_TRACER, SpanTracer
-from repro.poet.client import POETClient
+from repro.poet.client import POETClient, as_stage
 
 _log = get_logger("poet.holdback")
 
@@ -86,8 +90,11 @@ class HoldbackBuffer(POETClient):
     num_traces:
         Clock width of the monitored computation.
     sink:
-        Callable receiving each released event, in causal order (e.g.
-        ``monitor.on_event``).
+        The downstream stage: anything with ``on_batch`` (a client, a
+        ``StageLink``), or a callable taking one event (e.g.
+        ``monitor.on_event``), wrapped once in a
+        :class:`~repro.poet.client.CallbackClient`.  Releases arrive
+        in causal order, one ``on_batch`` per slice of arrivals.
     capacity:
         Maximum events held back at once (``None`` = unbounded).
     overflow:
@@ -99,7 +106,7 @@ class HoldbackBuffer(POETClient):
         detection).
     raise_on_stall:
         When true, a detected stall raises :class:`HoldbackStallError`
-        from :meth:`on_event` instead of only being recorded.
+        from :meth:`on_batch` instead of only being recorded.
     utility_scorer:
         Optional :class:`~repro.resilience.overload.EventUtilityScorer`.
         When set, the ``shed`` overflow policy becomes pattern-aware:
@@ -123,7 +130,7 @@ class HoldbackBuffer(POETClient):
     def __init__(
         self,
         num_traces: int,
-        sink: Callable[[Event], None],
+        sink: Union[POETClient, Callable[[Event], None]],
         capacity: Optional[int] = None,
         overflow: str = "raise",
         stall_watermark: Optional[int] = None,
@@ -141,7 +148,7 @@ class HoldbackBuffer(POETClient):
         if capacity is not None and capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.num_traces = num_traces
-        self._sink = sink
+        self._sink = as_stage(sink)
         self._capacity = capacity
         self._overflow = overflow
         self._stall_watermark = stall_watermark
@@ -149,6 +156,11 @@ class HoldbackBuffer(POETClient):
         self._utility_scorer = utility_scorer
 
         self._released = [0] * num_traces
+        #: Per trace, the knowledge row of the last encoded-clock event
+        #: released there (``None`` before one is).
+        self._last_rows: List[Optional[Tuple[int, ...]]] = [None] * num_traces
+        #: Releases of the slice in progress, handed on at its end.
+        self._outbox: List[Event] = []
         #: Held entries (event + arrival sequence number) keyed by
         #: identity, in arrival (insertion) order.
         self._pending: Dict[Tuple[int, int], _Held] = {}
@@ -191,7 +203,23 @@ class HoldbackBuffer(POETClient):
     # ------------------------------------------------------------------
 
     def on_event(self, event: Event) -> None:
-        """Accept the next arrival."""
+        """Accept the next arrival: a slice of one."""
+        self.on_batch((event,))
+
+    def on_batch(self, events: Sequence[Event]) -> None:
+        """Accept a slice of arrivals.  What the slice releases goes
+        downstream in one ``on_batch`` call at its end — or before an
+        overflow or stall error escapes mid-slice, so the sink has then
+        seen exactly what per-event delivery would have handed it."""
+        try:
+            offer = self._offer
+            for event in events:
+                offer(event)
+        finally:
+            self._hand_off()
+            self._depth_gauge.set(len(self._pending))
+
+    def _offer(self, event: Event) -> None:
         if len(event.clock) != self.num_traces:
             raise ValueError(
                 f"event {event.event_id} clock width {len(event.clock)} "
@@ -213,7 +241,8 @@ class HoldbackBuffer(POETClient):
 
         if self._ready(event):
             self._release(event)
-            self._drain()
+            if self._pending:
+                self._drain()
         else:
             if (
                 self._capacity is not None
@@ -255,7 +284,6 @@ class HoldbackBuffer(POETClient):
             self._pending[key] = _Held(event, self._offers)
             self.reordered_total += 1
             self._reordered_counter.inc()
-            self._depth_gauge.set(len(self._pending))
             if self._tracer.enabled:
                 self._tracer.instant(
                     "holdback.hold",
@@ -271,6 +299,9 @@ class HoldbackBuffer(POETClient):
         scorer = self._utility_scorer
         if scorer is None:
             return None
+        # The scorer reads live matcher state: what this slice released
+        # so far goes downstream first, as per-event delivery had it.
+        self._hand_off()
         victim_key: Optional[Tuple[int, int]] = None
         # The arrival is by definition the newest (arrived_at ==
         # self._offers), so ties on band fall on it.
@@ -287,6 +318,8 @@ class HoldbackBuffer(POETClient):
         """Final drain attempt; returns events still held back (empty
         for a fault-free or fully repaired stream)."""
         self._drain()
+        self._hand_off()
+        self._depth_gauge.set(len(self._pending))
         return [held.event for held in self._pending.values()]
 
     # ------------------------------------------------------------------
@@ -294,21 +327,43 @@ class HoldbackBuffer(POETClient):
     # ------------------------------------------------------------------
 
     def _ready(self, event: Event) -> bool:
+        """The release rule (module docstring).  An encoded clock whose
+        knowledge row is the interned row last released on its trace is
+        ready once its own predecessor is: released counts only grow,
+        so that row still holds.  Any other row is one pass against the
+        released counts (its own slot is 0); a full vector clock is
+        read component by component."""
         released = self._released
-        if released[event.trace] != event.index - 1:
+        trace = event.trace
+        if released[trace] != event.index - 1:
             return False
         clock = event.clock
-        for trace in range(self.num_traces):
-            if trace != event.trace and clock[trace] > released[trace]:
+        if isinstance(clock, EncodedClock):
+            row = clock.knowledge
+            return row is self._last_rows[trace] or all(map(le, row, released))
+        for other in range(self.num_traces):
+            if other != trace and clock[other] > released[other]:
                 return False
         return True
 
     def _release(self, event: Event) -> None:
-        self._released[event.trace] += 1
+        trace = event.trace
+        self._released[trace] += 1
+        clock = event.clock
+        if isinstance(clock, EncodedClock):
+            self._last_rows[trace] = clock.knowledge
         self.released_total += 1
-        self._released_counter.inc()
         self.stalled = False
-        self._sink(event)
+        self._outbox.append(event)
+
+    def _hand_off(self) -> None:
+        """Hand the releases collected so far downstream in one call;
+        the list goes with the call, none is kept."""
+        released = self._outbox
+        if released:
+            self._outbox = []
+            self._released_counter.inc(len(released))
+            self._sink.on_batch(released)
 
     def _drain(self) -> None:
         """Release pending events until none is ready.  Among ready
@@ -324,7 +379,6 @@ class HoldbackBuffer(POETClient):
                 self._drain_loop()
         else:
             self._drain_loop()
-        self._depth_gauge.set(len(self._pending))
 
     def _drain_loop(self) -> None:
         progress = True

@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence, Union
 
 from repro.events.event import Event, EventId
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.obs.spans import NULL_TRACER, SpanTracer
-from repro.poet.client import POETClient
+from repro.poet.client import POETClient, as_stage
 
 #: The fault kinds a plan can name.
 FAULT_KINDS = ("none", "reorder", "delay", "duplicate", "drop", "crash")
@@ -114,13 +114,16 @@ class FaultPlan:
 class FaultInjector(POETClient):
     """Perturbs an in-order event stream, deterministically per seed.
 
-    Feed the original linearization through :meth:`feed` and call
+    Feed the original linearization through :meth:`on_batch` (or one
+    event at a time through :meth:`feed`, a slice of one) and call
     :meth:`flush` at end-of-stream; the perturbed stream comes out of
-    ``sink``.  Usable as a drop-in event sink: wire it between a kernel
-    and a server with ``kernel.add_sink(injector.feed)`` where
-    ``sink=server.collect``, or connect it downstream of a server like
-    any stage: it is a :class:`~repro.poet.client.POETClient` whose
-    ``on_event`` *is* ``feed``.
+    ``sink``, one ``on_batch`` call per slice fed.  ``sink`` is a stage
+    (anything with ``on_batch``) or a callable taking one event, wrapped
+    once in a :class:`~repro.poet.client.CallbackClient`.  Usable as a
+    drop-in event sink: wire it between a kernel and a server with
+    ``kernel.add_sink(injector.feed)`` where ``sink=server.collect``, or
+    connect it downstream of a server like any stage: it is a
+    :class:`~repro.poet.client.POETClient`.
 
     Reorder/delay faults defer a chosen event only past arrivals that
     are its *causal successors* (their clock already covers it), never
@@ -137,13 +140,15 @@ class FaultInjector(POETClient):
     def __init__(
         self,
         plan: FaultPlan,
-        sink: Callable[[Event], None],
+        sink: Union[POETClient, Callable[[Event], None]],
         seed: int = 0,
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[SpanTracer] = None,
     ):
         self.plan = plan
-        self._sink = sink
+        self._sink = as_stage(sink)
+        #: Deliveries of the slice in progress, handed on at its end.
+        self._outbox: List[Event] = []
         self._rng = random.Random(f"{plan.kind}:{seed}")
         #: The currently deferred event and its remaining slack budget.
         self._stashed: Optional[Event] = None
@@ -182,9 +187,24 @@ class FaultInjector(POETClient):
     # Stream interface
     # ------------------------------------------------------------------
 
-    def feed(self, event: Event) -> None:
-        """Ingest the next in-order event; emits zero or more perturbed
-        deliveries to the sink."""
+    def on_batch(self, events: Sequence[Event]) -> None:
+        """Ingest the next in-order slice; its perturbed deliveries go
+        downstream in one ``on_batch`` call at its end (before an error
+        escapes mid-slice, too)."""
+        try:
+            ingest = self._ingest
+            for event in events:
+                ingest(event)
+        finally:
+            self._hand_off()
+
+    def on_event(self, event: Event) -> None:
+        """Ingest the next in-order event: a slice of one."""
+        self.on_batch((event,))
+
+    feed = on_event
+
+    def _ingest(self, event: Event) -> None:
         kind = self.plan.kind
         if kind in ("reorder", "delay"):
             self._feed_deferred(event)
@@ -214,16 +234,25 @@ class FaultInjector(POETClient):
             self._emit(event)
         self._tick_duplicates()
 
-    on_event = feed
-
     def flush(self) -> None:
-        """End of stream: release anything still deferred or queued."""
+        """End of stream: release anything still deferred or queued,
+        in one hand-off."""
         if self._stashed is not None:
             stashed, self._stashed = self._stashed, None
             self._emit(stashed)
         for entry in self._dup_queue:
             self._emit(entry[1])
         self._dup_queue.clear()
+        self._hand_off()
+
+    def _hand_off(self) -> None:
+        """Hand the deliveries collected so far downstream in one call;
+        the list goes with the call, none is kept."""
+        emitted = self._outbox
+        if emitted:
+            self._outbox = []
+            self._forwarded_counter.inc(len(emitted))
+            self._sink.on_batch(emitted)
 
     # ------------------------------------------------------------------
     # Fault mechanics
@@ -267,8 +296,7 @@ class FaultInjector(POETClient):
 
     def _emit(self, event: Event) -> None:
         self.forwarded_total += 1
-        self._forwarded_counter.inc()
-        self._sink(event)
+        self._outbox.append(event)
 
     def _roll(self) -> bool:
         return self._rng.random() < self.plan.probability

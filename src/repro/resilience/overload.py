@@ -541,8 +541,8 @@ class LoadShedder(POETClient):
     # ------------------------------------------------------------------
 
     def on_event(self, event: Event) -> None:
-        if self._admit(event):
-            self._sink.on_event(event)
+        """Offer one event: a slice of one."""
+        self.on_batch((event,))
 
     def on_batch(self, events: Sequence[Event]) -> None:
         if not events:

@@ -18,6 +18,7 @@ import pytest
 from repro.engine.pipeline import Pipeline
 from repro.resilience import (
     BAND_STRUCTURAL,
+    OverloadDetector,
     OverloadState,
     forced_shedding_detector,
     replay_gapped_monitor,
@@ -25,6 +26,19 @@ from repro.resilience import (
     run_overload_scenario,
     run_shedding_sweep,
 )
+from repro.testing import Weaver
+
+
+class _BacklogLog(OverloadDetector):
+    """A default detector that keeps every backlog sample."""
+
+    def __init__(self):
+        super().__init__()
+        self.backlogs = []
+
+    def observe_backlog(self, depth):
+        self.backlogs.append(depth)
+        super().observe_backlog(depth)
 
 
 @functools.lru_cache(maxsize=None)
@@ -121,6 +135,27 @@ class TestForcedShedding:
         # The probe polls holdback.pending_count per offered event.
         assert result.overload_detector.backlog_ema is not None
         assert result.leftover == []
+
+    def test_backlog_probe_reads_the_depth_after_each_slice(self):
+        """The hold-back buffer hands a slice's releases on at its end,
+        so the probe, polled once per offered event, reads the depth
+        left after the whole slice's arrivals — not the depth at each
+        release."""
+        w = Weaver(3, clock_backend="encoded")
+        a = w.local(0, "A")
+        s, r = w.message(0, 1)  # s arrives one slice late
+        b = w.local(2, "B")
+        detector = _BacklogLog()
+        pipeline = Pipeline.stream(["P0", "P1", "P2"])
+        pipeline.with_overload_control(detector=detector)
+        pipeline.watch("ab", "A := ['', A, '']; B := ['', B, ''];"
+                             " pattern := A -> B;")
+        pipeline.with_holdback()
+        pipeline.feed([a, r, b])  # a and b released, r held
+        assert detector.backlogs == [1, 1]
+        pipeline.feed([s])  # s releases r: nothing is left held
+        assert detector.backlogs == [1, 1, 0, 0]
+        assert pipeline.finish().leftover == []
 
 
 class TestShedderCheckpoint:

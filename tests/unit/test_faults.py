@@ -3,7 +3,7 @@
 import pytest
 
 from repro.events.event import EventKind
-from repro.poet import is_linearization
+from repro.poet import POETClient, is_linearization
 from repro.poet.holdback import HoldbackBuffer
 from repro.resilience import FaultInjector, FaultPlan, TransmitFaults
 from repro.testing import random_computation
@@ -63,6 +63,40 @@ class TestDeterminism:
         _, first = _inject(FaultPlan.reorder(probability=0.3), events, seed=0)
         _, second = _inject(FaultPlan.reorder(probability=0.3), events, seed=1)
         assert [e.event_id for e in first] != [e.event_id for e in second]
+
+
+class _Batches(POETClient):
+    """A downstream stage recording each hand-off."""
+
+    def __init__(self):
+        self.batches = []
+
+    def on_event(self, event):
+        self.on_batch((event,))
+
+    def on_batch(self, events):
+        self.batches.append(list(events))
+
+
+class TestSlices:
+    @pytest.mark.parametrize(
+        "plan",
+        [FaultPlan.delay(0.3), FaultPlan.duplicate(0.3),
+         FaultPlan.drop(0.3, max_faults=3)],
+        ids=lambda p: p.kind,
+    )
+    def test_a_slice_is_one_hand_off_of_the_per_event_output(self, plan):
+        events = _events(steps=80)
+        _, per_event = _inject(plan, events, seed=3)
+        sink = _Batches()
+        injector = FaultInjector(plan, sink, seed=3)
+        slices = [events[i:i + 8] for i in range(0, len(events), 8)]
+        for part in slices:
+            injector.on_batch(part)
+        injector.flush()
+        assert len(sink.batches) <= len(slices) + 1
+        assert [e for batch in sink.batches for e in batch] == per_event
+        assert injector.forwarded_total == len(per_event)
 
 
 class TestCausalSlack:

@@ -65,6 +65,18 @@ class TestStageLink:
         assert downstream.events == ["e1", "e2"]
         assert telemetry.stage_summary()["dispatcher"]["events"] == 2
 
+    def test_on_event_is_a_slice_of_one(self):
+        telemetry, downstream, link = self._link()
+        link.on_event("e1")
+        link.on_event("e2")
+        assert downstream.batches == [["e1"], ["e2"]]
+        batch = next(
+            m for m in telemetry.registry.metrics()
+            if m.name == "ocep_stage_batch_size_events"
+            and dict(m.labels)["stage"] == "dispatcher"
+        )
+        assert (batch.count, batch.sum) == (2, 2)
+
     def test_on_batch_counts_events_and_batch_size(self):
         telemetry, downstream, link = self._link()
         link.on_batch(["a", "b", "c"])
