@@ -58,7 +58,7 @@ from repro.poet import (
     linearize,
     load_events,
 )
-from repro.resilience import FaultInjector, FaultPlan, run_fault_matrix
+from repro.resilience import FaultInjector, FaultPlan
 from repro.simulation import (
     ANY_SOURCE,
     DeadlockError,
@@ -93,7 +93,6 @@ __all__ = [
     "HoldbackBuffer",
     "FaultPlan",
     "FaultInjector",
-    "run_fault_matrix",
     "Kernel",
     "SimulationResult",
     "DeadlockError",

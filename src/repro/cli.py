@@ -35,21 +35,15 @@ patterns, and reporting:
     Post-mortem analysis: enumerate *every* match in a complete log
     (the offline comparison point to the online monitor).
 
-``ocep chaos <case>``
-    Record a case study's stream, then replay it through the seeded
-    fault matrix (reorder / delay / duplicate / drop / crash x seeds),
-    checking every cell against the fault-free oracle: repairable
-    faults must yield the identical representative subset, drops must
-    be detected as stalls, and a checkpoint/restore after the seeded
-    crash must converge.  Exit status 1 when any cell fails.
-
-``ocep pipeline <case|all>``
-    The sharded-equivalence check: run the case-study patterns in ONE
-    batched sharded pass over each requested workload — in process, or
-    through a ``--workers N`` multi-process deployment (``--kill``
-    SIGKILLs a worker mid-stream) — and diff the matches, subsets, and
-    per-monitor counters against independent per-event single-pattern
-    runs.  Exit status 1 on any divergence.
+``ocep check <case|all>``
+    The one deployment checker: record each case's stream per seed and
+    run every requested deployment cell — the undisturbed sharded pass,
+    ``--faults`` plans behind the hold-back stage, a ``--crash`` cut and
+    restore, ``--shed`` rates or the burst profile, ``--workers N``
+    processes (``--kill`` SIGKILLs one mid-stream) — against the same
+    stream undisturbed, per event, one pattern at a time; shedding is
+    judged against the brute-force oracle.  Exit status 1 when any cell
+    fails, 2 for a combination no cell checks.
 
 Installed as the ``ocep`` console script; also runnable as
 ``python -m repro.cli``.
@@ -73,10 +67,13 @@ from repro.obs.latency import track_detection_latency
 from repro.obs.profile import SamplingProfiler
 from repro.obs.spans import SpanTracer, to_chrome_json, validate_trace_events
 from repro.poet.dumpfile import dump_events, load_events
-from repro.resilience.cluster_chaos import run_equivalence_cell
-from repro.resilience.shedding import (
-    DEFAULT_RATES as DEFAULT_SHED_RATES,
-    DEFAULT_SHED_EVENTS,
+from repro.resilience.check import (
+    DEFAULT_EVENTS,
+    FAULTS,
+    Recording,
+    deployments,
+    run_cell,
+    summary,
 )
 
 
@@ -331,12 +328,14 @@ def _describe_metrics(registry: MetricsRegistry) -> str:
     return "\n".join(lines)
 
 
-def _parse_rates(text: str) -> list:
-    """Drop-rate spec: comma-separated floats in (0, 1)."""
+def _parse_shed(text: str) -> list:
+    """Shed spec: ``burst``, or comma-separated drop rates in (0, 1)."""
+    if text.strip() == "burst":
+        return ["burst"]
     rates = [float(part) for part in text.split(",") if part.strip()]
     if not rates or any(not 0.0 < rate < 1.0 for rate in rates):
         raise argparse.ArgumentTypeError(
-            f"rates must be floats in (0, 1), got {text!r}"
+            f"--shed takes 'burst' or rates in (0, 1), got {text!r}"
         )
     return rates
 
@@ -356,127 +355,33 @@ def _parse_seeds(text: str) -> list:
     return seeds
 
 
-def cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.resilience import DEFAULT_PLANS, run_fault_matrix
-
-    pipeline = Pipeline.for_case(args.case, args.traces, args.seed)
-    recorder = pipeline.record()
-    result = pipeline.run(max_events=args.max_events)
-    print(
-        f"case={args.case} traces={args.traces}: recorded "
-        f"{result.num_events} events; matrix over seeds {args.seeds}"
-    )
-
-    if args.plans:
-        by_kind = {plan.kind: plan for plan in DEFAULT_PLANS}
-        try:
-            plans = [by_kind[kind] for kind in args.plans]
-        except KeyError as exc:
-            print(f"unknown fault kind {exc.args[0]!r}", file=sys.stderr)
-            return 2
-    else:
-        plans = list(DEFAULT_PLANS)
-
+def cmd_check(args: argparse.Namespace) -> int:
+    try:
+        cells = deployments(args.faults or (), args.crash, args.shed or (),
+                            args.workers, args.kill)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    cases = list(CASE_STUDY_NAMES) if args.case == "all" else [args.case]
     tracer = SpanTracer() if args.trace_out else None
-    report = run_fault_matrix(
-        recorder.events,
-        pipeline.case_pattern,
-        pipeline.trace_names,
-        plans=plans,
-        seeds=args.seeds,
-        stall_watermark=args.stall_watermark,
-        tracer=tracer,
-        shedding=args.shed,
-    )
-    print(report.summary())
-    payload = report.to_dict()
-    scenario_ok = True
-    if args.overload:
-        from repro.resilience import run_overload_scenario
-
-        runs = run_overload_scenario(
-            recorder.events,
-            pipeline.case_pattern,
-            pipeline.trace_names,
-            seeds=args.seeds,
-            tracer=tracer,
-        )
-        print("overload scenario (burst -> shed -> recover):")
-        for run in runs:
-            status = "ok  " if run.ok else "FAIL"
-            print(f"  {status} seed={run.seed:<3} {run.detail}")
-        scenario_ok = all(run.ok for run in runs)
-        payload["overload_scenario"] = [run.to_dict() for run in runs]
-        payload["ok"] = payload["ok"] and scenario_ok
+    rows = []
+    for case in cases:
+        for seed in args.seeds:
+            recording = Recording(case, seed, args.traces, args.max_events)
+            for cell in cells:
+                rows.append(run_cell(recording, cell, tracer))
+                print(rows[-1].line())
+    ok = all(row.ok for row in rows)
+    print(summary(rows))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump({"ok": ok, "rows": [row.to_dict() for row in rows]},
+                      fh, indent=2)
             fh.write("\n")
         print(f"wrote JSON report to {args.json}")
     if tracer is not None:
         _write_trace(tracer, args.trace_out)
-    return 0 if report.ok and scenario_ok else 1
-
-
-def cmd_shed(args: argparse.Namespace) -> int:
-    from repro.resilience import run_shedding_sweep
-
-    cases = list(CASE_STUDY_NAMES) if args.case == "all" else [args.case]
-    report = run_shedding_sweep(
-        cases=cases,
-        seeds=args.seeds,
-        rates=args.rates,
-        traces=args.traces,
-        max_events=args.max_events,
-    )
-    print(report.summary())
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
-            fh.write("\n")
-        print(f"wrote JSON report to {args.json}")
-    return 0 if report.ok else 1
-
-
-def cmd_pipeline(args: argparse.Namespace) -> int:
-    if args.kill and not args.workers:
-        print("--kill needs --workers N: an in-process pass has no worker "
-              "to kill", file=sys.stderr)
-        return 2
-    cases = list(CASE_STUDY_NAMES) if args.case == "all" else [args.case]
-    cells = []
-    for case in cases:
-        for seed in args.seeds:
-            cell = run_equivalence_cell(
-                case, seed,
-                traces=args.traces,
-                max_events=args.max_events,
-                workers=args.workers,
-                batch_size=args.batch_size,
-                kill=args.kill,
-            )
-            cells.append(cell)
-            status = "ok  " if cell["ok"] else "FAIL"
-            line = (
-                f"  {status} case={case:<9} seed={seed:<3} "
-                f"events={cell['events']:<6} matches={cell['matches']:<5} "
-                f"restarts={cell['restarts']}"
-            )
-            print(line)
-            for mismatch in cell["mismatches"]:
-                print(f"       {mismatch}")
-    passed = sum(cell["ok"] for cell in cells)
-    mode = "kill/recovery" if args.kill else "equivalence"
-    where = f"{args.workers} workers" if args.workers else "in process"
-    print(f"pipeline {mode}: {passed}/{len(cells)} cells passed "
-          f"({where}, batch={args.batch_size})")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump({"ok": passed == len(cells), "workers": args.workers,
-                       "kill": args.kill, "cells": cells}, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote JSON report to {args.json}")
-    return 0 if passed == len(cells) else 1
+    return 0 if ok else 1
 
 
 def cmd_diagram(args: argparse.Namespace) -> int:
@@ -604,80 +509,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
-        "chaos",
-        help="run the seeded fault matrix against the fault-free oracle",
-    )
-    p.add_argument("case", choices=sorted(CASES))
-    p.add_argument("--seeds", type=_parse_seeds, default=list(range(10)),
-                   metavar="SPEC",
-                   help="fault seeds: '0..9', '1,4,7', or a single int")
-    p.add_argument("--plans", nargs="*", metavar="KIND",
-                   help="fault kinds to run (default: the full matrix)")
-    p.add_argument("--stall-watermark", type=_positive_int, default=32,
-                   help="arrivals without release before a stall is declared")
-    p.add_argument("--json", metavar="FILE",
-                   help="also write the full report as JSON")
-    p.add_argument("--trace-out", metavar="FILE",
-                   help="also record a Chrome trace-event timeline to FILE")
-    p.add_argument("--shed", action="store_true",
-                   help="also run every repairable plan through a "
-                        "shedding pipeline (shed+<kind> cells)")
-    p.add_argument("--overload", action="store_true",
-                   help="also run the overload scenario: a latency burst "
-                        "must engage shedding and then fully recover")
-    add_common(p, 6)
-    p.set_defaults(func=cmd_chaos)
-
-    p = sub.add_parser(
-        "shed",
-        help="recall/precision sweep: utility-aware vs random load shedding",
-    )
-    p.add_argument("case", choices=sorted(CASE_STUDY_NAMES) + ["all"],
-                   help="one case study, or 'all' four")
-    p.add_argument("--seeds", type=_parse_seeds, default=list(range(10)),
-                   metavar="SPEC",
-                   help="workload seeds: '0..9', '1,4,7', or a single int")
-    p.add_argument("--rates", type=_parse_rates,
-                   default=list(DEFAULT_SHED_RATES), metavar="SPEC",
-                   help="target drop rates, e.g. '0.1,0.2,0.3'")
-    p.add_argument("--traces", type=int, default=4,
-                   help="number of traces / processes")
-    p.add_argument("--max-events", type=int, default=DEFAULT_SHED_EVENTS,
-                   help="event budget per recorded stream (the oracle is "
-                        "brute force; keep this small)")
-    p.add_argument("--json", metavar="FILE",
-                   help="also write the full report as JSON "
-                        "(the CI overload-smoke artifact)")
-    p.set_defaults(func=cmd_shed)
-
-    p = sub.add_parser(
-        "pipeline",
-        help="sharded single-pass equivalence check, in process or "
-             "across worker processes",
+        "check",
+        help="check deployment cells (faults, crash, shedding, workers) "
+             "against the undisturbed reference",
     )
     p.add_argument("case", choices=sorted(CASES) + ["all"],
                    help="one case study ('all' = the four paper cases); "
-                        "a v2 case adds its own pattern to the pass")
-    p.add_argument("--workers", type=_nonnegative_int, default=0,
-                   help="run the pass through a deployment of this many "
-                        "worker processes (0 = in process)")
-    p.add_argument("--kill", action="store_true",
-                   help="SIGKILL a shard-owning worker mid-stream and "
-                        "require counter-exact convergence after recovery "
-                        "(needs --workers)")
-    p.add_argument("--seeds", type=_parse_seeds, default=list(range(5)),
+                        "a v2 case adds its own pattern to the set")
+    p.add_argument("--seeds", type=_parse_seeds, default=list(range(10)),
                    metavar="SPEC",
-                   help="workload seeds: '0..9', '1,4,7', or a single int")
+                   help="workload and fault seeds: '0..9', '1,4,7', or a "
+                        "single int")
     p.add_argument("--traces", type=int, default=4,
                    help="number of traces / processes")
-    p.add_argument("--max-events", type=int, default=4000,
-                   help="event budget per recorded stream")
-    p.add_argument("--batch-size", type=_positive_int, default=128,
-                   help="replay slice size (events per EVENTS frame with "
-                        "--workers) of the sharded pass")
+    p.add_argument("--max-events", type=int, default=DEFAULT_EVENTS,
+                   help="event budget per recorded stream (the shedding "
+                        "oracle is brute force; keep this small)")
+    p.add_argument("--faults", nargs="+", choices=FAULTS + ("all",),
+                   metavar="KIND",
+                   help=f"one cell per fault kind ({', '.join(FAULTS)}, "
+                        "or all)")
+    p.add_argument("--crash", action="store_true",
+                   help="one cell cut mid-stream, checkpointed, restored "
+                        "and replayed")
+    p.add_argument("--shed", type=_parse_shed, metavar="RATES|burst",
+                   help="shed at these drop rates, or under the burst "
+                        "latency profile, in every repairable cell")
+    p.add_argument("--workers", type=_nonnegative_int, default=0,
+                   help="run the pass through this many worker processes")
+    p.add_argument("--kill", action="store_true",
+                   help="SIGKILL a shard-owning worker mid-stream "
+                        "(needs --workers)")
     p.add_argument("--json", metavar="FILE",
-                   help="also write the full report as JSON")
-    p.set_defaults(func=cmd_pipeline)
+                   help="also write every cell as JSON")
+    p.add_argument("--trace-out", metavar="FILE",
+                   help="also record a Chrome trace-event timeline to FILE")
+    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("diagram", help="render a dump as a diagram")
     p.add_argument("dump", help="POET dump file")

@@ -27,7 +27,7 @@ Shard semantics match the in-process
 :class:`~repro.engine.dispatch.ShardedDispatcher` exactly: every shard
 observes the full linearization, so cluster match output is
 bit-identical to the single-process sharded run — the equivalence
-``ocep pipeline --workers N`` and the CI ``cluster-smoke`` job assert.
+``ocep check --workers N`` and the CI ``check`` job assert.
 """
 
 from repro.cluster.coordinator import (

@@ -16,8 +16,8 @@ everything else is recomputed per trigger.
 Serializing those five therefore makes recovery *exact*: a restored
 monitor fed the stream suffix takes the same search decisions as an
 uninterrupted one, so the final representative subsets are equal, not
-merely equivalent.  The chaos matrix (``ocep chaos``, crash plan)
-checks this end to end, including a JSON round-trip of the snapshot.
+merely equivalent.  The crash cell of ``ocep check --crash`` checks
+this end to end, including a JSON round-trip of the snapshot.
 
 The checkpoint is a JSON-ready dict; :func:`save_checkpoint` /
 :func:`load_checkpoint` handle file persistence.  Event payloads reuse

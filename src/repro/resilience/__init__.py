@@ -10,27 +10,19 @@ asserting on them:
   (bounded reorder/delay within causal slack, duplicates, drops,
   client-crash schedules), plus network-level transmit faults for the
   simulation kernel;
-* :mod:`~repro.resilience.chaos` — the seeded fault matrix: every
-  (plan, seed) run is checked against the fault-free oracle, drops
-  must surface as hold-back stalls, and a mid-stream checkpoint/restore
-  must converge to the identical representative subset.  Driven by the
-  ``ocep chaos`` CLI subcommand and the CI chaos job;
 * :mod:`~repro.resilience.overload` — adaptive backpressure: an
   EMA/variance :class:`OverloadDetector` with hysteresis, a
   pattern-aware :class:`EventUtilityScorer`, and the
   :class:`LoadShedder` pipeline stage that drops least-useful events
   first when the monitor falls behind;
-* :mod:`~repro.resilience.shedding` — the measurement half of load
-  shedding: every shedding run is diffed against the brute-force
-  oracle on the unshedded stream (slot recall, match precision), and
-  utility-aware drops must beat count-matched random drops.  Driven by
-  the ``ocep shed`` subcommand and the CI ``overload-smoke`` job;
-* :mod:`~repro.resilience.cluster_chaos` — the same diff discipline
-  for sharding: every ``(case, seed, workers)`` cell diffs one batched
-  sharded pass, in process or across worker processes, against
-  independent per-event single-pattern runs, and ``kill`` cells SIGKILL
-  a shard-owning worker mid-stream and require counter-exact
-  convergence after checkpoint recovery.  Driven by ``ocep pipeline``.
+* :mod:`~repro.resilience.check` — the one deployment checker: every
+  ``(case, seed, deployment)`` cell runs the case's pattern set under
+  one disturbance (a fault plan, a crash and restore, a shed rate or
+  the burst profile, worker processes with or without a kill) and is
+  judged against the same stream undisturbed — or, for shedding,
+  against the brute-force oracle (utility recall must beat a
+  count-matched random drop).  Driven by ``ocep check`` and the CI
+  ``check`` job.
 
 The repair half — the causal hold-back buffer — lives with the
 delivery substrate as :mod:`repro.poet.holdback`.
@@ -41,14 +33,6 @@ from repro.resilience.faults import (
     FaultInjector,
     FaultPlan,
     TransmitFaults,
-)
-from repro.resilience.chaos import (
-    DEFAULT_PLANS,
-    DEFAULT_STALL_WATERMARK,
-    SHED_CELL_RATE,
-    ChaosReport,
-    ChaosRun,
-    run_fault_matrix,
 )
 from repro.resilience.overload import (
     BAND_CHAFF,
@@ -61,17 +45,15 @@ from repro.resilience.overload import (
     OverloadDetector,
     OverloadState,
 )
-from repro.resilience.cluster_chaos import run_equivalence_cell
-from repro.resilience.shedding import (
-    DEFAULT_RATES,
-    OverloadScenarioRun,
-    ShedCell,
-    ShedReport,
+from repro.resilience.check import (
+    CellReport,
+    Deployment,
+    Recording,
     burst_latency_profile,
+    deployments,
     forced_shedding_detector,
     replay_gapped_monitor,
-    run_overload_scenario,
-    run_shedding_sweep,
+    run_cell,
 )
 
 __all__ = [
@@ -79,12 +61,6 @@ __all__ = [
     "FaultPlan",
     "FaultInjector",
     "TransmitFaults",
-    "ChaosRun",
-    "ChaosReport",
-    "DEFAULT_PLANS",
-    "DEFAULT_STALL_WATERMARK",
-    "SHED_CELL_RATE",
-    "run_fault_matrix",
     "BAND_CHAFF",
     "BAND_STRUCTURAL",
     "BAND_LEAF",
@@ -94,14 +70,12 @@ __all__ = [
     "OverloadDetector",
     "EventUtilityScorer",
     "LoadShedder",
-    "DEFAULT_RATES",
-    "ShedCell",
-    "ShedReport",
-    "OverloadScenarioRun",
+    "Deployment",
+    "Recording",
+    "CellReport",
+    "deployments",
+    "run_cell",
     "forced_shedding_detector",
     "replay_gapped_monitor",
     "burst_latency_profile",
-    "run_shedding_sweep",
-    "run_overload_scenario",
-    "run_equivalence_cell",
 ]

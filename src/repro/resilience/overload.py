@@ -39,7 +39,7 @@ This module gives the pipeline a third one — *degrade gracefully*:
   spans) and checkpointable alongside ``ocep-sharded-checkpoint-v1``.
 
 The quality of the whole arrangement is *measured, not assumed*:
-:mod:`repro.resilience.shedding` diffs every shedding run against the
+:mod:`repro.resilience.check` diffs every shedding run against the
 brute-force oracle on the unshedded stream.
 """
 

@@ -1,5 +1,5 @@
 """Integration tests: fault injection, hold-back repair, quarantine,
-and the chaos matrix end to end."""
+and the deployment checker's fault and crash cells end to end."""
 
 import pytest
 
@@ -8,10 +8,13 @@ from repro.engine import ShardedDispatcher
 from repro.poet import RecordingClient
 from repro.poet.holdback import HoldbackBuffer
 from repro.resilience import (
-    DEFAULT_PLANS,
+    CellReport,
+    Deployment,
     FaultInjector,
     FaultPlan,
-    run_fault_matrix,
+    Recording,
+    deployments,
+    run_cell,
 )
 
 AB = "A := ['', A, '']; B := ['', B, '']; pattern := A -> B;"
@@ -92,48 +95,77 @@ class TestFaultyPipeline:
 
 
 class TestChaosMatrix:
+    """Fault and crash cells of the one deployment checker."""
+
     def test_full_matrix_on_recorded_stream(self):
-        events, names = _recorded_stream(seed=2)
-        report = run_fault_matrix(
-            events, AB, names, seeds=range(3), stall_watermark=8
-        )
-        assert report.ok, report.summary()
-        kinds = {run.kind for run in report.runs}
-        assert kinds == {plan.kind for plan in DEFAULT_PLANS}
+        rows = [
+            run_cell(Recording("race", seed, max_events=600), cell)
+            for seed in range(3)
+            for cell in deployments(["all"], crash=True)
+        ]
+        assert all(row.ok for row in rows), [r.line() for r in rows]
+        assert {row.deployment for row in rows} == {
+            "plain", "reorder", "delay", "duplicate", "drop", "crash",
+        }
         # Faults were genuinely injected somewhere in the matrix.
         assert any(
-            run.injected > 0 and run.kind in ("reorder", "delay", "duplicate")
-            for run in report.runs
+            row.injected > 0
+            and row.deployment in ("reorder", "delay", "duplicate")
+            for row in rows
         )
 
     def test_drop_cells_detect_or_match(self):
-        events, names = _recorded_stream(seed=2)
-        report = run_fault_matrix(
-            events, AB, names,
-            plans=[FaultPlan(kind="drop", probability=0.3, max_faults=1)],
-            seeds=range(5), stall_watermark=4,
-        )
-        assert report.ok, report.summary()
-        dropped_cells = [r for r in report.runs if r.injected > 0]
-        assert dropped_cells, "no cell injected a drop"
-        for run in dropped_cells:
-            assert run.stalled or run.pending > 0
+        rows = [
+            run_cell(Recording("atomicity", seed, max_events=600),
+                     Deployment(fault="drop"))
+            for seed in range(3)
+        ]
+        assert all(row.ok for row in rows), [r.line() for r in rows]
+        detected = [row for row in rows if row.injected > 0]
+        assert detected, "no cell injected a drop"
+        assert all(row.verdict == "detected" for row in detected)
+        assert all(row.verdict == "equal" for row in rows
+                   if row.injected == 0)
 
     def test_report_serializes(self):
         import json
 
-        events, names = _recorded_stream(seed=2)
-        report = run_fault_matrix(
-            events, AB, names,
-            plans=[FaultPlan.reorder()], seeds=[0],
-        )
-        document = json.loads(json.dumps(report.to_dict()))
-        assert document["num_events"] == len(events)
-        assert document["runs"][0]["kind"] == "reorder"
+        recording = Recording("race", 0, max_events=600)
+        row = run_cell(recording, Deployment(fault="reorder"))
+        document = json.loads(json.dumps(row.to_dict()))
+        assert document["events"] == len(recording.events)
+        assert document["deployment"] == "reorder"
+        assert document["verdict"] == "equal"
+
+    @pytest.mark.parametrize(
+        "case, cell",
+        [("race", Deployment()),
+         ("race", Deployment(fault="duplicate")),
+         ("atomicity", Deployment(fault="drop")),
+         ("race", Deployment(crash=True)),
+         ("race", Deployment(shed=0.2)),
+         ("race", Deployment(fault="reorder", shed=0.2)),
+         ("race", Deployment(shed="burst")),
+         ("race", Deployment(workers=2))],
+        ids=lambda value: getattr(value, "name", value),
+    )
+    def test_every_verdict_kind_serialises_to_the_same_row_keys(
+        self, case, cell
+    ):
+        import dataclasses
+        import json
+
+        row = run_cell(Recording(case, 0, max_events=600), cell)
+        assert row.ok, row.line()
+        assert row.verdict in ("equal", "detected", "recall")
+        document = json.loads(json.dumps(row.to_dict()))
+        assert list(document) == [
+            field.name for field in dataclasses.fields(CellReport)
+        ]
 
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            run_fault_matrix([], AB, ["P0", "P1"])
+            Recording("race", 0, max_events=0)
 
 
 class TestQuarantine:

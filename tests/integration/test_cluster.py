@@ -20,7 +20,7 @@ from repro.cluster import ClusterPipeline
 from repro.engine import CASES, Pipeline, case_patterns
 from repro.engine.dispatch import shard_worker
 from repro.obs.metrics import MetricsRegistry
-from repro.resilience.cluster_chaos import run_equivalence_cell
+from repro.resilience import Deployment, Recording, run_cell
 from repro.testing import full_vectors
 
 TRACES = 5
@@ -134,18 +134,16 @@ class TestClusterRecovery:
         assert result.final_checkpoint is not None
 
     def test_cell_harness_kill_mode(self):
-        cell = run_equivalence_cell(
-            "ordering", 2, traces=4, max_events=400, workers=2, kill=True
-        )
-        assert cell["ok"], cell["mismatches"]
-        assert cell["restarts"] >= 1
+        row = run_cell(Recording("ordering", 2, traces=4, max_events=400),
+                       Deployment(workers=2, kill=True))
+        assert row.ok, row.detail
+        assert row.restarts >= 1
 
     def test_cell_harness_plain_mode(self):
-        cell = run_equivalence_cell(
-            "deadlock", 0, traces=4, max_events=400, workers=3
-        )
-        assert cell["ok"], cell["mismatches"]
-        assert cell["restarts"] == 0
+        row = run_cell(Recording("deadlock", 0, traces=4, max_events=400),
+                       Deployment(workers=3))
+        assert row.ok, row.detail
+        assert row.restarts == 0
 
 
 class TestClusterSurface:

@@ -18,13 +18,14 @@ import pytest
 from repro.engine.pipeline import Pipeline
 from repro.resilience import (
     BAND_STRUCTURAL,
+    Deployment,
     OverloadDetector,
     OverloadState,
+    Recording,
+    deployments,
     forced_shedding_detector,
     replay_gapped_monitor,
-    run_fault_matrix,
-    run_overload_scenario,
-    run_shedding_sweep,
+    run_cell,
 )
 from repro.testing import Weaver
 
@@ -195,39 +196,75 @@ class TestShedderCheckpoint:
 
 
 class TestHarnesses:
+    """Shedding cells of the one deployment checker."""
+
     def test_shedding_sweep_small(self):
-        report = run_shedding_sweep(
-            cases=["race"], seeds=[0], rates=[0.2], traces=4,
-            max_events=300,
-        )
-        assert len(report.cells) == 2
-        utility, rand = report.cells
-        assert utility.policy == "utility" and rand.policy == "random"
-        assert utility.dropped == rand.dropped > 0
-        assert utility.recall >= rand.recall
-        payload = json.loads(json.dumps(report.to_dict()))
-        assert payload["shed_band"] == "structural"
-        assert {cell["policy"] for cell in payload["cells"]} == {
-            "utility", "random",
-        }
+        row = run_cell(Recording("race", 0, max_events=300),
+                       Deployment(shed=0.2))
+        assert row.ok, row.line()
+        assert row.verdict == "recall"
+        assert row.injected > 0
+        assert row.recall >= row.random_recall
+        payload = json.loads(json.dumps(row.to_dict()))
+        assert payload["deployment"] == "shed0.2"
+
+    def test_a_shedder_that_sheds_nothing_fails(self, monkeypatch):
+        """Equal recalls of two empty drops prove nothing."""
+        from repro.resilience.overload import LoadShedder
+
+        monkeypatch.setattr(LoadShedder, "_within_budget", lambda self: False)
+        row = run_cell(Recording("race", 0, max_events=300),
+                       Deployment(shed=0.2))
+        assert row.injected == 0
+        assert row.recall == row.random_recall == 1.0
+        assert not row.ok, row.line()
+        assert "nothing shed" in row.detail
 
     def test_overload_scenario_engages_and_recovers(self):
-        events, pattern, names = _recorded()
-        runs = run_overload_scenario(
-            list(events), pattern, names, seeds=[0, 1]
-        )
-        assert all(run.ok for run in runs), [run.detail for run in runs]
-        assert all(run.shed > 0 for run in runs)
-        assert all(
-            run.final_latency_ema <= run.disengage_latency for run in runs
-        )
+        for seed in (0, 1):
+            row = run_cell(Recording("race", seed, max_events=400),
+                           Deployment(shed="burst"))
+            assert row.ok, row.line()
+            assert row.injected > 0
 
     def test_fault_matrix_composes_with_shedding(self):
-        events, pattern, names = _recorded()
-        report = run_fault_matrix(
-            list(events), pattern, names, seeds=[0], shedding=True,
-        )
-        kinds = {run.kind for run in report.runs}
-        assert {"shed+none", "shed+reorder", "shed+delay",
-                "shed+duplicate"} <= kinds
-        assert report.ok, report.summary()
+        recording = Recording("race", 0, max_events=400)
+        rows = [
+            run_cell(recording, cell)
+            for cell in deployments(["all"], shed=[0.2])
+        ]
+        names = {row.deployment for row in rows}
+        assert {"shed0.2", "shed0.2+reorder", "shed0.2+delay",
+                "shed0.2+duplicate"} <= names
+        assert "shed0.2+drop" not in names
+        assert all(row.ok for row in rows), [row.line() for row in rows]
+
+    def test_a_holdback_that_reorders_what_it_releases_fails(
+        self, monkeypatch
+    ):
+        """Repair must be invisible to the shedder: a hold-back buffer
+        that hands on a different (still causal) linearization fails
+        its shed cell, though recall and the kept-events replay hold."""
+        from repro.poet.holdback import HoldbackBuffer
+
+        recording = Recording("race", 0, max_events=400)
+        assert run_cell(recording, Deployment(shed=0.2)).ok
+        hand_off = HoldbackBuffer._hand_off
+        swapped = []
+
+        def reordering(self):
+            outbox = self._outbox
+            pair = next((i for i in range(len(outbox) - 1)
+                         if outbox[i].concurrent_with(outbox[i + 1])), None)
+            if pair is not None:
+                outbox[pair], outbox[pair + 1] = outbox[pair + 1], outbox[pair]
+                swapped.append(outbox[pair])
+            hand_off(self)
+
+        monkeypatch.setattr(HoldbackBuffer, "_hand_off", reordering)
+        row = run_cell(recording, Deployment(fault="reorder", shed=0.2))
+        assert swapped
+        assert not row.ok, row.line()
+        assert row.recall >= row.random_recall
+        assert "fault-free run" in row.detail
+        assert "replay diverged" not in row.detail

@@ -190,6 +190,8 @@ class TestStatsCommand:
 
 
 class TestChaosCommand:
+    """``ocep check`` with fault and crash cells."""
+
     def test_seed_spec_parsing(self):
         from repro.cli import _parse_seeds
 
@@ -206,45 +208,76 @@ class TestChaosCommand:
 
         with pytest.raises(argparse.ArgumentTypeError):
             _parse_seeds(",")
-        for command in ("chaos", "pipeline"):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args([command, "race", "--seeds", ","])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["check", "race", "--seeds", ","])
 
     def test_matrix_passes_on_race_case(self, capsys):
         rc = main(
-            ["chaos", "race", "--traces", "3", "--seed", "1",
-             "--seeds", "0..1", "--max-events", "1000"]
+            ["check", "race", "--traces", "3", "--seeds", "0..1",
+             "--faults", "all", "--crash", "--max-events", "1000"]
         )
         assert rc == 0
         out = capsys.readouterr().out
         assert "cells passed" in out
         assert "FAIL" not in out
-        for kind in ("reorder", "delay", "duplicate", "drop", "crash"):
+        for kind in ("plain", "reorder", "delay", "duplicate", "drop",
+                     "crash"):
             assert kind in out
 
     def test_plan_filter_and_json_report(self, tmp_path, capsys):
         import json
 
-        report_file = tmp_path / "chaos.json"
+        report_file = tmp_path / "check.json"
         rc = main(
-            ["chaos", "race", "--traces", "3", "--seed", "1",
-             "--seeds", "0", "--plans", "reorder", "crash",
+            ["check", "race", "--traces", "3", "--seeds", "0",
+             "--faults", "reorder", "--crash",
              "--max-events", "1000", "--json", str(report_file)]
         )
         assert rc == 0
         document = json.loads(report_file.read_text())
         assert document["ok"] is True
-        assert {run["kind"] for run in document["runs"]} == {
-            "reorder", "crash"
+        assert {row["deployment"] for row in document["rows"]} == {
+            "plain", "reorder", "crash"
         }
 
     def test_unknown_plan_rejected(self, capsys):
-        rc = main(
-            ["chaos", "race", "--traces", "3", "--seeds", "0",
-             "--plans", "gremlins", "--max-events", "500"]
-        )
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "race", "--traces", "3", "--seeds", "0",
+                  "--faults", "gremlins", "--max-events", "500"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'gremlins'" in capsys.readouterr().err
+
+    def test_bare_faults_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["check", "race", "--faults"])
+        assert exc.value.code == 2
+
+    def test_drop_under_shedding_rejected(self, capsys):
+        rc = main(["check", "race", "--seeds", "0", "--faults", "drop",
+                   "--shed", "0.2"])
         assert rc == 2
-        assert "unknown fault kind" in capsys.readouterr().err
+        assert "drop is not repairable" in capsys.readouterr().err
+
+    def test_a_holdback_that_loses_one_event_fails(self, capsys,
+                                                   monkeypatch):
+        from repro.poet.holdback import HoldbackBuffer
+
+        hand_off = HoldbackBuffer._hand_off
+        lost = []
+
+        def lossy(self):
+            if self._outbox and not lost:
+                lost.append(self._outbox.pop())
+            hand_off(self)
+
+        monkeypatch.setattr(HoldbackBuffer, "_hand_off", lossy)
+        rc = main(["check", "race", "--traces", "3", "--seeds", "0",
+                   "--faults", "reorder", "--max-events", "1000"])
+        assert lost
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "FAIL" in out
+        assert "1/2 cells passed" in out  # the plain cell has no hold-back
 
 
 class TestOfflineCommand:
@@ -314,17 +347,17 @@ class TestTraceCommand:
 
         from repro.obs.spans import validate_chrome_trace
 
-        out_file = tmp_path / "chaos-trace.json"
+        out_file = tmp_path / "check-trace.json"
         rc = main(
-            ["chaos", "race", "--traces", "3", "--seed", "1",
-             "--seeds", "0", "--plans", "reorder", "duplicate",
+            ["check", "race", "--traces", "3", "--seeds", "0",
+             "--faults", "reorder", "duplicate",
              "--max-events", "800", "--trace-out", str(out_file)]
         )
         assert rc == 0
         document = json.loads(out_file.read_text())
         validate_chrome_trace(document)
         names = {e.get("name") for e in document["traceEvents"]}
-        assert "chaos.cell" in names
+        assert "check.cell" in names
 
 
 class TestStatsTraceInJson:
@@ -384,44 +417,47 @@ class TestStatsTraceInJson:
 
 
 class TestClusterCommand:
+    """``ocep check --workers N [--kill]``."""
+
     def test_parser_defaults(self):
-        args = build_parser().parse_args(["pipeline", "race",
+        args = build_parser().parse_args(["check", "race",
                                           "--workers", "2"])
         assert args.workers == 2
-        assert args.seeds == [0, 1, 2, 3, 4]
-        assert args.batch_size == 128
-        assert args.max_events == 4000
+        assert args.seeds == list(range(10))
+        assert args.max_events == 3000
         assert args.kill is False
+        assert args.faults is None and args.shed is None
 
     def test_equivalence_cell_passes(self, tmp_path, capsys):
         import json
 
         report_file = tmp_path / "cluster.json"
         rc = main(
-            ["pipeline", "race", "--traces", "4", "--seeds", "0",
+            ["check", "race", "--traces", "4", "--seeds", "0",
              "--max-events", "400", "--workers", "2",
              "--json", str(report_file)]
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "pipeline equivalence: 1/1 cells passed" in out
+        assert "1/1 cells passed" in out
         document = json.loads(report_file.read_text())
         assert document["ok"] is True
-        assert document["workers"] == 2
-        assert document["cells"][0]["restarts"] == 0
+        assert document["rows"][0]["deployment"] == "workers2"
+        assert document["rows"][0]["restarts"] == 0
 
     def test_kill_cell_recovers(self, capsys):
         rc = main(
-            ["pipeline", "ordering", "--traces", "4", "--seeds", "0",
+            ["check", "ordering", "--traces", "4", "--seeds", "0",
              "--max-events", "400", "--workers", "2", "--kill"]
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "pipeline kill/recovery: 1/1 cells passed" in out
-        assert "restarts=1" in out
+        assert "workers2+kill" in out
+        assert "1/1 cells passed" in out
+        assert "(1 restarts)" in out
 
     def test_kill_needs_workers(self, capsys):
-        assert build_parser().parse_args(["pipeline", "race"]).workers == 0
-        rc = main(["pipeline", "race", "--seeds", "0", "--kill"])
+        assert build_parser().parse_args(["check", "race"]).workers == 0
+        rc = main(["check", "race", "--seeds", "0", "--kill"])
         assert rc == 2
         assert "--kill needs --workers" in capsys.readouterr().err

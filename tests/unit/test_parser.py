@@ -133,3 +133,74 @@ class TestExpressions:
         assert set(parsed.variables) == {"Diff", "Write"}
         assert isinstance(parsed.expr, AndExpr)
         assert len(parsed.expr.parts) == 3
+
+
+class TestInputLimits:
+    """Pattern source is a trust boundary: oversized input raises a
+    positioned parse error, never a RecursionError."""
+
+    HEADER = "A := ['', A, ''];\n"
+
+    def test_deep_nesting_raises_a_positioned_error(self):
+        from repro.patterns.parser import MAX_NESTING
+
+        source = self.HEADER + "pattern := " + "(" * 145 + "A" + ")" * 145 + ";"
+        with pytest.raises(PatternParseError, match="nested deeper") as exc:
+            parse_pattern(source)
+        assert (exc.value.line, exc.value.column) == (2, 12 + MAX_NESTING)
+
+    def test_thousand_leaf_chain_raises_a_positioned_error(self):
+        from repro.patterns.parser import MAX_LEAVES
+
+        source = self.HEADER + "pattern := " + " -> ".join(["A"] * 1000) + ";"
+        with pytest.raises(PatternParseError, match="event references") as exc:
+            parse_pattern(source)
+        assert (exc.value.line, exc.value.column) == (2, 12 + 5 * MAX_LEAVES)
+
+    def test_declarations_do_not_count_toward_the_leaf_limit(self):
+        from repro.patterns.parser import MAX_LEAVES
+
+        declared = "".join(f"A $v{i};\n" for i in range(MAX_LEAVES + 1))
+        chain = " -> ".join(["A"] * 1000)
+        source = self.HEADER + declared + f"pattern := {chain};"
+        with pytest.raises(PatternParseError, match="event references") as exc:
+            parse_pattern(source)
+        assert (exc.value.line, exc.value.column) == (
+            MAX_LEAVES + 3, 12 + 5 * MAX_LEAVES
+        )
+        # Each declared variable referenced once stays within the limit.
+        variables = " -> ".join(f"$v{i}" for i in range(MAX_LEAVES))
+        parsed = parse_pattern(self.HEADER + declared
+                               + f"pattern := {variables};")
+        assert len(parsed.variables) == MAX_LEAVES + 1
+
+    def test_patterns_at_the_limits_compile(self):
+        from repro.patterns import PatternTree, compile_pattern
+        from repro.patterns.parser import MAX_LEAVES, MAX_NESTING
+
+        nested = "(" * MAX_NESTING + "A -> A" + ")" * MAX_NESTING
+        chain = " -> ".join(["A"] * MAX_LEAVES)
+        for expr in (nested, chain):
+            tree = PatternTree(
+                parse_pattern(self.HEADER + f"pattern := {expr};"),
+                ["P0", "P1"],
+            )
+            assert compile_pattern(tree).num_leaves >= 2
+
+    def test_every_shipped_pattern_is_within_the_limits(self):
+        from pathlib import Path
+
+        from repro.engine import CASES
+        from repro.workloads import deadlock_pattern, traffic_light_pattern
+
+        root = Path(__file__).resolve().parents[2]
+        from repro.patterns.parser import MAX_LEAVES
+
+        sources = [deadlock_pattern(MAX_LEAVES), traffic_light_pattern()]
+        sources += [CASES[name].pattern(10) for name in CASES]
+        sources += [
+            path.read_text()
+            for path in sorted((root / "benchmarks/e2e/patterns").glob("*.pat"))
+        ]
+        for source in sources:
+            parse_pattern(source)
