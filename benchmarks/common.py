@@ -47,13 +47,14 @@ def record_stream(key: tuple, build: Callable[[], object], max_events: Optional[
     cache_key = key + (max_events,)
     if cache_key in _STREAM_CACHE:
         return _STREAM_CACHE[cache_key]
-    pipeline = Pipeline.for_workload(build())
+    workload = build()
+    pipeline = Pipeline.for_workload(workload)
     recorder = pipeline.record()
     result = pipeline.run(max_events=max_events)
     value = (
         recorder.events,
         list(pipeline.trace_names),
-        pipeline.workload,
+        workload,
         result.outcome,
     )
     _STREAM_CACHE[cache_key] = value

@@ -23,12 +23,12 @@ RING = 8
 
 
 def main() -> None:
-    pipeline = Pipeline.for_workload(
-        build_random_walk(num_traces=RING, seed=11, skip_probability=0.08)
+    workload = build_random_walk(
+        num_traces=RING, seed=11, skip_probability=0.08
     )
+    pipeline = Pipeline.for_workload(workload)
     monitor = pipeline.watch("deadlock", deadlock_pattern(RING))
     recorder = pipeline.record()
-    workload = pipeline.workload
 
     print(f"running a {RING}-rank parallel random walk with a latent "
           "communication deadlock ...")

@@ -28,12 +28,12 @@ def detections(monitor):
 
 
 def main() -> None:
-    live = Pipeline.for_workload(build_atomicity(
+    workload = build_atomicity(
         num_processes=6, seed=21, iterations=40, bypass_probability=0.05
-    ))
+    )
+    live = Pipeline.for_workload(workload)
     recorder = live.record()
     live_monitor = live.watch("atomicity", atomicity_pattern())
-    workload = live.workload
 
     print("running the semaphore workload live ...")
     result = live.run().outcome

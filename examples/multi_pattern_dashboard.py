@@ -35,14 +35,13 @@ pattern := $t -> Green;
 
 
 def main() -> None:
-    alerts = []
-    pipeline = Pipeline.for_workload(build_traffic_light(
+    workload = build_traffic_light(
         num_lights=4, seed=2, cycles=30, fault_probability=0.15
-    )).on_match(lambda name, report: alerts.append(name))
+    )
+    pipeline = Pipeline.for_workload(workload)
     pipeline.watch("conflict", traffic_light_pattern())
     pipeline.watch("handshake", HANDSHAKE)
     pipeline.watch("sequence", SEQUENCE)
-    workload = pipeline.workload
 
     print("running the traffic-light system with a flaky relay ...")
     outcome = pipeline.run()

@@ -25,13 +25,13 @@ from repro.workloads import build_ordering_bug, ordering_bug_pattern
 
 
 def main() -> None:
-    pipeline = Pipeline.for_workload(build_ordering_bug(
+    workload = build_ordering_bug(
         num_traces=8,  # one leader, seven followers
         seed=7,
         synchs_per_follower=6,
         bug_probability=0.10,
-    ))
-    workload = pipeline.workload
+    )
+    pipeline = Pipeline.for_workload(workload)
 
     print("ordering pattern under watch:")
     print(ordering_bug_pattern())

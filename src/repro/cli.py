@@ -154,7 +154,9 @@ def cmd_case(args: argparse.Namespace) -> int:
         if not (args.quiet or silent):
             _print_report(report, names)
 
-    monitor = pipeline.watch_case(
+    monitor = pipeline.watch(
+        args.case,
+        pipeline.case_pattern,
         config=MatcherConfig(search_trace_size=args.trace_size),
         on_match=on_match,
     )

@@ -218,7 +218,8 @@ def _worker_loop(
                     {
                         "worker": worker_id,
                         "offset": counters["events"],
-                        "state": pipeline.checkpoint_document(),
+                        # a worker never wires a shedder
+                        "state": pipeline.dispatcher.checkpoint(),
                     },
                 )
             elif ftype is FrameType.FINISH:

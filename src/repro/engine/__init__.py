@@ -4,7 +4,7 @@
 sources, the POET server, fault injection, causal hold-back, and
 multi-pattern dispatch — into one explicit
 :class:`~repro.engine.pipeline.Pipeline` artifact shared by the CLI,
-the chaos harness, the benchmarks, and the examples.
+the deployment checker, the benchmarks, and the examples.
 """
 
 from repro.engine.cases import (

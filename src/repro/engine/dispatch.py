@@ -21,19 +21,15 @@ from __future__ import annotations
 
 import contextlib
 import zlib
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.config import MatcherConfig
 from repro.core.front import StreamFront
-from repro.core.matcher import MatchReport
 from repro.core.monitor import MatchCallback, Monitor, MonitorStats
 from repro.events.event import Event
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.obs.spans import NULL_TRACER, SpanTracer
 from repro.poet.client import POETClient
-
-#: Callback receiving (pattern name, report).
-NamedMatchCallback = Callable[[str, MatchReport], None]
 
 #: Format tag of a sharded checkpoint document.
 CHECKPOINT_FORMAT = "ocep-sharded-checkpoint-v1"
@@ -99,7 +95,6 @@ class ShardedDispatcher(POETClient):
     A malformed *stream* (per-trace regression or duplicate) is the same
     for every shard: the front raises it once, to the caller.
 
-    ``on_match(name, report)`` sees every match of every shard;
     ``registry`` and ``tracer`` are shared by the shards (each under its
     own ``pattern=<name>`` label / track) and default to the no-op ones.
     """
@@ -107,12 +102,10 @@ class ShardedDispatcher(POETClient):
     def __init__(
         self,
         trace_names: Sequence[str],
-        on_match: Optional[NamedMatchCallback] = None,
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[SpanTracer] = None,
     ):
         self.trace_names = tuple(trace_names)
-        self._on_match = on_match
         self.registry = registry if registry is not None else NULL_REGISTRY
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Built by the first :meth:`watch` (with its ``complete_stream``).
@@ -143,26 +136,15 @@ class ShardedDispatcher(POETClient):
     ) -> Monitor:
         """Add a named pattern; returns its monitor.
 
-        ``on_match`` is a per-shard callback (just the report) beside
-        the dispatcher-level one.  A pattern added after events have
-        flowed joins at the current stream position: the shared index it
-        reads is complete, but its histories — and so its matches — hold
-        only events delivered from now on.  ``config.complete_stream``
-        is a property of the stream: it must agree with earlier shards.
+        ``on_match`` receives each report of this shard.  A pattern
+        added after events have flowed joins at the current stream
+        position: the shared index it reads is complete, but its
+        histories — and so its matches — hold only events delivered
+        from now on.  ``config.complete_stream`` is a property of the
+        stream: it must agree with earlier shards.
         """
         if name in self._shards:
             raise ValueError(f"already watching a pattern named {name!r}")
-        callback = None
-        if self._on_match is not None or on_match is not None:
-            outer = self._on_match
-            shard_callback = on_match
-
-            def callback(report: MatchReport, _name: str = name) -> None:
-                if outer is not None:
-                    outer(_name, report)
-                if shard_callback is not None:
-                    shard_callback(report)
-
         front = self.front
         if front is None:
             complete = config.complete_stream if config is not None else True
@@ -171,7 +153,7 @@ class ShardedDispatcher(POETClient):
             pattern_source,
             self.trace_names,
             config=config,
-            on_match=callback,
+            on_match=on_match,
             record_timings=record_timings,
             registry=self.registry,
             metric_labels={"pattern": name},
@@ -400,7 +382,6 @@ def _past_watermark(
 
 __all__ = [
     "CHECKPOINT_FORMAT",
-    "NamedMatchCallback",
     "ShardedDispatcher",
     "shard_worker",
     "worker_shards",

@@ -13,23 +13,26 @@ detection).  A pipeline is built from a *source* —
 
 * :meth:`Pipeline.for_case` / :meth:`Pipeline.for_workload` /
   :meth:`Pipeline.for_kernel` — a live simulation pushing events as
-  the kernel runs;
-* :meth:`Pipeline.replay` / :meth:`Pipeline.from_dump` — a recorded
-  stream (the paper's POET dump/reload methodology), delivered
-  **batch-first**: contiguous slices flow through
+  the kernel runs; :meth:`run` drives the kernel (slices of one, since
+  each event must reach the clients before simulated time advances
+  past it);
+* :meth:`Pipeline.stream` — an outside source pushing contiguous
+  slices of the linearization with :meth:`feed`, closed by
+  :meth:`finish`; :meth:`Pipeline.replay` / :meth:`Pipeline.from_dump`
+  are that pipeline holding a recording (the paper's POET dump/reload
+  methodology), which :meth:`run` feeds slice by slice.  Slices flow
+  **batch-first** through
   :meth:`~repro.poet.server.POETServer.collect_batch` into the
   dispatcher's ``on_batch``, amortizing per-event dispatch overhead
-  while staying observably identical to per-event delivery (live
-  sources degenerate to slice size 1 because each event must reach the
-  clients before simulated time advances past it) —
+  while staying observably identical to per-event delivery —
 
 then configured fluently: :meth:`watch` adds pattern shards,
 :meth:`with_faults`, :meth:`with_holdback`, and
 :meth:`with_overload_control` insert the resilience stages,
 :meth:`record` taps the collection order, :meth:`restore`
-resumes from a checkpoint.  :meth:`run` wires the stages, drives the
-source to completion, flushes the resilience stages in order, and
-returns a :class:`PipelineResult`.
+resumes from a checkpoint.  All of them must come before the first
+delivery, which wires the stages; :meth:`run` / :meth:`finish` flush
+the resilience stages in order and return a :class:`PipelineResult`.
 """
 
 from __future__ import annotations
@@ -44,11 +47,7 @@ from repro.core.config import MatcherConfig
 from repro.core.matcher import MatchReport
 from repro.core.monitor import MatchCallback, Monitor, MonitorStats
 from repro.engine.cases import CASES, build_case
-from repro.engine.dispatch import (
-    CHECKPOINT_FORMAT,
-    NamedMatchCallback,
-    ShardedDispatcher,
-)
+from repro.engine.dispatch import ShardedDispatcher
 from repro.events.event import Event
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.server import ObsServer
@@ -62,7 +61,6 @@ from repro.poet.server import POETServer
 from repro.resilience.faults import FaultInjector, FaultPlan
 from repro.resilience.overload import (
     BAND_CHAFF,
-    BAND_STRUCTURAL,
     EventUtilityScorer,
     LoadShedder,
     OverloadDetector,
@@ -93,13 +91,11 @@ class PipelineResult:
     shedder: Optional[LoadShedder] = None
     #: True when the run was cut short by SIGTERM/``KeyboardInterrupt``
     #: and the pipeline shut down gracefully instead of unwinding
-    #: mid-batch (obs server stopped, stage metrics flushed).
+    #: mid-batch (obs server stopped, stage metrics flushed).  Its
+    #: :meth:`checkpoint` with the recorded stream is exactly a
+    #: crash-recovery pair — restore it into a fresh deployment and
+    #: replay the recording to converge.
     interrupted: bool = False
-    #: Set on an interrupted run when :meth:`Pipeline.record` was
-    #: configured: the dispatcher checkpoint taken at shutdown.  With
-    #: the recorded stream it is exactly a crash-recovery pair — restore
-    #: it into a fresh deployment and replay the recording to converge.
-    final_checkpoint: Optional[dict] = None
     #: Stage-axis telemetry surface (``None`` when observability is
     #: disabled).
     telemetry: Optional[PipelineTelemetry] = None
@@ -110,10 +106,6 @@ class PipelineResult:
 
     def __getitem__(self, name: str) -> Monitor:
         return self.dispatcher[name]
-
-    @property
-    def monitors(self) -> Dict[str, Monitor]:
-        return dict(self.dispatcher)
 
     @property
     def deadlocked(self) -> bool:
@@ -135,14 +127,11 @@ class PipelineResult:
     def signatures(self) -> Dict[str, tuple]:
         return self.dispatcher.signatures()
 
-    @property
-    def overload_detector(self) -> Optional[OverloadDetector]:
-        return self.shedder.detector if self.shedder is not None else None
-
     def checkpoint(self) -> dict:
-        """Sharded snapshot of the end-of-run matcher states; when an
-        overload stage ran, its shedder/detector snapshot rides along
-        under the ``overload`` key (the v1 format tolerates it)."""
+        """Sharded snapshot of the matcher states where the run ended
+        (finished or interrupted); when an overload stage ran, its
+        shedder/detector snapshot rides along under the ``overload``
+        key (the v1 format tolerates it)."""
         state = self.dispatcher.checkpoint()
         if self.shedder is not None:
             state["overload"] = self.shedder.snapshot()
@@ -152,9 +141,10 @@ class PipelineResult:
 class Pipeline:
     """A composable detection pipeline over one event source.
 
-    Build with one of the constructors, add stages fluently, then call
-    :meth:`run` exactly once.  Patterns must be watched before running
-    (a late shard would miss the prefix, like any late POET client).
+    Build with one of the constructors, add stages fluently, then drive
+    it exactly once (:meth:`run`, or :meth:`feed` … :meth:`finish`).
+    Every stage and pattern is added before the first delivery (a late
+    shard would miss the prefix, like any late POET client).
     """
 
     def __init__(
@@ -162,24 +152,19 @@ class Pipeline:
         server: POETServer,
         trace_names: Sequence[str],
         kernel: Optional[Kernel] = None,
-        workload: Optional[object] = None,
-        events: Optional[Sequence[Event]] = None,
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[SpanTracer] = None,
     ):
         self.server = server
         self.kernel = kernel
-        self.workload = workload
         self.trace_names = tuple(trace_names)
         self.registry = registry
         self.tracer = tracer
         #: The one transcoder of this pipeline (see :meth:`_transcode`).
         self._stream_encoder = StreamEncoder(len(self.trace_names))
-        self._events = (
-            None if events is None else self._transcode(list(events))
-        )
+        #: The recording :meth:`run` feeds (set by :meth:`replay`).
+        self._events: Optional[List[Event]] = None
         self._dispatcher: Optional[ShardedDispatcher] = None
-        self._named_on_match: Optional[NamedMatchCallback] = None
         self._fault_plan: Optional[FaultPlan] = None
         self._fault_seed = 0
         self._holdback_config: Optional[dict] = None
@@ -190,24 +175,19 @@ class Pipeline:
         #: latency tracker).
         self.overload_detector: Optional[OverloadDetector] = None
         self._server_config: Optional[dict] = None
-        #: Built during :meth:`run` when the registry is live.
+        #: Built when the stages wire, if the registry is live.
         self.telemetry: Optional[PipelineTelemetry] = None
-        #: Built during :meth:`run` when :meth:`with_server` was called.
+        #: Built when the stages wire, if :meth:`with_server` was called.
         self.obs_server: Optional[ObsServer] = None
-        #: Live stage references for the health endpoint (set in run()).
+        #: Live stage references for the health endpoint (set on wiring).
         self._active_holdback: Optional[HoldbackBuffer] = None
-        self._restore_state: Optional[dict] = None
-        self._ran = False
-        #: Streaming-source state (:meth:`stream` constructor): wired
-        #: lazily on the first :meth:`feed`, closed by :meth:`finish`.
-        self._streaming = False
+        #: Wired by the first delivery; closed by :meth:`finish`.
         self._wired = False
+        self._ran = False
         self._active_injector: Optional[FaultInjector] = None
         self._active_shedder: Optional[LoadShedder] = None
-        self._recorders: List[RecordingClient] = []
         #: Set by :meth:`for_case`: the case's pattern source, sized
-        #: for the workload (watch it via :meth:`watch_case`).
-        self.case_name: Optional[str] = None
+        #: for the workload.
         self.case_pattern: Optional[str] = None
 
     # ------------------------------------------------------------------
@@ -254,7 +234,6 @@ class Pipeline:
             server=server,
             trace_names=kernel.trace_names(),
             kernel=kernel,
-            workload=workload,
             registry=registry,
             tracer=tracer,
         )
@@ -269,16 +248,14 @@ class Pipeline:
         tracer: Optional[SpanTracer] = None,
     ) -> "Pipeline":
         """Build a named case study (see :data:`repro.engine.CASES`) as
-        the live source; its detection pattern is left unwatched —
-        attach it with :meth:`watch_case` (or any pattern with
-        :meth:`watch`)."""
+        the live source; its detection pattern, sized for the workload,
+        is left unwatched in ``case_pattern``."""
         if name not in CASES:
             raise KeyError(
                 f"unknown case {name!r}; known: {sorted(CASES)}"
             )
         workload, pattern_source = build_case(name, traces, seed)
         pipeline = cls.for_workload(workload, registry=registry, tracer=tracer)
-        pipeline.case_name = name
         pipeline.case_pattern = pattern_source
         return pipeline
 
@@ -291,31 +268,21 @@ class Pipeline:
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[SpanTracer] = None,
     ) -> "Pipeline":
-        """Use a recorded stream (a valid linearization, e.g. from
-        :meth:`record` or a dump file) as the source; delivery is
-        batch-first.
+        """A :meth:`stream` pipeline holding a recorded stream (a valid
+        linearization, e.g. from :meth:`record` or a dump file), which
+        :meth:`run` feeds slice by slice.
 
         A full-vector recording (a dump file, a
-        :class:`~repro.testing.Weaver` stream) is transcoded once at
-        construction — every non-receive event gets an O(1) encoded
-        timestamp sharing interned knowledge rows; a stream recorded
-        from a kernel is already stamped and passes through untouched.
-        Matcher output is bit-identical either way.
+        :class:`~repro.testing.Weaver` stream) is transcoded per slice
+        (see :meth:`feed`); a stream recorded from a kernel is already
+        stamped and passes through untouched.  Matcher output is
+        bit-identical either way.
         """
-        server = POETServer(
-            num_traces=len(trace_names),
-            trace_names=trace_names,
-            verify=verify,
-            registry=registry,
-            tracer=tracer,
+        pipeline = cls.stream(
+            trace_names, verify=verify, registry=registry, tracer=tracer
         )
-        return cls(
-            server=server,
-            trace_names=trace_names,
-            events=events,
-            registry=registry,
-            tracer=tracer,
-        )
+        pipeline._events = list(events)
+        return pipeline
 
     @classmethod
     def from_dump(
@@ -346,12 +313,8 @@ class Pipeline:
 
         This is the shape a network transport needs — the cluster
         worker's socket loop cannot hand the pipeline a finite source
-        up front.  Stages wire lazily on the first :meth:`feed` (so
-        every ``watch``/``with_*`` call still happens strictly before
-        delivery), and full-vector slices (wire batches) are transcoded
-        incrementally through one shared
-        :class:`~repro.clocks.encoded.StreamEncoder` — observably
-        identical to a one-shot :meth:`replay` of the concatenation.
+        up front.  Stages wire on the first :meth:`feed` (so every
+        ``watch``/``with_*`` call happens strictly before delivery).
         """
         server = POETServer(
             num_traces=len(trace_names),
@@ -360,14 +323,12 @@ class Pipeline:
             registry=registry,
             tracer=tracer,
         )
-        pipeline = cls(
+        return cls(
             server=server,
             trace_names=trace_names,
             registry=registry,
             tracer=tracer,
         )
-        pipeline._streaming = True
-        return pipeline
 
     @classmethod
     def distributed(
@@ -403,16 +364,15 @@ class Pipeline:
     # Stage configuration
     # ------------------------------------------------------------------
 
-    def on_match(self, callback: NamedMatchCallback) -> "Pipeline":
-        """Install a dispatcher-level callback receiving
-        ``(shard name, report)`` for every match of every shard.  Must
-        be called before the first :meth:`watch`."""
-        if self._dispatcher is not None:
+    def _configurable(self, method: str) -> None:
+        """The one "still configurable" guard: a stage, shard, tap or
+        restore added once delivery has wired the pipeline would never
+        see the stream's prefix (or never be inserted at all)."""
+        if self._wired:
             raise RuntimeError(
-                "on_match() must be set before the first watch()"
+                f"cannot {method}() after run()/feed(): what it adds "
+                "would have missed the whole stream"
             )
-        self._named_on_match = callback
-        return self
 
     def watch(
         self,
@@ -422,10 +382,9 @@ class Pipeline:
         record_timings: bool = True,
         on_match: Optional[MatchCallback] = None,
     ) -> Monitor:
-        """Add a pattern shard; returns its monitor."""
-        if self._ran or self._wired:
-            raise RuntimeError("cannot watch() after run()/feed(): the "
-                               "shard would have missed the whole stream")
+        """Add a pattern shard; returns its monitor.  ``on_match``
+        receives each of its reports."""
+        self._configurable("watch")
         if self._overload_config is not None:
             # Shards downstream of a shedder must tolerate stream
             # holes; while no event is actually shed the matcher's
@@ -442,27 +401,11 @@ class Pipeline:
             on_match=on_match,
         )
 
-    def watch_case(
-        self,
-        config: Optional[MatcherConfig] = None,
-        record_timings: bool = True,
-        on_match: Optional[MatchCallback] = None,
-    ) -> Monitor:
-        """Watch the built-in pattern of a :meth:`for_case` pipeline."""
-        if self.case_name is None or self.case_pattern is None:
-            raise RuntimeError("watch_case() needs a for_case() pipeline")
-        return self.watch(
-            self.case_name,
-            self.case_pattern,
-            config=config,
-            record_timings=record_timings,
-            on_match=on_match,
-        )
-
     def with_faults(self, plan: FaultPlan, seed: int = 0) -> "Pipeline":
         """Insert a seeded :class:`FaultInjector` stage downstream of
         the server (faults perturb *delivery to the monitors*; the
         server's store keeps the true collection order)."""
+        self._configurable("with_faults")
         if self._fault_plan is not None:
             raise RuntimeError("pipeline already has a fault stage")
         self._fault_plan = plan
@@ -479,6 +422,7 @@ class Pipeline:
         """Insert a causal :class:`HoldbackBuffer` stage in front of
         the dispatcher (repairs repairable fault kinds, detects the
         rest as stalls)."""
+        self._configurable("with_holdback")
         if self._holdback_config is not None:
             raise RuntimeError("pipeline already has a hold-back stage")
         self._holdback_config = {
@@ -492,9 +436,7 @@ class Pipeline:
     def with_overload_control(
         self,
         detector: Optional[OverloadDetector] = None,
-        scorer: Optional[EventUtilityScorer] = None,
         shed_band: int = BAND_CHAFF,
-        critical_band: int = BAND_STRUCTURAL,
         max_drop_rate: Optional[float] = None,
         latency_profile=None,
         record_kept: bool = False,
@@ -510,13 +452,14 @@ class Pipeline:
 
         ``detector`` defaults to a fresh
         :class:`~repro.resilience.overload.OverloadDetector` with
-        default thresholds; ``scorer`` defaults to an
+        default thresholds.  Events are scored by an
         :class:`~repro.resilience.overload.EventUtilityScorer` over
-        every watched shard, and is also handed to the hold-back
+        every watched shard, which is also handed to the hold-back
         buffer so its ``shed`` overflow policy evicts least-useful
         first.  See :class:`~repro.resilience.overload.LoadShedder`
         for the remaining knobs.
         """
+        self._configurable("with_overload_control")
         if self._overload_config is not None:
             raise RuntimeError("pipeline already has an overload stage")
         if self._dispatcher is not None:
@@ -529,9 +472,7 @@ class Pipeline:
                 registry=self.registry, tracer=self.tracer
             )
         self._overload_config = {
-            "scorer": scorer,
             "shed_band": shed_band,
-            "critical_band": critical_band,
             "max_drop_rate": max_drop_rate,
             "latency_profile": latency_profile,
             "record_kept": record_kept,
@@ -555,6 +496,7 @@ class Pipeline:
         ``obs_server.stop()`` (or let the daemon thread die with the
         process) when done.
         """
+        self._configurable("with_server")
         if self._server_config is not None:
             raise RuntimeError("pipeline already has a scrape server")
         if self._dispatcher is not None:
@@ -602,33 +544,31 @@ class Pipeline:
     def record(self) -> RecordingClient:
         """Tap the server's collection order (the true linearization,
         upstream of any fault stage); returns the recorder."""
+        self._configurable("record")
         recorder = RecordingClient()
         self.server.connect(recorder)
-        self._recorders.append(recorder)
         return recorder
 
     def restore(self, state: dict) -> "Pipeline":
-        """Resume from a checkpoint: either a sharded dispatcher
-        snapshot or a single monitor checkpoint (then exactly one shard
-        must be watched).  Restored shards skip already-delivered
-        events, so running the pipeline over the full recorded stream
-        converges to the uninterrupted run."""
+        """Resume from a sharded checkpoint
+        (:meth:`PipelineResult.checkpoint`; a single monitor resumes
+        with :meth:`Monitor.restore`).  Restored shards skip
+        already-delivered events, so running the pipeline over the full
+        recorded stream converges to the uninterrupted run.  A checkpoint carrying shedder state needs
+        an overload stage to restore it into."""
+        self._configurable("restore")
         if self._dispatcher is None or len(self.dispatcher) == 0:
             raise RuntimeError("restore() needs the shards watched first")
         if "overload" in state:
-            # The shedder is built during run(); stash its snapshot.
+            if self._overload_config is None:
+                raise ValueError(
+                    "the checkpoint's 'overload' section needs a pipeline "
+                    "with an overload stage (with_overload_control())"
+                )
+            # The shedder is built when the stages wire; stash its snapshot.
             self._overload_restore = state["overload"]
             state = {k: v for k, v in state.items() if k != "overload"}
-        if state.get("format") == CHECKPOINT_FORMAT:
-            self.dispatcher.restore(state)
-        else:
-            shards = list(self.dispatcher)
-            if len(shards) != 1:
-                raise ValueError(
-                    "a single-monitor checkpoint needs exactly one shard, "
-                    f"got {len(shards)}"
-                )
-            shards[0][1].restore(state)
+        self.dispatcher.restore(state)
         return self
 
     # ------------------------------------------------------------------
@@ -641,7 +581,6 @@ class Pipeline:
         if self._dispatcher is None:
             self._dispatcher = ShardedDispatcher(
                 self.trace_names,
-                on_match=self._named_on_match,
                 registry=self.registry,
                 tracer=self.tracer,
             )
@@ -671,9 +610,9 @@ class Pipeline:
         return self._stream_encoder.extend(events)
 
     def _wire(self) -> None:
-        """Build and connect the stage chain (exactly once): telemetry,
-        shedder, hold-back, fault injector, scrape server — everything
-        :meth:`run` historically assembled before driving the source."""
+        """Build and connect the stage chain (exactly once, at the first
+        delivery): telemetry, shedder, hold-back, fault injector, scrape
+        server."""
         if self._wired:
             return
         self._wired = True
@@ -693,23 +632,14 @@ class Pipeline:
         if self._overload_config is not None:
             if dispatcher is None or len(dispatcher) == 0:
                 raise RuntimeError("an overload stage needs a watched shard")
-            overload = self._overload_config
-            scorer = overload["scorer"]
-            if scorer is None:
-                scorer = EventUtilityScorer(
-                    [monitor for _, monitor in dispatcher]
-                )
+            scorer = EventUtilityScorer([monitor for _, monitor in dispatcher])
             shedder = LoadShedder(
                 tail,
                 scorer,
                 self.overload_detector,
-                shed_band=overload["shed_band"],
-                critical_band=overload["critical_band"],
-                max_drop_rate=overload["max_drop_rate"],
-                latency_profile=overload["latency_profile"],
-                record_kept=overload["record_kept"],
                 registry=self.registry,
                 tracer=self.tracer,
+                **self._overload_config,
             )
             if self._overload_restore is not None:
                 shedder.restore(self._overload_restore)
@@ -799,9 +729,10 @@ class Pipeline:
         outcome: Optional[object],
         interrupted: bool = False,
     ) -> PipelineResult:
-        """Flush the resilience stages (skipped on an interrupted run —
-        a repair flush mid-stream would deliver out of causal order),
-        flush stage metrics, and assemble the result."""
+        """Close the pipeline: flush the resilience stages (skipped on an
+        interrupted run — a repair flush mid-stream would deliver out of
+        causal order), flush stage metrics, and assemble the result."""
+        self._ran = True
         injector = self._active_injector
         holdback = self._active_holdback
         telemetry = self.telemetry
@@ -817,10 +748,7 @@ class Pipeline:
             telemetry.mark_finished()
             telemetry.refresh()
 
-        final_checkpoint = None
         if interrupted:
-            if self._recorders and self._dispatcher is not None:
-                final_checkpoint = self.checkpoint_document()
             # A graceful shutdown leaves nothing listening: callers of
             # an uninterrupted run may keep scraping the end-of-run
             # state, but an interrupted process is on its way out.
@@ -838,16 +766,7 @@ class Pipeline:
             telemetry=telemetry,
             obs_server=self.obs_server,
             interrupted=interrupted,
-            final_checkpoint=final_checkpoint,
         )
-
-    def checkpoint_document(self) -> dict:
-        """Whole-deployment checkpoint of the current shard states
-        (the ``ocep-sharded-checkpoint-v1`` document)."""
-        state = self.dispatcher.checkpoint()
-        if self._active_shedder is not None:
-            state["overload"] = self._active_shedder.snapshot()
-        return state
 
     def run(
         self,
@@ -857,69 +776,56 @@ class Pipeline:
         """Wire the stages, drive the source to completion, flush the
         resilience stages, and return the result.
 
-        ``max_events`` bounds the live simulation (or truncates a
-        replay).  ``batch_size`` sets the replay slice size
-        (default :data:`DEFAULT_BATCH_SIZE`); live sources always
-        deliver slices of one.  A pipeline runs exactly once.
+        A live pipeline runs its kernel for at most ``max_events``; a
+        :meth:`replay` pipeline hands the first ``max_events`` of its
+        recording to :meth:`feed` in slices of ``batch_size`` (default
+        :data:`DEFAULT_BATCH_SIZE`) and then finishes.  A
+        pipeline runs exactly once.
 
         Shutdown is graceful: SIGTERM (when running on the main
         thread) and ``KeyboardInterrupt`` stop the source at the next
         delivery boundary instead of unwinding mid-batch — stage
-        metrics are flushed, the scrape server is stopped, and when
-        :meth:`record` was configured the result carries a final
-        whole-deployment checkpoint (``result.final_checkpoint``) that,
-        paired with the recording, recovers the run exactly.
+        metrics are flushed, the scrape server is stopped, and
+        ``result.checkpoint()`` paired with the recording recovers the
+        run exactly.
         """
-        if self._ran:
+        if self._wired:
             raise RuntimeError("a Pipeline runs once; build a fresh one")
-        if self._streaming:
+        size = batch_size if batch_size is not None else DEFAULT_BATCH_SIZE
+        if size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {size}")
+        if self.kernel is None and self._events is None:
             raise RuntimeError(
-                "a stream() pipeline is driven with feed()/finish()"
+                "pipeline has no source: a stream() pipeline is driven "
+                "with feed()/finish()"
             )
-        self._ran = True
         self._wire()
 
         outcome = None
         interrupted = False
         with _graceful_sigterm():
             try:
-                if self._events is not None:
-                    events = self._events
-                    if max_events is not None:
-                        events = events[:max_events]
-                    size = (batch_size if batch_size is not None
-                            else DEFAULT_BATCH_SIZE)
-                    if size < 1:
-                        raise ValueError(
-                            f"batch_size must be >= 1, got {size}"
-                        )
-                    collect_batch = self.server.collect_batch
-                    for start in range(0, len(events), size):
-                        collect_batch(events[start:start + size])
-                elif self.workload is not None:
-                    outcome = self.workload.run(max_events=max_events)
-                elif self.kernel is not None:
+                if self.kernel is not None:
                     outcome = self.kernel.run(max_events=max_events)
                 else:
-                    raise RuntimeError("pipeline has no source")
+                    events = self._events[:max_events]
+                    for start in range(0, len(events), size):
+                        self.feed(events[start:start + size])
             except KeyboardInterrupt:
                 interrupted = True
-
         return self._finalize(outcome, interrupted=interrupted)
 
-    # ------------------------------------------------------------------
-    # Streaming drive (stream() pipelines)
-    # ------------------------------------------------------------------
-
     def feed(self, events: Sequence[Event]) -> int:
-        """Deliver the next slice of the linearization (stream mode).
+        """Deliver the next slice of the linearization (not on a live
+        pipeline, whose kernel is the source).
 
         Wires the stages on first use; a full-vector slice is
         transcoded first (see :meth:`_transcode`).  Returns the number
         of events delivered.
         """
-        if not self._streaming:
-            raise RuntimeError("feed() needs a stream() pipeline")
+        if self.kernel is not None:
+            raise RuntimeError("feed() on a live pipeline: its kernel is "
+                               "the source, drive it with run()")
         if self._ran:
             raise RuntimeError("stream already finished")
         self._wire()
@@ -929,14 +835,10 @@ class Pipeline:
         return len(events)
 
     def finish(self) -> PipelineResult:
-        """Close a stream-mode pipeline: flush the resilience stages,
-        flush stage metrics, and return the result (idempotent guard —
-        a stream finishes once)."""
-        if not self._streaming:
-            raise RuntimeError("finish() needs a stream() pipeline")
+        """Close a fed stream: flush the resilience stages, flush stage
+        metrics, and return the result (a stream finishes once)."""
         if self._ran:
             raise RuntimeError("stream already finished")
-        self._ran = True
         self._wire()  # an empty stream still yields a well-formed result
         return self._finalize(outcome=None)
 

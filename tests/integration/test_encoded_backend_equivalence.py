@@ -29,7 +29,7 @@ def _record(case, seed):
     trace names, and the live pipeline's signatures."""
     pipeline = Pipeline.for_case(case, traces=TRACES, seed=seed)
     recorder = pipeline.record()
-    pipeline.watch_case()
+    pipeline.watch(case, pipeline.case_pattern)
     result = pipeline.run(max_events=MAX_EVENTS)
     return recorder.events, pipeline.trace_names, result.signatures()
 

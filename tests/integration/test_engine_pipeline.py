@@ -147,40 +147,29 @@ class TestResilienceStages:
 
 
 class TestGracefulShutdown:
-    """Satellite of the cluster PR: SIGTERM/``KeyboardInterrupt`` stop
-    the drive at a delivery boundary instead of unwinding, and — when
-    the run was recorded — the result carries a final whole-deployment
-    checkpoint that recovers the run exactly."""
+    """SIGTERM/``KeyboardInterrupt`` stop the drive at a delivery
+    boundary instead of unwinding, and the interrupted result's
+    checkpoint recovers the run exactly."""
 
     def _interrupting_pipeline(self, events, names, after_matches):
         count = {"matches": 0}
 
-        def interrupt(_name, _report):
+        def interrupt(_report):
             count["matches"] += 1
             if count["matches"] >= after_matches:
                 raise KeyboardInterrupt
 
-        pipeline = Pipeline.replay(events, names).on_match(interrupt)
+        pipeline = Pipeline.replay(events, names)
         for name, source in case_patterns(TRACES).items():
-            pipeline.watch(name, source)
+            pipeline.watch(name, source, on_match=interrupt)
         return pipeline
 
     def test_interrupt_is_graceful_and_checkpointed(self):
         events, names = _record_case("race", 3, max_events=600)
         pipeline = self._interrupting_pipeline(events, names, 15)
-        pipeline.record()
         result = pipeline.run(batch_size=64)  # does NOT raise
         assert result.interrupted
-        assert result.final_checkpoint is not None
-        assert result.final_checkpoint["format"].startswith("ocep-sharded")
-
-    def test_interrupt_without_recording_has_no_checkpoint(self):
-        events, names = _record_case("race", 3, max_events=600)
-        result = self._interrupting_pipeline(events, names, 15).run(
-            batch_size=64
-        )
-        assert result.interrupted
-        assert result.final_checkpoint is None
+        assert result.checkpoint()["format"].startswith("ocep-sharded")
 
     @pytest.mark.parametrize("seed", [0, 6])
     def test_interrupted_checkpoint_recovers_exactly(self, seed):
@@ -191,11 +180,11 @@ class TestGracefulShutdown:
             uninterrupted.watch(name, source)
         baseline = uninterrupted.run()
 
-        pipeline = self._interrupting_pipeline(events, names, 10)
-        pipeline.record()
-        cut = pipeline.run(batch_size=64)
+        cut = self._interrupting_pipeline(events, names, 10).run(
+            batch_size=64
+        )
         assert cut.interrupted
-        state = json.loads(json.dumps(cut.final_checkpoint))
+        state = json.loads(json.dumps(cut.checkpoint()))
 
         recovered = Pipeline.replay(events, names)
         for name, source in case_patterns(TRACES).items():

@@ -70,7 +70,7 @@ class TestDisabledPathIdentity:
         assert result.shedder is not None
         assert result.shedder.shed_total == 0
         assert result.shedder.offered_total == len(events)
-        assert result.overload_detector.state is OverloadState.NORMAL
+        assert result.shedder.detector.state is OverloadState.NORMAL
         assert wired_monitor.reports == plain_monitor.reports
         assert (
             wired_monitor.subset.signature()
@@ -134,7 +134,7 @@ class TestForcedShedding:
         pipeline.with_holdback(stall_watermark=32)
         result = pipeline.run()
         # The probe polls holdback.pending_count per offered event.
-        assert result.overload_detector.backlog_ema is not None
+        assert result.shedder.detector.backlog_ema is not None
         assert result.leftover == []
 
     def test_backlog_probe_reads_the_depth_after_each_slice(self):
@@ -190,9 +190,26 @@ class TestShedderCheckpoint:
         # The restored detector resumes engaged (no fresh observations
         # arrive to disengage it) and the recovered subset converges to
         # the uninterrupted shedding run's.
-        assert result.overload_detector.state is OverloadState.SHEDDING
+        assert result.shedder.detector.state is OverloadState.SHEDDING
         assert result.shedder.shed_total > 0
         assert monitor.subset.signature() == oracle.subset.signature()
+
+    def test_restore_without_an_overload_stage_refuses_shedder_state(self):
+        """Restoring shedder state into a deployment with no shedder
+        would resume a gapped history as a complete stream."""
+        events, pattern, names = _recorded()
+        first = Pipeline.replay(list(events[:300]), names)
+        first.with_overload_control(
+            detector=forced_shedding_detector(), shed_band=BAND_STRUCTURAL,
+        )
+        first.watch("m", pattern, record_timings=False)
+        state = json.loads(json.dumps(first.run().checkpoint()))
+        assert state["overload"]["shed"] > 0
+
+        plain = Pipeline.replay(list(events), names)
+        plain.watch("m", pattern, record_timings=False)
+        with pytest.raises(ValueError, match="'overload'"):
+            plain.restore(state)
 
 
 class TestHarnesses:

@@ -84,11 +84,38 @@ class TestPipelineLifecycle:
         with pytest.raises(RuntimeError, match="missed the whole stream"):
             pipeline.watch("late", AB)
 
-    def test_on_match_after_watch_raises(self):
-        pipeline = Pipeline.replay(_ab_stream(), TRACES)
+    @pytest.mark.parametrize("method, args", [
+        ("watch", ("late", BA)),
+        ("with_faults", (FaultPlan.drop(0.5),)),
+        ("with_holdback", ()),
+        ("with_overload_control", ()),
+        ("with_server", ()),
+        ("record", ()),
+        ("restore", ({"format": CHECKPOINT_FORMAT, "shards": {}},)),
+    ])
+    @pytest.mark.parametrize("drive", ["feed", "run"])
+    def test_configuring_a_driven_pipeline_raises(self, method, args, drive):
+        """A stage added after delivery began would never be inserted
+        (or would miss the prefix): every configuration method refuses,
+        naming itself, instead of being silently ignored."""
+        events = _ab_stream()
+        pipeline = Pipeline.replay(events, TRACES)
         pipeline.watch("ab", AB)
-        with pytest.raises(RuntimeError, match="before the first watch"):
-            pipeline.on_match(lambda name, report: None)
+        if drive == "feed":
+            pipeline.feed(events[:4])
+        else:
+            pipeline.run()
+        with pytest.raises(RuntimeError, match=rf"cannot {method}\(\)"):
+            getattr(pipeline, method)(*args)
+        if drive == "feed":
+            result = pipeline.finish()
+            assert result.injector is None and result.holdback is None
+            assert result.shedder is None and result.obs_server is None
+
+    def test_feed_on_a_live_pipeline_raises(self):
+        pipeline = Pipeline.for_case("race", traces=3, seed=0)
+        with pytest.raises(RuntimeError, match="live pipeline"):
+            pipeline.feed(_ab_stream())
 
     def test_restore_without_shards_raises(self):
         pipeline = Pipeline.replay(_ab_stream(), TRACES)
@@ -230,33 +257,6 @@ class TestDispatcherCheckpoint:
         with pytest.raises(ValueError, match="not watched here"):
             partial.restore(state)
 
-    def test_pipeline_restore_single_monitor_checkpoint(self):
-        events = _ab_stream()
-        prefix = Monitor.from_source(AB, TRACES)
-        for event in events[:5]:
-            prefix.on_event(event)
-        state = json.loads(json.dumps(prefix.checkpoint()))
-
-        pipeline = Pipeline.replay(events, TRACES)
-        monitor = pipeline.watch("ab", AB)
-        pipeline.restore(state)
-        pipeline.run()
-
-        oracle = Monitor.from_source(AB, TRACES)
-        for event in events:
-            oracle.on_event(event)
-        assert monitor.subset.signature() == oracle.subset.signature()
-        assert monitor.stats() == oracle.stats()
-
-    def test_pipeline_restore_single_checkpoint_needs_one_shard(self):
-        prefix = Monitor.from_source(AB, TRACES)
-        state = prefix.checkpoint()
-        pipeline = Pipeline.replay(_ab_stream(), TRACES)
-        pipeline.watch("ab", AB)
-        pipeline.watch("ba", BA)
-        with pytest.raises(ValueError, match="exactly one shard"):
-            pipeline.restore(state)
-
 
 class TestSharedStreamFront:
     """One index, one epoch row, one route table per deployment."""
@@ -366,12 +366,11 @@ class TestSharedStreamFront:
     def test_interrupt_leaves_every_shard_at_the_same_position(self):
         events = _ab_stream()
 
-        def interrupt(name, _report):
-            if name == "ab":
-                raise KeyboardInterrupt
+        def interrupt(_report):
+            raise KeyboardInterrupt
 
-        dispatcher = ShardedDispatcher(TRACES, on_match=interrupt)
-        dispatcher.watch("ab", AB)
+        dispatcher = ShardedDispatcher(TRACES)
+        dispatcher.watch("ab", AB, on_match=interrupt)
         dispatcher.watch("ba", BA)
         with pytest.raises(KeyboardInterrupt):
             dispatcher.on_batch(events)

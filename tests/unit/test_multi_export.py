@@ -36,9 +36,10 @@ class TestDispatcherFanOut:
     def test_named_callback(self):
         w = _stream()
         seen = []
-        multi = ShardedDispatcher(["P0", "P1"], on_match=lambda n, r: seen.append(n))
-        multi.watch("order", AB)
-        multi.watch("conc", CONC)
+        multi = ShardedDispatcher(["P0", "P1"])
+        for name, source in (("order", AB), ("conc", CONC)):
+            multi.watch(name, source,
+                        on_match=lambda r, n=name: seen.append(n))
         for event in w.events:
             multi.on_event(event)
         assert seen == ["order"]
