@@ -39,8 +39,7 @@ patterns, and reporting:
     The one deployment checker: record each case's stream per seed and
     run every requested deployment cell — the undisturbed sharded pass,
     ``--faults`` plans behind the hold-back stage, a ``--crash`` cut and
-    restore, ``--shed`` rates or the burst profile, ``--workers N``
-    processes (``--kill`` SIGKILLs one mid-stream) — against the same
+    restore, ``--shed`` rates or the burst profile — against the same
     stream undisturbed, per event, one pattern at a time; shedding is
     judged against the brute-force oracle.  Exit status 1 when any cell
     fails, 2 for a combination no cell checks.
@@ -359,8 +358,7 @@ def _parse_seeds(text: str) -> list:
 
 def cmd_check(args: argparse.Namespace) -> int:
     try:
-        cells = deployments(args.faults or (), args.crash, args.shed or (),
-                            args.workers, args.kill)
+        cells = deployments(args.faults or (), args.crash, args.shed or ())
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -512,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "check",
-        help="check deployment cells (faults, crash, shedding, workers) "
+        help="check deployment cells (faults, crash, shedding) "
              "against the undisturbed reference",
     )
     p.add_argument("case", choices=sorted(CASES) + ["all"],
@@ -537,11 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shed", type=_parse_shed, metavar="RATES|burst",
                    help="shed at these drop rates, or under the burst "
                         "latency profile, in every repairable cell")
-    p.add_argument("--workers", type=_nonnegative_int, default=0,
-                   help="run the pass through this many worker processes")
-    p.add_argument("--kill", action="store_true",
-                   help="SIGKILL a shard-owning worker mid-stream "
-                        "(needs --workers)")
     p.add_argument("--json", metavar="FILE",
                    help="also write every cell as JSON")
     p.add_argument("--trace-out", metavar="FILE",

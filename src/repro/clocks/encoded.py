@@ -418,8 +418,8 @@ def encode_events(
 
     Everything except the ``clock`` field is preserved, so match output
     downstream is bit-identical to the full-clock stream.  Incremental
-    callers (the cluster worker's streaming pipeline) keep a
-    :class:`StreamEncoder` instead.
+    callers (a :meth:`~repro.engine.Pipeline.stream` pipeline's
+    ``feed``) keep a :class:`StreamEncoder` instead.
     """
     encoder = StreamEncoder(num_traces, frame)
     return encoder.extend(events), encoder.frame

@@ -20,9 +20,9 @@ matches, counters and subsets of N independent single-pattern runs
 from __future__ import annotations
 
 import contextlib
-import zlib
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.core.checkpoint import CheckpointError
 from repro.core.config import MatcherConfig
 from repro.core.front import StreamFront
 from repro.core.monitor import MatchCallback, Monitor, MonitorStats
@@ -33,35 +33,6 @@ from repro.poet.client import POETClient
 
 #: Format tag of a sharded checkpoint document.
 CHECKPOINT_FORMAT = "ocep-sharded-checkpoint-v1"
-
-
-def shard_worker(name: str, num_workers: int) -> int:
-    """The deployment's shard-routing policy: which worker owns shard
-    ``name`` in a ``num_workers``-wide deployment.
-
-    This is the single hash policy shared by every runtime that splits
-    a shard set across execution units — the in-process
-    :class:`ShardedDispatcher` (trivially: one unit owns everything)
-    and the multi-process :mod:`repro.cluster` coordinator.  It must be
-    **stable across processes and runs** (so a respawned worker claims
-    the same shards and a checkpoint re-shards deterministically),
-    which rules out the salted builtin ``hash``; CRC-32 of the UTF-8
-    shard name is used instead.
-    """
-    if num_workers < 1:
-        raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-    return zlib.crc32(name.encode("utf-8")) % num_workers
-
-
-def worker_shards(names: Sequence[str], num_workers: int) -> List[List[str]]:
-    """Apply :func:`shard_worker` to a whole shard set: the shard names
-    owned by each worker, in the input order.  Workers owning no shard
-    get an empty list (an *empty shard* — they still consume the stream
-    so an elastic re-shard can hand them patterns later)."""
-    assignment: List[List[str]] = [[] for _ in range(num_workers)]
-    for name in names:
-        assignment[shard_worker(name, num_workers)].append(name)
-    return assignment
 
 
 class _Shard:
@@ -323,36 +294,45 @@ class ShardedDispatcher(POETClient):
             "shards": {name: mon.checkpoint() for name, mon in self},
         }
 
-    def restore(self, state: dict, partial: bool = False) -> None:
+    def restore(self, state: dict) -> None:
         """Load a :meth:`checkpoint` into this dispatcher's shards.
 
-        Every shard named in the snapshot must already be watched (with
-        the same pattern), and none may have processed events.  Shards
-        watched here but absent from the snapshot stay fresh — they
-        will consume the stream from its start, like any new pattern.
-
-        With ``partial=True`` snapshot shards *not* watched here are
-        skipped instead of raising — the elastic re-sharding mode: a
-        whole-deployment checkpoint written at one shard layout can be
-        restored into a deployment where this dispatcher owns only a
-        subset of the shard set (each unit of the new layout restores
-        its own slice; slices restored nowhere are simply recomputed
-        from the stream by whichever fresh shard watches them).
+        The document must be for this dispatcher's trace names, every
+        shard it names must already be watched (with the same pattern),
+        and none may have processed events.  Shards watched here but
+        absent from the snapshot stay fresh — they will consume the
+        stream from its start, like any new pattern.  A document that
+        does not fit raises :class:`~repro.core.checkpoint.CheckpointError`
+        naming the field.
         """
-        if state.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(
-                f"not a {CHECKPOINT_FORMAT} document: "
-                f"format={state.get('format')!r}"
+        if not isinstance(state, dict):
+            raise CheckpointError(
+                f"a sharded checkpoint is a JSON object, "
+                f"got {type(state).__name__}"
             )
-        shards = state["shards"]
-        missing = [name for name in shards if name not in self]
-        if missing and not partial:
-            raise ValueError(
-                f"checkpoint names shards not watched here: {sorted(missing)}"
+        if state.get("format") != CHECKPOINT_FORMAT:
+            raise CheckpointError(
+                f"format: not a {CHECKPOINT_FORMAT} document: "
+                f"{state.get('format')!r}"
+            )
+        if state.get("trace_names") != list(self.trace_names):
+            raise CheckpointError(
+                f"trace_names: the checkpoint is for "
+                f"{state.get('trace_names')!r}, this dispatcher for "
+                f"{list(self.trace_names)!r}"
+            )
+        shards = state.get("shards")
+        if not isinstance(shards, dict):
+            raise CheckpointError(
+                f"shards: expected an object of shard states, "
+                f"got {type(shards).__name__}"
+            )
+        missing = sorted(name for name in shards if name not in self)
+        if missing:
+            raise CheckpointError(
+                f"shards: checkpoint names shards not watched here: {missing}"
             )
         for name, shard_state in shards.items():
-            if partial and name not in self:
-                continue
             self[name].restore(shard_state)
 
     # ------------------------------------------------------------------
@@ -383,6 +363,4 @@ def _past_watermark(
 __all__ = [
     "CHECKPOINT_FORMAT",
     "ShardedDispatcher",
-    "shard_worker",
-    "worker_shards",
 ]

@@ -311,10 +311,10 @@ class Pipeline:
         linearization are pushed with :meth:`feed` as they arrive, and
         :meth:`finish` closes the stream and returns the result.
 
-        This is the shape a network transport needs — the cluster
-        worker's socket loop cannot hand the pipeline a finite source
-        up front.  Stages wire on the first :meth:`feed` (so every
-        ``watch``/``with_*`` call happens strictly before delivery).
+        This is the shape a live transport needs, one that cannot hand
+        the pipeline a finite source up front.  Stages wire on the
+        first :meth:`feed` (so every ``watch``/``with_*`` call happens
+        strictly before delivery).
         """
         server = POETServer(
             num_traces=len(trace_names),
@@ -328,36 +328,6 @@ class Pipeline:
             trace_names=trace_names,
             registry=registry,
             tracer=tracer,
-        )
-
-    @classmethod
-    def distributed(
-        cls,
-        events: Sequence[Event],
-        trace_names: Sequence[str],
-        workers: int = 2,
-        **cluster_options,
-    ):
-        """A multi-process deployment over a recorded stream: the
-        :mod:`repro.cluster` coordinator spawns ``workers`` shard
-        processes (each running a :meth:`stream` pipeline), routes
-        watched shards to them with the
-        :func:`~repro.engine.dispatch.shard_worker` hash policy, and
-        streams the events over the length-prefixed POET wire transport
-        with credit-based back-pressure.
-
-        Returns a :class:`~repro.cluster.coordinator.ClusterPipeline`
-        mirroring the fluent surface here (``watch`` / ``restore`` /
-        ``run``); extra keyword arguments reach the
-        :class:`~repro.cluster.coordinator.ClusterCoordinator`.
-        """
-        from repro.cluster.coordinator import ClusterPipeline
-
-        return ClusterPipeline(
-            events=events,
-            trace_names=trace_names,
-            workers=workers,
-            **cluster_options,
         )
 
     # ------------------------------------------------------------------
@@ -417,7 +387,6 @@ class Pipeline:
         capacity: Optional[int] = None,
         overflow: str = "raise",
         stall_watermark: Optional[int] = None,
-        raise_on_stall: bool = False,
     ) -> "Pipeline":
         """Insert a causal :class:`HoldbackBuffer` stage in front of
         the dispatcher (repairs repairable fault kinds, detects the
@@ -429,7 +398,6 @@ class Pipeline:
             "capacity": capacity,
             "overflow": overflow,
             "stall_watermark": stall_watermark,
-            "raise_on_stall": raise_on_stall,
         }
         return self
 

@@ -1,8 +1,7 @@
 """Embedded scrape server: live ``/metrics`` over a running pipeline.
 
 Every exporter so far is post-hoc — a snapshot taken after the run
-finishes.  A production monitor (and the ROADMAP's multi-process
-scale-out, whose workers are observable only over the wire) needs the
+finishes.  A production monitor needs the
 pull model instead: an HTTP endpoint a Prometheus scraper, a readiness
 probe, or a human with ``curl`` can hit *while the pipeline runs*.
 
@@ -101,8 +100,8 @@ class ObsServer:
         self._requested_port = port
         #: The actually bound port, cached at :meth:`start` so the
         #: ephemeral-port case (``port=0``) stays reportable even after
-        #: :meth:`stop` tears the socket down (result banners and
-        #: cluster workers read it post-run).
+        #: :meth:`stop` tears the socket down (result banners read it
+        #: post-run).
         self._bound_port: Optional[int] = None
         self._httpd: Optional[ThreadingHTTPServer] = None
         self._thread: Optional[threading.Thread] = None

@@ -11,9 +11,7 @@ builder:
 * a fault plan (``with_faults`` + ``with_holdback``);
 * a crash: a cut, a checkpoint, a JSON round trip and ``restore``;
 * a shed rate or the burst profile (``with_overload_control``), alone
-  or behind a repairable fault plan;
-* ``workers`` processes, optionally with a mid-stream ``kill``
-  (``Pipeline.distributed``).
+  or behind a repairable fault plan.
 
 There is one reference rule: the same stream with every disturbance
 removed, per event, one pattern at a time.  Shedding is the exception
@@ -53,7 +51,6 @@ from repro.core.config import MatcherConfig
 from repro.core.monitor import Monitor
 from repro.core.oracle import enumerate_matches
 from repro.engine.cases import CASES, case_patterns
-from repro.engine.dispatch import shard_worker
 from repro.engine.pipeline import Pipeline
 from repro.events.event import Event
 from repro.obs.metrics import MetricsRegistry
@@ -73,8 +70,7 @@ FAULTS = ("reorder", "delay", "duplicate", "drop")
 #: brute-force enumeration; the four paper cases end well below this.
 DEFAULT_EVENTS = 3000
 
-#: Replay slice size of the tested pass (events per EVENTS frame with
-#: worker processes).
+#: Replay slice size of the tested pass.
 BATCH_SIZE = 128
 
 #: Arrivals without release before the hold-back buffer declares a stall.
@@ -95,19 +91,10 @@ class Deployment:
     crash: bool = False
     #: A drop rate in (0, 1), ``"burst"``, or ``None`` (no shedding).
     shed: Union[None, float, str] = None
-    workers: int = 0
-    kill: bool = False
 
     def __post_init__(self) -> None:
         if self.fault != "none" and self.fault not in FAULTS:
             raise ValueError(f"unknown fault kind {self.fault!r}")
-        if self.kill and not self.workers:
-            raise ValueError("--kill needs --workers N: an in-process pass "
-                             "has no worker to kill")
-        if self.workers and (self.fault != "none" or self.crash
-                             or self.shed is not None):
-            raise ValueError("--workers checks the plain sharded pass; it "
-                             "takes no --faults, --crash or --shed")
         if self.shed is not None and self.fault == "drop":
             raise ValueError("drop is not repairable: --shed composes only "
                              "with repairable faults")
@@ -117,9 +104,6 @@ class Deployment:
     @property
     def name(self) -> str:
         parts = []
-        if self.workers:
-            parts.append(f"workers{self.workers}"
-                         + ("+kill" if self.kill else ""))
         if self.shed == "burst":
             parts.append("burst")
         elif self.shed is not None:
@@ -135,18 +119,15 @@ def deployments(
     faults: Sequence[str] = (),
     crash: bool = False,
     shed: Sequence[Union[float, str]] = (),
-    workers: int = 0,
-    kill: bool = False,
 ) -> List[Deployment]:
     """The cells of one ``ocep check`` run: the undisturbed pass, one
     cell per fault kind (``all`` = every kind) and one crash cell; each
     shed setting then composes with every repairable cell.  ``all``
     leaves drop unshed; naming drop next to ``shed`` raises."""
     kinds = FAULTS if "all" in faults else tuple(faults)
-    cell = functools.partial(Deployment, workers=workers, kill=kill)
-    base = [cell()] + [cell(fault=kind) for kind in kinds]
+    base = [Deployment()] + [Deployment(fault=kind) for kind in kinds]
     shedable = [d for d in base if d.fault != "drop" or "all" not in faults]
-    cells = base + ([cell(crash=True)] if crash else [])
+    cells = base + ([Deployment(crash=True)] if crash else [])
     cells += [dataclasses.replace(d, shed=s) for s in shed for d in shedable]
     return cells
 
@@ -222,7 +203,6 @@ class CellReport:
     matches: int
     #: Faults injected plus events shed (1 for a crash).
     injected: int
-    restarts: int
     #: Utility and count-matched random recall (``recall`` rows only).
     recall: Optional[float]
     random_recall: Optional[float]
@@ -375,13 +355,11 @@ def run_cell(
             case=recording.case, seed=recording.seed,
             deployment=deployment.name, verdict="equal", ok=False,
             events=len(recording.events), matches=0, injected=0,
-            restarts=0, recall=None, random_recall=None, detail="",
+            recall=None, random_recall=None, detail="",
         )
         try:
             if deployment.shed is not None:
                 _judge_recall(recording, deployment, tracer, row)
-            elif deployment.workers:
-                _judge_workers(recording, deployment, row)
             elif deployment.crash:
                 _judge_crash(recording, deployment, tracer, row)
             else:
@@ -441,28 +419,6 @@ def _judge_crash(recording, deployment, tracer, row) -> None:
     row.injected = 1
     _equal(row, _diff(recording, result, reports=False),
            f"crashed@{cut}, restored and replayed to the reference")
-
-
-def _judge_workers(recording, deployment, row) -> None:
-    events, workers = recording.events, deployment.workers
-    tested = Pipeline.distributed(events, recording.names, workers=workers)
-    options: Dict[str, object] = {"batch_size": BATCH_SIZE}
-    if deployment.kill:
-        kill_batch = max(2, -(-len(events) // BATCH_SIZE) // 2)
-        # A checkpoint lands before the kill, so recovery restores real
-        # matcher state rather than replaying a fresh worker.
-        options["checkpoint_every"] = max(1, kill_batch - 1)
-        victim = shard_worker(next(iter(recording.patterns)), workers)
-        options["kill_worker_after"] = (victim, kill_batch)
-    for name, source in recording.patterns.items():
-        tested.watch(name, source)
-    result = tested.run(**options)
-    row.restarts = result.restarts
-    mismatches = _diff(recording, result, reports=not deployment.kill)
-    if deployment.kill and result.restarts < 1:
-        mismatches.append(f"expected a worker restart, saw {result.restarts}")
-    _equal(row, mismatches, f"identical to the reference "
-                            f"({result.restarts} restarts)")
 
 
 def _shed_baseline(recording, shed, tracer) -> tuple:

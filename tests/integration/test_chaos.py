@@ -145,8 +145,7 @@ class TestChaosMatrix:
          ("race", Deployment(crash=True)),
          ("race", Deployment(shed=0.2)),
          ("race", Deployment(fault="reorder", shed=0.2)),
-         ("race", Deployment(shed="burst")),
-         ("race", Deployment(workers=2))],
+         ("race", Deployment(shed="burst"))],
         ids=lambda value: getattr(value, "name", value),
     )
     def test_every_verdict_kind_serialises_to_the_same_row_keys(

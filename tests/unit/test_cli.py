@@ -415,49 +415,3 @@ class TestStatsTraceInJson:
         )
         assert "us" not in line
 
-
-class TestClusterCommand:
-    """``ocep check --workers N [--kill]``."""
-
-    def test_parser_defaults(self):
-        args = build_parser().parse_args(["check", "race",
-                                          "--workers", "2"])
-        assert args.workers == 2
-        assert args.seeds == list(range(10))
-        assert args.max_events == 3000
-        assert args.kill is False
-        assert args.faults is None and args.shed is None
-
-    def test_equivalence_cell_passes(self, tmp_path, capsys):
-        import json
-
-        report_file = tmp_path / "cluster.json"
-        rc = main(
-            ["check", "race", "--traces", "4", "--seeds", "0",
-             "--max-events", "400", "--workers", "2",
-             "--json", str(report_file)]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "1/1 cells passed" in out
-        document = json.loads(report_file.read_text())
-        assert document["ok"] is True
-        assert document["rows"][0]["deployment"] == "workers2"
-        assert document["rows"][0]["restarts"] == 0
-
-    def test_kill_cell_recovers(self, capsys):
-        rc = main(
-            ["check", "ordering", "--traces", "4", "--seeds", "0",
-             "--max-events", "400", "--workers", "2", "--kill"]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "workers2+kill" in out
-        assert "1/1 cells passed" in out
-        assert "(1 restarts)" in out
-
-    def test_kill_needs_workers(self, capsys):
-        assert build_parser().parse_args(["check", "race"]).workers == 0
-        rc = main(["check", "race", "--seeds", "0", "--kill"])
-        assert rc == 2
-        assert "--kill needs --workers" in capsys.readouterr().err

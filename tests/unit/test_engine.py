@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.core.checkpoint import CheckpointError
 from repro.core.config import MatcherConfig
 from repro.core.monitor import Monitor
 from repro.engine import (
@@ -46,6 +47,22 @@ def _ab_stream():
 
 
 TRACES = ["P0", "P1", "P2"]
+
+
+@pytest.fixture(scope="module")
+def race_midpoint():
+    """A 600-event race recording and a four-shard checkpoint of its
+    first half, round-tripped through JSON as a crash would."""
+    source = Pipeline.for_case("race", traces=4, seed=2)
+    recorder = source.record()
+    source.run(max_events=600)
+    events, names = list(recorder.events), list(source.trace_names)
+    prefix = Pipeline.replay(events[: len(events) // 2], names)
+    for name, pattern in case_patterns(4).items():
+        prefix.watch(name, pattern)
+    state = json.loads(json.dumps(prefix.run().checkpoint()))
+    assert len(state["shards"]) == 4
+    return events, names, state
 
 
 class TestCaseRegistry:
@@ -256,6 +273,59 @@ class TestDispatcherCheckpoint:
         partial.watch("ab", AB)
         with pytest.raises(ValueError, match="not watched here"):
             partial.restore(state)
+
+    @pytest.mark.parametrize(
+        "document, field",
+        [
+            ([], "JSON object"),
+            ({"format": "something-else"}, "format"),
+            ({"format": CHECKPOINT_FORMAT, "shards": {}}, "trace_names"),
+            ({"format": CHECKPOINT_FORMAT, "trace_names": ["P0"],
+              "shards": {}}, "trace_names"),
+            ({"format": CHECKPOINT_FORMAT, "trace_names": TRACES},
+             "shards"),
+            ({"format": CHECKPOINT_FORMAT, "trace_names": TRACES,
+              "shards": None}, "shards"),
+            ({"format": CHECKPOINT_FORMAT, "trace_names": TRACES,
+              "shards": ["ab"]}, "shards"),
+            ({"format": CHECKPOINT_FORMAT, "trace_names": TRACES,
+              "shards": {"zz": {}}}, "shards"),
+        ],
+        ids=["list", "format", "no-trace-names", "other-trace-names",
+             "no-shards", "null-shards", "list-shards", "unwatched-shard"],
+    )
+    def test_malformed_document_names_the_field(self, document, field):
+        # A checkpoint file can hold anything that parses as JSON.
+        pipeline = Pipeline.stream(TRACES)
+        pipeline.watch("ab", AB)
+        with pytest.raises(CheckpointError, match=field):
+            pipeline.restore(document)
+
+    def test_full_restore_refuses_foreign_shards(self, race_midpoint):
+        # A deployment watching one of the four checkpointed shards.
+        events, names, state = race_midpoint
+        name, source = next(iter(case_patterns(4).items()))
+        unit = Pipeline.replay(events, names)
+        unit.watch(name, source)
+        with pytest.raises(ValueError, match="not watched here"):
+            unit.restore(state)
+
+    def test_shard_missing_from_snapshot_stays_fresh(self, race_midpoint):
+        # The snapshot covers three shards; the fourth is a new pattern
+        # that recomputes from the stream start and still lands on the
+        # uninterrupted run.
+        events, names, state = race_midpoint
+        patterns = case_patterns(4)
+        trimmed = json.loads(json.dumps(state))
+        del trimmed["shards"][sorted(trimmed["shards"])[0]]
+        baseline, unit = (Pipeline.replay(events, names) for _ in range(2))
+        for name, source in patterns.items():
+            baseline.watch(name, source)
+            unit.watch(name, source)
+        unit.restore(trimmed)
+        expected, result = baseline.run(), unit.run()
+        assert result.signatures() == expected.signatures()
+        assert result.stats() == expected.stats()
 
 
 class TestSharedStreamFront:

@@ -124,7 +124,7 @@ class TestEndpoints:
         server.stop()
         assert not server.running
         # The last bound port stays reportable after stop (result
-        # banners and cluster RESULT frames read it post-run).
+        # banners read it post-run).
         assert server.port == port
         assert port > 0
 
@@ -245,9 +245,8 @@ class TestMidRunScrape:
 
 
 class TestEphemeralPort:
-    """``port=0`` must always surface the *actual* bound port — the
-    cluster workers and result banners report it, sometimes after the
-    server already stopped."""
+    """``port=0`` must always surface the *actual* bound port — result
+    banners report it, sometimes after the server already stopped."""
 
     def test_port_zero_reports_bound_port(self):
         registry = MetricsRegistry()
