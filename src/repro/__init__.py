@@ -31,7 +31,7 @@ from repro.core import (
     SweepMode,
     enumerate_matches,
 )
-from repro.events import CompoundEvent, Event, EventId, EventKind, EventStore, Trace
+from repro.events import CompoundEvent, Event, EventId, EventKind
 from repro.obs import (
     NULL_REGISTRY,
     MetricsRegistry,
@@ -79,8 +79,6 @@ __all__ = [
     "Event",
     "EventId",
     "EventKind",
-    "Trace",
-    "EventStore",
     "CompoundEvent",
     "POETServer",
     "POETClient",

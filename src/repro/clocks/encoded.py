@@ -25,7 +25,7 @@ row[epoch][t]``, so the constant-time predicates of
 :mod:`repro.clocks.causality` (``happens_before`` / ``concurrent`` /
 ``compare``) work unchanged — the clock is a drop-in for
 :class:`~repro.clocks.vector_clock.VectorClock` everywhere the matcher,
-the event store, and the domain-pruning index index into it.
+the POET server's checks, and the domain-pruning index index into it.
 
 Cost profile (the Zheng/Garg optimum for this access pattern):
 
@@ -392,9 +392,9 @@ class StreamEncoder:
                 if prev != epoch:
                     # Verify the receive actually advanced this trace's
                     # knowledge and certify the transition, so the event
-                    # store's append-time dominance check is a set lookup.
+                    # server's collect-time dominance check is a set lookup.
                     # A non-dominating (corrupt) transition is left
-                    # uncertified — the store's full check still catches it.
+                    # uncertified — the server's full check still catches it.
                     if all(a <= b for a, b in zip(frame.row(prev), row)):
                         frame._dominated.add((prev, epoch))
                 epochs[trace] = epoch

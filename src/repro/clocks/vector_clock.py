@@ -19,7 +19,7 @@ happens before ``a`` (0 if none).  The OCEP matcher's domain pruning
 (paper, Figures 4 and 5) relies on exactly this property.
 
 Instances are immutable and hashable so they can be freely shared
-between the event store, pattern-tree histories, and partial matches
+between events, pattern-tree histories, and partial matches
 without defensive copying.
 """
 

@@ -374,7 +374,8 @@ class Pipeline:
     def with_faults(self, plan: FaultPlan, seed: int = 0) -> "Pipeline":
         """Insert a seeded :class:`FaultInjector` stage downstream of
         the server (faults perturb *delivery to the monitors*; the
-        server's store keeps the true collection order)."""
+        server checks the true collection order, and :meth:`record`
+        taps it)."""
         self._configurable("with_faults")
         if self._fault_plan is not None:
             raise RuntimeError("pipeline already has a fault stage")
@@ -655,10 +656,8 @@ class Pipeline:
             telemetry.set_count_probe(
                 "source", lambda: poet_server.num_events
             )
+            # The server retains nothing: its queue depth stays 0.
             telemetry.set_count_probe("poet", lambda: poet_server.num_events)
-            # The POET store retains the full collected stream — its
-            # size is the stage's "retained events" depth.
-            telemetry.set_queue_probe("poet", lambda: poet_server.num_events)
             if dispatcher is not None:
                 telemetry.set_count_probe(
                     "monitors",

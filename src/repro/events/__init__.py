@@ -1,4 +1,4 @@
-"""The event model: primitive events, traces, stores, compound events.
+"""The event model: primitive events and compound events.
 
 Paper Section III: a distributed computation is a finite set of
 sequential processes communicating only by message passing.  The
@@ -17,9 +17,6 @@ precedence) follow Nichols' framework as summarised in Section III-B.
 """
 
 from repro.events.event import Event, EventId, EventKind, event_from_record
-from repro.events.trace import Trace
-from repro.events.store import EventStore
-from repro.events.soa import ArrayEventStore
 from repro.events.compound import (
     CompoundEvent,
     compound_concurrent,
@@ -37,9 +34,6 @@ __all__ = [
     "EventId",
     "EventKind",
     "event_from_record",
-    "Trace",
-    "EventStore",
-    "ArrayEventStore",
     "CompoundEvent",
     "overlaps",
     "disjoint",

@@ -69,8 +69,8 @@ class EventId:
 class Event:
     """An immutable primitive event.
 
-    Slotted: every event of the computation lives in the server store,
-    the leaf histories, and the hold-back buffer at once, so there is
+    Slotted: an event can live in the leaf histories, the hold-back
+    buffer and a recording at once, so there is
     no per-instance ``__dict__`` (pinned in ``tests/unit/test_event.py``;
     the memory it saves shows in the benchmark's ``peak_rss_mb``).
 

@@ -15,7 +15,7 @@ shared :class:`~repro.obs.metrics.MetricsRegistry`:
   stage (throughput);
 * ``ocep_stage_queue_depth{stage=...}`` — events currently queued or
   retained inside the stage (hold-back pending, fault-injector delay
-  queue, POET store size);
+  queue; 0 for the POET server, which retains nothing);
 * ``ocep_stage_latency_seconds{stage=...}`` — wall time one delivery
   spent from this stage's entry hook onward (**inclusive** of
   downstream stages: the outermost stage's histogram is end-to-end

@@ -6,9 +6,11 @@ stores the partial-order relationships among them, and can deliver
 events to a client as a *linearization of the partial order*.  This
 package reimplements the slice of POET that OCEP uses:
 
-* :class:`~repro.poet.server.POETServer` — collects events, stores
-  them grouped by trace, and forwards them to connected clients in a
-  causally consistent order;
+* :class:`~repro.poet.server.POETServer` — checks and counts each
+  collected event (it keeps none: POET's store serves its GUI, and a
+  :class:`~repro.poet.client.RecordingClient` or the dump keeps the
+  stream here) and forwards it to connected clients in a causally
+  consistent order;
 * :class:`~repro.poet.client.POETClient` — the client interface OCEP's
   monitor implements;
 * :mod:`~repro.poet.linearize` — linearization construction and

@@ -154,7 +154,8 @@ def replay(path: PathLike, verify: bool = False) -> POETServer:
 
     Callers typically connect their monitor first and then feed the
     events through :meth:`POETServer.collect`; this convenience loads
-    and collects in one step for store-oriented uses.
+    and collects in one step (the returned server has checked and
+    counted the dump).
     """
     events, num_traces, trace_names = load_events(path)
     server = POETServer(num_traces, trace_names, verify=verify)

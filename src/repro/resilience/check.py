@@ -276,9 +276,10 @@ def replay_gapped_monitor(
     pattern_source: str,
     trace_names: Sequence[str],
 ) -> Monitor:
-    """A fresh gap-tolerant monitor fed ``events`` directly (no
-    server/store stage: the stores validate per-trace contiguity, and
-    a shedded stream legitimately has holes)."""
+    """A fresh gap-tolerant monitor fed ``events`` directly, around
+    the pipeline: a shedded stream legitimately has holes, and the POET
+    server rejects an index gap by design (it is the source's boundary;
+    only stages downstream of it may create gaps)."""
     monitor = Monitor.from_source(
         pattern_source, trace_names,
         config=MatcherConfig(complete_stream=False),

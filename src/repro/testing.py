@@ -38,7 +38,7 @@ from repro.clocks.vector_clock import VectorClock
 from repro.events.event import Event, EventKind
 
 #: The Weaver's two stamping modes.  The runtime (Kernel, Pipeline,
-#: POETServer) stamps and stores encoded clocks only; the
+#: POETServer) stamps and checks encoded clocks only; the
 #: Weaver is the one producer of full Fidge/Mattern streams, kept so
 #: tests can diff the two representations.
 CLOCK_BACKENDS = ("fidge", "encoded")

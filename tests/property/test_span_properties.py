@@ -16,7 +16,7 @@ from repro.core.monitor import Monitor
 from repro.events import EventKind
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SIM_PID, SpanTracer, validate_trace_events
-from repro.poet import instrument
+from repro.poet import RecordingClient, instrument
 from repro.simulation import Kernel
 from repro.workloads import message_race_pattern
 
@@ -39,6 +39,8 @@ def run_traced_kernel(num_processes, seed, with_semaphore):
         tracer=tracer,
     )
     server.connect(monitor)
+    recorder = RecordingClient()
+    server.connect(recorder)
 
     def body(p):
         rng = p.rng
@@ -60,7 +62,7 @@ def run_traced_kernel(num_processes, seed, with_semaphore):
     for pid in range(num_processes):
         kernel.spawn(pid, body)
     kernel.run(max_events=400)
-    return kernel, server, monitor, tracer, registry
+    return kernel, server, monitor, tracer, registry, recorder
 
 
 class TestSpanInvariants:
@@ -71,7 +73,7 @@ class TestSpanInvariants:
     )
     @settings(max_examples=25, deadline=None)
     def test_trace_is_structurally_valid(self, num_processes, seed, semaphore):
-        _, _, _, tracer, _ = run_traced_kernel(num_processes, seed, semaphore)
+        _, _, _, tracer, _, _ = run_traced_kernel(num_processes, seed, semaphore)
         # validate_trace_events raises on ill-nested spans, overlapping
         # sim slices, unmatched flows, or unclosed spans.
         counts = validate_trace_events(tracer.events())
@@ -83,7 +85,7 @@ class TestSpanInvariants:
     )
     @settings(max_examples=25, deadline=None)
     def test_flow_send_precedes_receive_in_sim_time(self, num_processes, seed):
-        _, _, _, tracer, _ = run_traced_kernel(num_processes, seed, True)
+        _, _, _, tracer, _, _ = run_traced_kernel(num_processes, seed, True)
         starts = {}
         for event in tracer.events():
             if event.get("ph") == "s":
@@ -98,7 +100,7 @@ class TestSpanInvariants:
     )
     @settings(max_examples=25, deadline=None)
     def test_sim_slices_agree_with_kernel_accounting(self, num_processes, seed):
-        kernel, server, _, tracer, _ = run_traced_kernel(
+        _, server, _, tracer, _, recorder = run_traced_kernel(
             num_processes, seed, True
         )
         slices = [e for e in tracer.events() if e.get("ph") == "X"]
@@ -109,7 +111,7 @@ class TestSpanInvariants:
             assert s["pid"] == SIM_PID
             per_trace[s["tid"]] = per_trace.get(s["tid"], 0) + 1
         for trace, count in per_trace.items():
-            assert count == len(server.store.trace(trace))
+            assert count == sum(1 for e in recorder.events if e.trace == trace)
 
     @given(
         st.integers(min_value=2, max_value=5),
@@ -117,18 +119,12 @@ class TestSpanInvariants:
     )
     @settings(max_examples=25, deadline=None)
     def test_flows_match_message_sends(self, num_processes, seed):
-        _, server, _, tracer, _ = run_traced_kernel(num_processes, seed, False)
-        sends = sum(
-            1
-            for trace in range(server.store.num_traces)
-            for event in server.store.trace(trace)
-            if event.kind is EventKind.SEND
+        _, _, _, tracer, _, recorder = run_traced_kernel(
+            num_processes, seed, False
         )
+        sends = sum(1 for e in recorder.events if e.kind is EventKind.SEND)
         receives = sum(
-            1
-            for trace in range(server.store.num_traces)
-            for event in server.store.trace(trace)
-            if event.kind is EventKind.RECEIVE
+            1 for e in recorder.events if e.kind is EventKind.RECEIVE
         )
         # Every send opens a flow; every receive (whose send was
         # instrumented) closes one.
@@ -144,7 +140,7 @@ class TestSpanInvariants:
     def test_span_counts_agree_with_registry_counters(
         self, num_processes, seed
     ):
-        _, server, monitor, tracer, registry = run_traced_kernel(
+        _, server, monitor, tracer, registry, _ = run_traced_kernel(
             num_processes, seed, True
         )
         events = tracer.events()

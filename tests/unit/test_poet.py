@@ -1,9 +1,14 @@
 """Unit tests for the POET substrate: server, linearization, dump/reload."""
 
+import gc
 import json
+import tracemalloc
 
 import pytest
 
+from repro.clocks import ClockFrame, VectorClock
+from repro.events import Event, EventKind
+from repro.obs import MetricsRegistry
 from repro.poet import (
     CallbackClient,
     POETClient,
@@ -17,7 +22,7 @@ from repro.poet import (
 )
 from repro.poet.dumpfile import DumpFormatError
 from repro.poet.server import DeliveryOrderError
-from repro.testing import Weaver
+from repro.testing import Weaver, random_computation
 
 
 def _sample_stream():
@@ -110,8 +115,6 @@ class TestFanOutConsistency:
         return Exploding()
 
     def test_other_clients_still_receive_and_error_propagates(self):
-        from repro.obs import MetricsRegistry
-
         _, events = _sample_stream()
         registry = MetricsRegistry()
         server = POETServer(3, verify=True, registry=registry)
@@ -139,7 +142,7 @@ class TestFanOutConsistency:
 
     def test_verified_order_state_survives_client_failure(self):
         """After a client error the server can keep collecting in
-        order: _delivered was advanced for the delivered event."""
+        order: the delivered event was counted."""
         _, events = _sample_stream()
         server = POETServer(3, verify=True)
         server.connect(self._exploding_client(fail_on=1))
@@ -148,6 +151,236 @@ class TestFanOutConsistency:
         for e in events[1:]:
             server.collect(e)  # must not raise DeliveryOrderError
         assert server.num_events == len(events)
+
+
+def _event(frame, trace, index, components):
+    """A unary event stamped in ``frame`` (hand-built streams)."""
+    return Event(trace=trace, index=index, etype="e", text="",
+                 clock=frame.encode(components, trace), kind=EventKind.UNARY)
+
+
+def _regressive_pair():
+    """Two same-trace events whose second clock loses knowledge."""
+    frame = ClockFrame(3)
+    return _event(frame, 1, 1, (0, 1, 5)), _event(frame, 1, 2, (0, 2, 3))
+
+
+class TestServerValidation:
+    """The server is the source's boundary: it rejects an event whose
+    trace is out of range, whose index is not the next one on its
+    trace, or whose clock does not dominate its predecessor's."""
+
+    def test_trace_count_validation(self):
+        with pytest.raises(ValueError):
+            POETServer(0)
+        with pytest.raises(ValueError):
+            POETServer(2, trace_names=["only-one"])
+
+    def test_out_of_range_trace_rejected(self):
+        weaver = random_computation(seed=0, num_traces=3, steps=10)
+        server = POETServer(2)
+        bad = next(e for e in weaver.events if e.trace == 2)
+        with pytest.raises(ValueError, match="out of range"):
+            server.collect(bad)
+        assert server.num_events == 0
+
+    @pytest.mark.parametrize("verify", [False, True])
+    def test_negative_trace_rejected(self, verify):
+        # ``Event`` refuses a negative trace; a corrupted object that
+        # got past it must not wrap to the last trace's count.
+        event = Weaver(2).local(0)
+        object.__setattr__(event, "trace", -1)
+        server = POETServer(2, verify=verify)
+        with pytest.raises(ValueError, match="out of range"):
+            server.collect(event)
+        assert server.num_events == 0
+
+    def test_validates_contiguity(self):
+        w = Weaver(1)
+        first = w.local(0)
+        second = w.local(0)
+        server = POETServer(1)
+        with pytest.raises(ValueError, match="expected event index 1, got 2"):
+            server.collect(second)
+        server.collect(first)
+        with pytest.raises(ValueError, match="expected event index 2, got 1"):
+            server.collect(first)
+        server.collect(second)
+        assert server.num_events == 2
+
+    def test_rejects_non_dominating_clock(self):
+        good, bad = _regressive_pair()
+        server = POETServer(3)
+        server.collect(good)
+        with pytest.raises(ValueError, match="does not dominate"):
+            server.collect(bad)
+        assert server.num_events == 1
+
+    def test_batch_rejects_non_dominating_clock(self):
+        good, bad = _regressive_pair()
+        server = POETServer(3)
+        recorder = RecordingClient()
+        server.connect(recorder)
+        with pytest.raises(ValueError, match="does not dominate"):
+            server.collect_batch([good, bad])
+        assert server.num_events == 1  # the valid prefix was counted
+        assert recorder.events == [good]  # ... and delivered
+
+    def test_foreign_clocks_are_interned(self):
+        """Full vectors and clocks of another frame are checked on
+        knowledge rows interned into the server's frame."""
+        server = POETServer(3)
+        server.collect(Event(trace=1, index=1, etype="a", text="",
+                             clock=VectorClock((0, 1, 5))))
+        with pytest.raises(ValueError, match="does not dominate"):
+            server.collect(Event(trace=1, index=2, etype="b", text="",
+                                 clock=VectorClock((0, 2, 3))))
+        other = ClockFrame(3)
+        server.collect(_event(other, 1, 2, (1, 2, 5)))
+        with pytest.raises(ValueError, match="does not dominate"):
+            server.collect(_event(other, 1, 3, (1, 3, 4)))
+        assert server.num_events == 2
+
+    @pytest.mark.parametrize("backend", ["fidge", "encoded"])
+    def test_batch_matches_per_event(self, backend):
+        weaver = random_computation(
+            seed=5, num_traces=4, steps=80, clock_backend=backend
+        )
+        outcomes = []
+        for batch in (True, False):
+            server = POETServer(4, verify=True)
+            recorder = RecordingClient()
+            server.connect(recorder)
+            if batch:
+                server.collect_batch(weaver.events)
+            else:
+                for event in weaver.events:
+                    server.collect(event)
+            outcomes.append((server.num_events, recorder.events))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0] == (len(weaver.events), weaver.events)
+
+    @pytest.mark.parametrize("failure", ["index-gap", "trace-range",
+                                         "non-dominating"])
+    def test_count_exact_after_rejected_batch(self, failure):
+        """A slice rejected part-way counts and delivers its valid
+        prefix, whichever check rejects it."""
+        # One frame a trace wider than the server: the bad trace id
+        # then arrives with a clock of the adopted frame.
+        frame = ClockFrame(3)
+        prefix = [_event(frame, 0, 1, (1, 4, 0)),
+                  _event(frame, 0, 2, (2, 4, 0)),
+                  _event(frame, 0, 3, (3, 4, 0))]
+        bad = {
+            "index-gap": _event(frame, 0, 5, (5, 4, 0)),
+            "trace-range": _event(frame, 2, 1, (3, 4, 1)),
+            "non-dominating": _event(frame, 0, 4, (4, 3, 0)),
+        }[failure]
+        server = POETServer(2)
+        recorder = RecordingClient()
+        server.connect(recorder)
+        with pytest.raises(ValueError):
+            server.collect_batch(prefix + [bad])
+        assert server.num_events == 3
+        assert recorder.events == prefix
+
+
+class TestRejectedSlice:
+    """A slice rejected at its k-th event does what k - 1 single
+    ``collect`` calls and the failing one do: events 1..k-1 are counted
+    and delivered, the error is raised, the next correct event is
+    accepted."""
+
+    FRAME = ClockFrame(3)
+    PREFIX = [_event(FRAME, 0, 1, (1, 0, 0)), _event(FRAME, 0, 2, (2, 0, 0)),
+              _event(FRAME, 1, 1, (0, 1, 0)), _event(FRAME, 1, 2, (2, 2, 0)),
+              _event(FRAME, 0, 3, (3, 0, 0))]
+    NEXT = _event(FRAME, 1, 3, (2, 3, 0))
+    BAD = {
+        "index-gap": _event(FRAME, 1, 4, (2, 4, 0)),
+        "trace-range": _event(ClockFrame(4), 3, 1, (0, 0, 0, 1)),
+        "non-dominating": _event(FRAME, 1, 3, (1, 3, 0)),
+        # Knows a fourth event of trace 0 that was never delivered.
+        "delivery-order": _event(FRAME, 1, 3, (4, 3, 0)),
+    }
+
+    def _run(self, failure, verify, batch):
+        registry = MetricsRegistry()
+        server = POETServer(3, verify=verify, registry=registry)
+        recorder = RecordingClient()
+        server.connect(recorder)
+        events = self.PREFIX + [self.BAD[failure]]
+        with pytest.raises((ValueError, DeliveryOrderError)) as excinfo:
+            if batch:
+                server.collect_batch(events)
+            else:
+                for event in events:
+                    server.collect(event)
+        error = (type(excinfo.value), str(excinfo.value))
+        counted = server.num_events
+        server.collect(self.NEXT)  # the next correct event is accepted
+        metrics = {m.name: m.value for m in registry.metrics()}
+        return error, counted, server.num_events, recorder.events, metrics
+
+    @pytest.mark.parametrize("failure, verify", [
+        ("index-gap", False), ("index-gap", True),
+        ("trace-range", False), ("trace-range", True),
+        ("non-dominating", False), ("non-dominating", True),
+        ("delivery-order", True),
+    ])
+    def test_batch_agrees_with_per_event(self, failure, verify):
+        batch = self._run(failure, verify, batch=True)
+        single = self._run(failure, verify, batch=False)
+        assert batch == single
+        error, counted, after, delivered, metrics = batch
+        if failure == "delivery-order":
+            assert error[0] is DeliveryOrderError
+        assert counted == len(self.PREFIX)
+        assert after == len(self.PREFIX) + 1
+        assert delivered == self.PREFIX + [self.NEXT]
+        assert metrics["poet_events_collected_total"] == after
+        assert metrics["poet_deliveries_total"] == after
+
+
+class _Discard(POETClient):
+    def on_event(self, event):
+        pass
+
+    def on_batch(self, events):
+        pass
+
+
+def _bytes_held_by_poet_and_events():
+    # A full collection also empties the interpreter's free lists,
+    # whose parked objects would otherwise count as held.
+    gc.collect()
+    snapshot = tracemalloc.take_snapshot().filter_traces([
+        tracemalloc.Filter(True, "*repro/poet/*"),
+        tracemalloc.Filter(True, "*repro/events/*"),
+    ])
+    return sum(stat.size for stat in snapshot.statistics("filename"))
+
+
+def test_server_state_does_not_grow_with_the_stream():
+    """Collecting ten times more events leaves the server holding no
+    more memory: it counts events, it does not keep them."""
+    events = random_computation(
+        seed=3, num_traces=4, steps=22_000, clock_backend="encoded"
+    ).events
+    server = POETServer(4)
+    server.connect(_Discard())
+    tracemalloc.start()
+    try:
+        for start in range(0, 2_000, 250):
+            server.collect_batch(events[start:start + 250])
+        held_2k = _bytes_held_by_poet_and_events()
+        for start in range(2_000, 22_000, 250):
+            server.collect_batch(events[start:start + 250])
+        held_22k = _bytes_held_by_poet_and_events()
+    finally:
+        tracemalloc.stop()
+    assert server.num_events == 22_000
+    assert held_22k <= held_2k
 
 
 class TestLinearize:
