@@ -300,6 +300,14 @@ class POETServer:
     # ------------------------------------------------------------------
 
     @property
+    def frame(self) -> Optional[ClockFrame]:
+        """The clock frame events are checked in: the first encoded
+        clock's frame, adopted as is, or one of the server's own when
+        the stream starts with a full vector; ``None`` before the first
+        event."""
+        return self._frame
+
+    @property
     def num_events(self) -> int:
         """Total events accepted so far (the per-trace counts' sum)."""
         return sum(self._count)

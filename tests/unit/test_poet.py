@@ -176,13 +176,35 @@ class TestServerValidation:
         with pytest.raises(ValueError):
             POETServer(2, trace_names=["only-one"])
 
-    def test_out_of_range_trace_rejected(self):
+    def test_trace_names_validated_against_count(self):
+        with pytest.raises(ValueError, match="got 3 names for 2 traces"):
+            POETServer(2, trace_names=["a", "b", "c"])
+        server = POETServer(2, trace_names=["leader", "follower"])
+        assert server.num_events == 0
+
+    @pytest.mark.parametrize("verify", [False, True])
+    def test_out_of_range_trace_rejected(self, verify):
+        event = Weaver(3).local(2)
+        server = POETServer(2, verify=verify)
+        with pytest.raises(ValueError, match="out of range"):
+            server.collect(event)
+        assert server.num_events == 0
+
+    def test_validates_trace_range(self):
+        """Events of a trace the server does not have are rejected one
+        by one; the others are all accepted."""
         weaver = random_computation(seed=0, num_traces=3, steps=10)
         server = POETServer(2)
-        bad = next(e for e in weaver.events if e.trace == 2)
-        with pytest.raises(ValueError, match="out of range"):
-            server.collect(bad)
-        assert server.num_events == 0
+        rejected = 0
+        for event in weaver.events:
+            if event.trace < 2:
+                server.collect(event)
+                continue
+            with pytest.raises(ValueError, match="out of range"):
+                server.collect(event)
+            rejected += 1
+        assert rejected > 0
+        assert server.num_events == len(weaver.events) - rejected
 
     @pytest.mark.parametrize("verify", [False, True])
     def test_negative_trace_rejected(self, verify):
@@ -198,15 +220,31 @@ class TestServerValidation:
     def test_validates_contiguity(self):
         w = Weaver(1)
         first = w.local(0)
-        second = w.local(0)
         server = POETServer(1)
-        with pytest.raises(ValueError, match="expected event index 1, got 2"):
-            server.collect(second)
         server.collect(first)
         with pytest.raises(ValueError, match="expected event index 2, got 1"):
             server.collect(first)
+        assert server.num_events == 1
+
+    def test_validates_contiguous_indices(self):
+        w = Weaver(1)
+        first = w.local(0)
+        second = w.local(0)
+        server = POETServer(1)
+        with pytest.raises(ValueError, match="expected event index 1, got 2"):
+            server.collect(second)  # skipped index 1
+        server.collect(first)
         server.collect(second)
         assert server.num_events == 2
+
+    def test_encoded_frame_is_adopted_not_copied(self):
+        weaver = random_computation(
+            seed=5, num_traces=4, steps=80, clock_backend="encoded"
+        )
+        server = POETServer(4)
+        assert server.frame is None
+        server.collect_batch(weaver.events)
+        assert server.frame is weaver.clock_frame
 
     def test_rejects_non_dominating_clock(self):
         good, bad = _regressive_pair()
