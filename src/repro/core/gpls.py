@@ -40,6 +40,8 @@ Column = Tuple[List[int], List[int]]
 # Every column nothing was folded into yet shares this one (read-only).
 _EMPTY: Column = ([], [])
 
+_RECEIVE = EventKind.RECEIVE
+
 
 class CausalIndex:
     """Incremental GP/LS index over a stream of events.
@@ -98,7 +100,7 @@ class CausalIndex:
 
         # Only a clock merge can raise a remote column; merges happen
         # exclusively at receive events, so everything else is O(1).
-        if event.kind is EventKind.RECEIVE:
+        if event.kind is _RECEIVE:
             clock = event.clock
             # The knowledge row is the raw remote-component view for
             # both backends: the encoded clock's interned row (own

@@ -171,47 +171,53 @@ class Monitor(POETClient):
 
     def on_event(self, event: Event) -> None:
         """Process one delivered event (the POET client hook)."""
-        self._handle((event,))
+        matcher = self.matcher
+        before = matcher.events_processed
+        reports = self._match(event)
+        self._settle(matcher.events_processed - before, reports)
 
     def on_batch(self, events: Sequence[Event]) -> None:
-        """Process a contiguous delivery slice: the same per-event
-        matcher calls in the same order as :meth:`on_event`, with the
-        monitor's own bookkeeping (event counter, gauges, callbacks)
-        paid once."""
-        if events:
-            self._handle(events)
-
-    def _handle(self, events: Sequence[Event]) -> None:
+        """Process a contiguous delivery slice: the per-event body of
+        :meth:`on_event` for each event, in order, with the monitor's
+        own bookkeeping (event counter, gauges, callbacks) paid once."""
+        if not events:
+            return
         matcher = self.matcher
-        matcher_on_event = matcher.on_event
         before = matcher.events_processed
+        match = self._match
         found: List[MatchReport] = []
-        if self._record_timings:
-            timings = self.timings
-            search_timings = matcher.search_timings
-            perf_counter = time.perf_counter
-            for event in events:
-                searches_before = len(search_timings)
-                start = perf_counter()
-                reports = matcher_on_event(event)
-                elapsed = perf_counter() - start
-                timings.append(elapsed)
-                self._event_latency.observe(elapsed)
-                if len(search_timings) > searches_before:
-                    # One entry per *search*, not per event.
-                    per_search = search_timings[searches_before:]
-                    self.terminating_timings.extend(per_search)
-                    for search_time in per_search:
-                        self._search_latency.observe(search_time)
-                if reports:
-                    found.extend(reports)
-        else:
-            for event in events:
-                reports = matcher_on_event(event)
-                if reports:
-                    found.extend(reports)
-        # the matcher does not count the replayed prefix of a restore
-        self._events_counter.inc(matcher.events_processed - before)
+        for event in events:
+            reports = match(event)
+            if reports:
+                found.extend(reports)
+        self._settle(matcher.events_processed - before, found)
+
+    def _match(self, event: Event) -> List[MatchReport]:
+        """The per-event body: run the matcher on ``event``, recording
+        its wall time (and each search's) when timings are on."""
+        matcher = self.matcher
+        if not self._record_timings:
+            return matcher.on_event(event)
+        search_timings = matcher.search_timings
+        searches_before = len(search_timings)
+        start = time.perf_counter()
+        reports = matcher.on_event(event)
+        elapsed = time.perf_counter() - start
+        self.timings.append(elapsed)
+        self._event_latency.observe(elapsed)
+        if len(search_timings) > searches_before:
+            # One entry per *search*, not per event.
+            per_search = search_timings[searches_before:]
+            self.terminating_timings.extend(per_search)
+            for search_time in per_search:
+                self._search_latency.observe(search_time)
+        return reports
+
+    def _settle(self, processed: int, found: List[MatchReport]) -> None:
+        """Account for one delivery: ``processed`` events counted by the
+        matcher (it does not count the replayed prefix of a restore)
+        and the reports ``found``."""
+        self._events_counter.inc(processed)
         if found:
             self.reports.extend(found)
             self._matches_counter.inc(len(found))

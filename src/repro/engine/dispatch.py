@@ -150,12 +150,9 @@ class ShardedDispatcher(POETClient):
     # Delivery
     # ------------------------------------------------------------------
 
-    def on_event(self, event: Event) -> None:
-        """Deliver one event: a slice of one."""
-        self._deliver((event,))
-
     def on_batch(self, events: Sequence[Event]) -> None:
-        """Deliver a contiguous slice of the linearization."""
+        """Deliver a contiguous slice of the linearization; a slice of
+        one goes through the single-event body."""
         if not events:
             return
         self.batches_seen += 1
@@ -170,8 +167,39 @@ class ShardedDispatcher(POETClient):
                 },
             ):
                 self._deliver(events)
+        elif len(events) == 1:
+            self._deliver_event(events[0])
         else:
             self._deliver(events)
+
+    def _deliver_event(self, event: Event) -> None:
+        """The single-event body: admit, route, hand to the routed
+        shards, settle.  The slice loop of :meth:`_deliver` does the
+        same per event, with its set-up paid once per slice."""
+        front = self.front
+        if front is None:
+            self.events_seen += 1
+            return
+        behind = self._behind() if front.resuming else None
+        front.admit(event)
+        routes = front.routes
+        routed = routes.by_type.get(event.etype, routes.wild)
+        if behind:
+            routed = _past_watermark(event, routed, behind)
+        seen = self.events_seen
+        self.events_seen = seen + 1
+        shards = self._shards
+        try:
+            for name in routed:
+                self._hand(shards[name], event, seen)
+        except BaseException:
+            self._rehand(routed, event, seen)
+            raise
+        finally:
+            self._settle(behind)
+
+    #: Deliver one event (a hold-back release, a live kernel's event).
+    on_event = _deliver_event
 
     def _deliver(self, events: Sequence[Event]) -> None:
         front = self.front
@@ -181,10 +209,7 @@ class ShardedDispatcher(POETClient):
         admit, routes, hand = front.admit, front.routes, self._hand
         by_type = routes.by_type
         shards = self._shards
-        # shards restored ahead of a front replaying from the start
-        behind = [
-            s for s in self._live if s.monitor.matcher.watermark is not None
-        ] if front.resuming else None
+        behind = self._behind() if front.resuming else None
         seen = self.events_seen
         try:
             for event in events:
@@ -196,34 +221,52 @@ class ShardedDispatcher(POETClient):
                     for name in routed:
                         hand(shards[name], event, seen)
                 except BaseException:
-                    # An interrupt escaping a shard: the others get the
-                    # event first, so that all stand at one stream
-                    # position when the caller checkpoints.
-                    for name in routed:
-                        if shards[name].synced <= seen:
-                            with contextlib.suppress(BaseException):
-                                hand(shards[name], event, seen)
+                    self._rehand(routed, event, seen)
                     seen += 1
                     raise
                 seen += 1
         finally:
             self.events_seen = seen
-            publish = self.registry.enabled
-            for shard in self._live:
-                if shard.synced != seen:
-                    shard.monitor.advance(seen - shard.synced)
-                    shard.synced = seen
-                if publish:
-                    shard.routed_counter.set_total(shard.routed)
-            if behind:
-                length = front.index.trace_length
-                for shard in behind:
-                    matcher = shard.monitor.matcher
-                    mark = matcher.watermark
-                    if mark is not None and all(
-                        length(t) >= mark[t] for t in range(len(mark))
-                    ):
-                        matcher.unpin()
+            self._settle(behind)
+
+    def _behind(self) -> List[_Shard]:
+        """Shards restored ahead of a front replaying from the start."""
+        return [
+            s for s in self._live if s.monitor.matcher.watermark is not None
+        ]
+
+    def _rehand(self, routed: Sequence[str], event: Event, seen: int) -> None:
+        """An interrupt escaped a shard: the routed shards not yet handed
+        the event get it first, so that all stand at one stream position
+        when the caller checkpoints."""
+        shards = self._shards
+        for name in routed:
+            if shards[name].synced <= seen:
+                with contextlib.suppress(BaseException):
+                    self._hand(shards[name], event, seen)
+
+    def _settle(self, behind: Optional[List[_Shard]]) -> None:
+        """Bring every healthy shard to the stream position (advancing
+        those the last events were not routed to), publish the routed
+        counts, and release restored shards the stream has caught up
+        with."""
+        seen = self.events_seen
+        publish = self.registry.enabled
+        for shard in self._live:
+            if shard.synced != seen:
+                shard.monitor.advance(seen - shard.synced)
+                shard.synced = seen
+            if publish:
+                shard.routed_counter.set_total(shard.routed)
+        if behind:
+            length = self.front.index.trace_length
+            for shard in behind:
+                matcher = shard.monitor.matcher
+                mark = matcher.watermark
+                if mark is not None and all(
+                    length(t) >= mark[t] for t in range(len(mark))
+                ):
+                    matcher.unpin()
 
     def _hand(self, shard: _Shard, event: Event, seen: int) -> None:
         """Hand the event at stream position ``seen`` to a routed shard,

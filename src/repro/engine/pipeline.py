@@ -160,7 +160,7 @@ class Pipeline:
         self.trace_names = tuple(trace_names)
         self.registry = registry
         self.tracer = tracer
-        #: The one transcoder of this pipeline (see :meth:`_transcode`).
+        #: The one transcoder of this pipeline (see :meth:`feed`).
         self._stream_encoder = StreamEncoder(len(self.trace_names))
         #: The recording :meth:`run` feeds (set by :meth:`replay`).
         self._events: Optional[List[Event]] = None
@@ -566,18 +566,6 @@ class Pipeline:
     # Execution
     # ------------------------------------------------------------------
 
-    def _transcode(self, events: Sequence[Event]) -> Sequence[Event]:
-        """Stamp a full-vector slice (a dump, a wire batch, a
-        :class:`~repro.testing.Weaver` stream) with encoded clocks
-        through the pipeline's one
-        :class:`~repro.clocks.encoded.StreamEncoder`.  A slice whose
-        first event already carries an
-        :class:`~repro.clocks.encoded.EncodedClock` passes through
-        untouched — read off the input, never a parameter."""
-        if not events or isinstance(events[0].clock, EncodedClock):
-            return events
-        return self._stream_encoder.extend(events)
-
     def _wire(self) -> None:
         """Build and connect the stage chain (exactly once, at the first
         delivery): telemetry, shedder, hold-back, fault injector, scrape
@@ -786,19 +774,27 @@ class Pipeline:
         """Deliver the next slice of the linearization (not on a live
         pipeline, whose kernel is the source).
 
-        Wires the stages on first use; a full-vector slice is
-        transcoded first (see :meth:`_transcode`).  Returns the number
-        of events delivered.
+        Wires the stages on first use.  A full-vector slice (a dump, a
+        wire batch, a :class:`~repro.testing.Weaver` stream) is stamped
+        with encoded clocks first, through the pipeline's one
+        :class:`~repro.clocks.encoded.StreamEncoder`; a slice whose
+        first event already carries an
+        :class:`~repro.clocks.encoded.EncodedClock` goes to the server
+        as it is — read off the input, never a parameter.  Returns the
+        number of events delivered.
         """
         if self.kernel is not None:
             raise RuntimeError("feed() on a live pipeline: its kernel is "
                                "the source, drive it with run()")
         if self._ran:
             raise RuntimeError("stream already finished")
-        self._wire()
+        if not self._wired:
+            self._wire()
         if not events:
             return 0
-        self.server.collect_batch(self._transcode(events))
+        if not isinstance(events[0].clock, EncodedClock):
+            events = self._stream_encoder.extend(events)
+        self.server.collect_batch(events)
         return len(events)
 
     def finish(self) -> PipelineResult:

@@ -41,7 +41,13 @@ class EventKind(enum.Enum):
     @property
     def is_communication(self) -> bool:
         """True for the send/receive halves of a message."""
-        return self in (EventKind.SEND, EventKind.RECEIVE)
+        # module constants: a member looked up on the class costs a
+        # slow enum attribute access, and every admitted event asks
+        return self is _SEND or self is _RECEIVE
+
+
+_SEND = EventKind.SEND
+_RECEIVE = EventKind.RECEIVE
 
 
 @dataclasses.dataclass(frozen=True, order=True, slots=True)

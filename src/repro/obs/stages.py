@@ -21,7 +21,7 @@ shared :class:`~repro.obs.metrics.MetricsRegistry`:
   downstream stages: the outermost stage's histogram is end-to-end
   delivery time, and subtracting adjacent stages yields self time);
 * ``ocep_stage_batch_size_events{stage=...}`` — sizes of the
-  contiguous slices delivered (a per-event delivery is a slice of one).
+  deliveries: a slice's length, or 1 for a single event.
 
 Stages with a synchronous push interface (faults, holdback, shedder,
 dispatcher) are measured live by interposing a :class:`StageLink` on
@@ -70,11 +70,12 @@ _BATCH_HELP = "contiguous slice sizes delivered to the stage"
 class StageLink:
     """Instrumented inter-stage edge.
 
-    Wraps a downstream stage (anything with ``on_batch``), counts every
-    event through the edge, times the inclusive downstream processing,
-    and records batch sizes — a per-event delivery is a slice of one
-    and records a 1.  The wrapper adds two ``perf_counter`` reads per
-    *delivery* (one per slice).
+    Wraps a downstream stage (anything with ``on_event`` and
+    ``on_batch``) and hands on what it is given: an event through
+    ``on_event``, a slice through ``on_batch``.  Either way it counts
+    the events through the edge, times the inclusive downstream
+    processing, and records the delivery's size (1 for an event).  The
+    wrapper adds two ``perf_counter`` reads per *delivery*.
     """
 
     __slots__ = ("_downstream", "_events", "_latency", "_batch")
@@ -87,8 +88,11 @@ class StageLink:
         self._batch = batch_histogram
 
     def on_event(self, event) -> None:
-        """Deliver one event: a slice of one."""
-        self.on_batch((event,))
+        started = time.perf_counter()
+        self._downstream.on_event(event)
+        self._latency.observe(time.perf_counter() - started)
+        self._events.inc()
+        self._batch.observe(1)
 
     def on_batch(self, events: Sequence) -> None:
         started = time.perf_counter()

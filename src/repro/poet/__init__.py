@@ -30,7 +30,6 @@ from repro.poet.dumpfile import (
     DumpFormatError,
     dump_events,
     load_events,
-    replay,
 )
 from repro.poet.holdback import (
     HoldbackBuffer,
@@ -50,7 +49,6 @@ __all__ = [
     "DumpFormatError",
     "dump_events",
     "load_events",
-    "replay",
     "HoldbackBuffer",
     "HoldbackOverflowError",
     "HoldbackStallError",

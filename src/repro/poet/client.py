@@ -47,9 +47,10 @@ class CallbackClient(POETClient):
 
 
 def as_stage(sink: Union[POETClient, Callable[[Event], None]]):
-    """A stage's downstream as something with ``on_batch``: ``sink``
-    itself when it has one (a client, a ``StageLink``), else the
-    per-event callable wrapped in a :class:`CallbackClient`."""
+    """A stage's downstream as something with ``on_event`` and
+    ``on_batch``: ``sink`` itself when it has them (a client, a
+    ``StageLink``), else the per-event callable wrapped in a
+    :class:`CallbackClient`."""
     return sink if hasattr(sink, "on_batch") else CallbackClient(sink)
 
 

@@ -26,7 +26,6 @@ from typing import Iterable, List, Sequence, Tuple, Union
 
 from repro.events.event import Event, event_from_record
 from repro.poet.linearize import is_linearization
-from repro.poet.server import POETServer
 
 _FORMAT = "ocep-poet-dump-v1"
 
@@ -147,21 +146,6 @@ def _parse_record_line(
             field="c",
         )
     return event
-
-
-def replay(path: PathLike, verify: bool = False) -> POETServer:
-    """Reload a dump into a fresh POET server, without clients.
-
-    Callers typically connect their monitor first and then feed the
-    events through :meth:`POETServer.collect`; this convenience loads
-    and collects in one step (the returned server has checked and
-    counted the dump).
-    """
-    events, num_traces, trace_names = load_events(path)
-    server = POETServer(num_traces, trace_names, verify=verify)
-    for event in events:
-        server.collect(event)
-    return server
 
 
 def _event_to_record(event: Event) -> dict:

@@ -90,11 +90,12 @@ class HoldbackBuffer(POETClient):
     num_traces:
         Clock width of the monitored computation.
     sink:
-        The downstream stage: anything with ``on_batch`` (a client, a
-        ``StageLink``), or a callable taking one event (e.g.
-        ``monitor.on_event``), wrapped once in a
+        The downstream stage: anything with ``on_event`` and
+        ``on_batch`` (a client, a ``StageLink``), or a callable taking
+        one event (e.g. ``monitor.on_event``), wrapped once in a
         :class:`~repro.poet.client.CallbackClient`.  Releases arrive
-        in causal order, one ``on_batch`` per slice of arrivals.
+        in causal order, one ``on_batch`` per slice of arrivals and one
+        ``on_event`` per release of a single arrival.
     capacity:
         Maximum events held back at once (``None`` = unbounded).
     overflow:
@@ -203,11 +204,17 @@ class HoldbackBuffer(POETClient):
     # ------------------------------------------------------------------
 
     def on_event(self, event: Event) -> None:
-        """Accept the next arrival: a slice of one."""
-        self.on_batch((event,))
+        """Accept the next arrival.  What it releases goes downstream
+        one ``on_event`` call per event, in release order."""
+        try:
+            self._offer(event)
+        finally:
+            self._hand_off(batch=False)
+            self._depth_gauge.set(len(self._pending))
 
     def on_batch(self, events: Sequence[Event]) -> None:
-        """Accept a slice of arrivals.  What the slice releases goes
+        """Accept a slice of arrivals: the per-arrival body of
+        :meth:`on_event` for each.  What the slice releases goes
         downstream in one ``on_batch`` call at its end — or before an
         overflow or stall error escapes mid-slice, so the sink has then
         seen exactly what per-event delivery would have handed it."""
@@ -356,14 +363,20 @@ class HoldbackBuffer(POETClient):
         self.stalled = False
         self._outbox.append(event)
 
-    def _hand_off(self) -> None:
-        """Hand the releases collected so far downstream in one call;
-        the list goes with the call, none is kept."""
+    def _hand_off(self, batch: bool = True) -> None:
+        """Hand the releases collected so far downstream, in one
+        ``on_batch`` call or (not ``batch``) one ``on_event`` call
+        each; the list goes with the call, none is kept."""
         released = self._outbox
         if released:
             self._outbox = []
             self._released_counter.inc(len(released))
-            self._sink.on_batch(released)
+            if batch:
+                self._sink.on_batch(released)
+            else:
+                on_event = self._sink.on_event
+                for event in released:
+                    on_event(event)
 
     def _drain(self) -> None:
         """Release pending events until none is ready.  Among ready

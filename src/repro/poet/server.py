@@ -19,7 +19,7 @@ every event, which the test suite uses to guard the whole pipeline.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.clocks.encoded import ClockFrame, EncodedClock
 from repro.events.event import Event
@@ -79,7 +79,7 @@ class POETServer:
         self._count = [0] * num_traces
         self._last_epoch = [0] * num_traces
         self._frame: Optional[ClockFrame] = None
-        self._clients: List[POETClient] = []
+        self._clients: Tuple[POETClient, ...] = ()
         self._verify = verify
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self.use_registry(registry if registry is not None else NULL_REGISTRY)
@@ -118,12 +118,14 @@ class POETServer:
 
     def connect(self, client: POETClient) -> None:
         """Attach a client; it will see every event from now on."""
-        self._clients.append(client)
+        self._clients += (client,)
         self._clients_gauge.set(len(self._clients))
 
     def disconnect(self, client: POETClient) -> None:
         """Detach a previously connected client."""
-        self._clients.remove(client)
+        clients = list(self._clients)
+        clients.remove(client)
+        self._clients = tuple(clients)
         self._clients_gauge.set(len(self._clients))
 
     # ------------------------------------------------------------------
@@ -131,21 +133,24 @@ class POETServer:
     # ------------------------------------------------------------------
 
     def collect(self, event: Event) -> None:
-        """Ingest the next event: a slice of one through
-        :meth:`collect_batch`."""
-        self.collect_batch((event,))
+        """Ingest the next event: check and count it, then hand it to
+        every client's ``on_event`` hook (a live kernel's sink)."""
+        self._check(event)
+        self._collected_counter.inc()
+        self._deliver(event, False)
 
     def collect_batch(self, events: Sequence[Event]) -> None:
         """Ingest a contiguous slice of the linearization: check and
         count each event, then deliver the slice to every client's
         ``on_batch`` hook.
 
-        A slice rejected at its ``k``-th event behaves like ``k - 1``
-        single :meth:`collect` calls followed by the failing one: events
+        Each event runs the check :meth:`collect` runs, so a slice
+        rejected at its ``k``-th event behaves like ``k - 1`` single
+        :meth:`collect` calls followed by the failing one: events
         ``1..k-1`` are counted and delivered, then the check's error is
         raised, and the next correct event is accepted.  (A client error
         while the prefix is delivered propagates instead: it came
-        first.)
+        first.)  A slice of one skips the prefix accounting.
 
         A client raising does not corrupt the server's accounting: the
         slice is counted exactly once, every *other* client still
@@ -157,81 +162,79 @@ class POETServer:
         :class:`~repro.engine.dispatch.ShardedDispatcher` — must catch
         them itself; the server never silently swallows an error.)
         """
-        if not events:
+        check = self._check
+        if len(events) == 1:
+            check(events[0])
+            self._collected_counter.inc()
+            self._deliver(events, True)
             return
-        accepted, rejection = self._accept(events)
+        accepted = 0
+        rejection: Optional[Exception] = None
+        try:
+            for event in events:
+                check(event)
+                accepted += 1
+        except Exception as exc:  # noqa: BLE001 - re-raised below
+            rejection = exc
         if accepted:
             if accepted < len(events):
                 events = events[:accepted]
             self._collected_counter.inc(accepted)
-            self._deliver(events)
+            self._deliver(events, True)
         if rejection is not None:
             raise rejection
 
-    def _accept(
-        self, events: Sequence[Event]
-    ) -> Tuple[int, Optional[Exception]]:
-        """Check and count ``events`` in order.  Returns how many were
-        accepted and the error that rejected the next one (``None``
-        when the whole slice passed)."""
+    def _check(self, event: Event) -> None:
+        """The per-event check: accept the next event (its trace's
+        count and clock epoch advance) or raise, leaving its trace's
+        state as it was."""
         counts = self._count
-        last_epoch = self._last_epoch
-        num_traces = len(counts)
-        verify = self._verify
-        frame = self._frame
-        dominated = frame._dominated if frame is not None else None
-        position = 0
+        trace = event.trace
         # The messages are the ones callers already match on.
-        try:
-            for position, event in enumerate(events):
-                trace = event.trace
-                if not 0 <= trace < num_traces:
-                    raise ValueError(
-                        f"event trace {trace} out of range "
-                        f"(store has {num_traces} traces)"
-                    )
-                index = event.index
-                if index != counts[trace] + 1:
-                    if verify:
-                        raise DeliveryOrderError(
-                            f"event {event.event_id} delivered out of "
-                            f"per-trace order"
-                        )
-                    raise ValueError(
-                        f"trace {trace}: expected event index "
-                        f"{counts[trace] + 1}, got {index}"
-                    )
-                if verify:
-                    self._check_predecessors(event)
-                clock = event.clock
-                if isinstance(clock, EncodedClock) and clock.frame is frame:
-                    epoch = clock.epoch
-                else:
-                    # First event (no frame adopted yet) or a foreign
-                    # clock.
-                    epoch = self._adopt_epoch(event)
-                    frame = self._frame
-                    dominated = frame._dominated
-                prev = last_epoch[trace]
-                # Unchanged epochs (every non-receive event) need no
-                # comparison; a transition certified when the row was
-                # produced (merge / transcode) is a set lookup; unknown
-                # pairs fall back to the frame's full dominance scan.
-                if (
-                    index > 1
-                    and prev != epoch
-                    and (prev, epoch) not in dominated
-                    and not frame.check_dominates(prev, epoch)
-                ):
-                    raise ValueError(
-                        f"trace {trace}: clock of event {index} does not "
-                        f"dominate its predecessor's clock"
-                    )
-                counts[trace] = index
-                last_epoch[trace] = epoch
-        except Exception as exc:  # noqa: BLE001 - returned, re-raised
-            return position, exc
-        return len(events), None
+        if not 0 <= trace < len(counts):
+            raise ValueError(
+                f"event trace {trace} out of range "
+                f"(store has {len(counts)} traces)"
+            )
+        index = event.index
+        if index != counts[trace] + 1:
+            if self._verify:
+                raise DeliveryOrderError(
+                    f"event {event.event_id} delivered out of "
+                    f"per-trace order"
+                )
+            raise ValueError(
+                f"trace {trace}: expected event index "
+                f"{counts[trace] + 1}, got {index}"
+            )
+        if self._verify:
+            self._check_predecessors(event)
+        clock = event.clock
+        frame = self._frame
+        if isinstance(clock, EncodedClock) and clock.frame is frame:
+            epoch = clock.epoch
+        else:
+            # First event (no frame adopted yet) or a foreign clock.
+            epoch = self._adopt_epoch(event)
+            frame = self._frame
+        last_epoch = self._last_epoch
+        prev = last_epoch[trace]
+        # Unchanged epochs (every non-receive event) need no
+        # comparison; a transition certified when the row was produced
+        # (merge / transcode) is a set lookup; unknown pairs fall back
+        # to the frame's full dominance scan.
+        if (
+            index > 1
+            and prev != epoch
+            and (prev, epoch) not in frame._dominated
+            and not frame.check_dominates(prev, epoch)
+        ):
+            raise ValueError(
+                f"trace {trace}: clock of event {index} does not "
+                f"dominate its predecessor's clock"
+            )
+        counts[trace] = index
+        last_epoch[trace] = epoch
 
     def _adopt_epoch(self, event: Event) -> int:
         """Epoch id of the event's clock in the server's frame: the
@@ -260,38 +263,46 @@ class POETServer:
                     f"predecessor on trace {trace}"
                 )
 
-    def _deliver(self, events: Sequence[Event]) -> None:
+    def _deliver(self, payload, batch: bool) -> None:
+        """Hand ``payload`` — a slice when ``batch``, else one event —
+        to every client, in a ``poet.deliver`` span when tracing."""
         if self._tracer.enabled:
+            first = payload[0] if batch else payload
             with self._tracer.span(
                 "poet.deliver",
                 track="poet.server",
-                args={"events": len(events),
-                      "first": repr(events[0].event_id),
+                args={"events": len(payload) if batch else 1,
+                      "first": repr(first.event_id),
                       "clients": len(self._clients)},
             ):
-                self._fan_out_batch(events)
+                self._fan_out(payload, batch)
         else:
-            self._fan_out_batch(events)
+            self._fan_out(payload, batch)
 
-    def _fan_out_batch(self, events: Sequence[Event]) -> None:
+    def _fan_out(self, payload, batch: bool) -> None:
         first_error: Optional[BaseException] = None
-        for client in list(self._clients):
+        size = len(payload) if batch else 1
+        for client in self._clients:
             try:
-                client.on_batch(events)
+                if batch:
+                    client.on_batch(payload)
+                else:
+                    client.on_event(payload)
             except Exception as exc:  # noqa: BLE001 - accounted, re-raised
                 self.delivery_errors += 1
                 self._errors_counter.inc()
+                first = payload[0] if batch else payload
                 _log.warning(
                     "client delivery failed",
-                    extra={"events": len(events),
-                           "first": repr(events[0].event_id),
+                    extra={"events": size,
+                           "first": repr(first.event_id),
                            "client": type(client).__name__,
                            "error": repr(exc)},
                 )
                 if first_error is None:
                     first_error = exc
             else:
-                self._deliveries_counter.inc(len(events))
+                self._deliveries_counter.inc(size)
         if first_error is not None:
             raise first_error
 

@@ -115,11 +115,13 @@ class FaultInjector(POETClient):
     """Perturbs an in-order event stream, deterministically per seed.
 
     Feed the original linearization through :meth:`on_batch` (or one
-    event at a time through :meth:`feed`, a slice of one) and call
-    :meth:`flush` at end-of-stream; the perturbed stream comes out of
-    ``sink``, one ``on_batch`` call per slice fed.  ``sink`` is a stage
-    (anything with ``on_batch``) or a callable taking one event, wrapped
-    once in a :class:`~repro.poet.client.CallbackClient`.  Usable as a
+    event at a time through :meth:`feed`, which is :meth:`on_event`) and
+    call :meth:`flush` at end-of-stream; the perturbed stream comes out
+    of ``sink`` as it went in: one ``on_batch`` call per slice fed, one
+    ``on_event`` call per event an ``on_event`` emits.  ``sink`` is a
+    stage (anything with ``on_event`` and ``on_batch``) or a callable
+    taking one event, wrapped once in a
+    :class:`~repro.poet.client.CallbackClient`.  Usable as a
     drop-in event sink: wire it between a kernel and a server with
     ``kernel.add_sink(injector.feed)`` where ``sink=server.collect``, or
     connect it downstream of a server like any stage: it is a
@@ -188,7 +190,8 @@ class FaultInjector(POETClient):
     # ------------------------------------------------------------------
 
     def on_batch(self, events: Sequence[Event]) -> None:
-        """Ingest the next in-order slice; its perturbed deliveries go
+        """Ingest the next in-order slice: the per-event body of
+        :meth:`on_event` for each.  Its perturbed deliveries go
         downstream in one ``on_batch`` call at its end (before an error
         escapes mid-slice, too)."""
         try:
@@ -199,8 +202,13 @@ class FaultInjector(POETClient):
             self._hand_off()
 
     def on_event(self, event: Event) -> None:
-        """Ingest the next in-order event: a slice of one."""
-        self.on_batch((event,))
+        """Ingest the next in-order event; its perturbed deliveries
+        (none, one, or a released stash or duplicate too) go downstream
+        one ``on_event`` call each."""
+        try:
+            self._ingest(event)
+        finally:
+            self._hand_off(batch=False)
 
     feed = on_event
 
@@ -245,14 +253,20 @@ class FaultInjector(POETClient):
         self._dup_queue.clear()
         self._hand_off()
 
-    def _hand_off(self) -> None:
-        """Hand the deliveries collected so far downstream in one call;
-        the list goes with the call, none is kept."""
+    def _hand_off(self, batch: bool = True) -> None:
+        """Hand the deliveries collected so far downstream, in one
+        ``on_batch`` call or (not ``batch``) one ``on_event`` call
+        each; the list goes with the call, none is kept."""
         emitted = self._outbox
         if emitted:
             self._outbox = []
             self._forwarded_counter.inc(len(emitted))
-            self._sink.on_batch(emitted)
+            if batch:
+                self._sink.on_batch(emitted)
+            else:
+                on_event = self._sink.on_event
+                for event in emitted:
+                    on_event(event)
 
     # ------------------------------------------------------------------
     # Fault mechanics

@@ -541,8 +541,10 @@ class LoadShedder(POETClient):
     # ------------------------------------------------------------------
 
     def on_event(self, event: Event) -> None:
-        """Offer one event: a slice of one."""
-        self.on_batch((event,))
+        """Offer one event; if admitted it goes downstream through the
+        sink's ``on_event``."""
+        if self._admit(event):
+            self._sink.on_event(event)
 
     def on_batch(self, events: Sequence[Event]) -> None:
         if not events:

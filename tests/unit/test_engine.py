@@ -174,8 +174,8 @@ class TestBatchDeliveryIdentity:
 
     def test_batched_path_is_actually_taken(self):
         """``batch_size`` is the slice size all the way to the
-        dispatcher; per-event delivery is slices of one through the
-        same loop, not a second path."""
+        dispatcher, which counts every slice it is handed: a slice of
+        one too, which runs the same per-event body as a longer one."""
         total = len(_ab_stream())
         pipeline, _ = self._replay(batch_size=4)
         assert pipeline.dispatcher.batches_seen == total // 4
@@ -216,6 +216,20 @@ class TestBatchDeliveryIdentity:
         )
         assert sizes.count > 0
         assert 1 < sizes.max <= 4 + 1
+
+    def test_registry_does_not_change_the_delivery_path(self):
+        """The stage links a registry interposes hand on what they are
+        given: a hold-back release reaches the dispatcher as an event,
+        with a registry or without one."""
+        plain, plain_monitor, _ = self._faulty_replay(4)
+        observed, observed_monitor, _ = self._faulty_replay(
+            4, registry=MetricsRegistry()
+        )
+        assert plain.dispatcher.batches_seen == 0
+        assert observed.dispatcher.batches_seen == 0
+        assert plain_monitor.reports, "the stream must contain matches"
+        assert observed_monitor.reports == plain_monitor.reports
+        assert observed.dispatcher.signatures() == plain.dispatcher.signatures()
 
     def test_monitor_on_batch_equals_on_event_loop(self):
         events = _ab_stream()
@@ -470,6 +484,131 @@ class TestSharedStreamFront:
             assert [ref() for ref in refs] == [None, None]
         finally:
             gc.enable()
+
+
+A_ONLY = "X := ['', A, '']; Y := ['', A, '']; pattern := X -> Y;"
+
+
+def _alone_per_event(source, events):
+    monitor = Monitor.from_source(source, TRACES)
+    for event in events:
+        monitor.on_event(event)
+    return monitor
+
+
+def _deliver_singly(dispatcher, events, hook):
+    for event in events:
+        if hook == "on_event":
+            dispatcher.on_event(event)
+        else:
+            dispatcher.on_batch([event])
+
+
+class TestSingleEventDelivery:
+    """An event, or a slice of one, runs the dispatcher's single-event
+    body: admit, route, hand, settle."""
+
+    def test_every_shard_stands_at_the_stream_position(self):
+        events = _ab_stream()
+        pipeline = Pipeline.stream(TRACES)
+        ab = pipeline.watch("ab", AB)
+        a_only = pipeline.watch("a_only", A_ONLY)
+        for position, event in enumerate(events, start=1):
+            pipeline.feed([event])
+            assert ab.matcher.events_processed == position
+            assert a_only.matcher.events_processed == position
+        pipeline.finish()
+        # the narrower pattern was handed only the A events
+        assert len(a_only.timings) == sum(e.etype == "A" for e in events)
+        assert len(a_only.timings) < len(ab.timings) < len(events)
+        for monitor, source in ((ab, AB), (a_only, A_ONLY)):
+            alone = _alone_per_event(source, events)
+            assert monitor.reports == alone.reports
+            assert monitor.matcher.counters() == alone.matcher.counters()
+            assert monitor.subset.signature() == alone.subset.signature()
+
+    @pytest.mark.parametrize("hook", ["on_event", "on_batch"])
+    def test_shard_raising_on_a_single_event_is_quarantined_there(self, hook):
+        events = _ab_stream()
+        dispatcher = ShardedDispatcher(TRACES)
+        dispatcher.watch("ab", AB)
+        bad = dispatcher.watch("ba", BA)
+        victim = events[7]  # the second B: routed to both shards
+        plain = bad.matcher.on_event
+
+        def exploding(event):
+            if event is victim:
+                raise RuntimeError("boom")
+            return plain(event)
+
+        bad.matcher.on_event = exploding
+        _deliver_singly(dispatcher, events, hook)  # must not raise
+        assert dispatcher.is_quarantined("ba")
+        assert bad.matcher.events_processed == 7  # everything before it
+        assert bad.checkpoint()["delivered"] == [2, 2, 4]
+        good = dispatcher["ab"]
+        alone = _alone_per_event(AB, events)
+        assert good.reports == alone.reports
+        assert good.matcher.counters() == alone.matcher.counters()
+        assert good.matcher.events_processed == len(events)
+
+    @pytest.mark.parametrize("hook", ["on_event", "on_batch"])
+    def test_restored_dispatcher_skips_exactly_its_watermark(self, hook):
+        events = _ab_stream()
+        first = ShardedDispatcher(TRACES)
+        first.watch("ab", AB)
+        first.on_batch(events[:5])
+        state = json.loads(json.dumps(first.checkpoint()))
+
+        resumed = ShardedDispatcher(TRACES)
+        resumed.watch("ab", AB)
+        resumed.watch("ba", BA)
+        resumed.restore(state)  # "ab" resumes at 5, "ba" starts fresh
+        _deliver_singly(resumed, events, hook)
+        assert resumed.front.resuming == 0
+        # "ab" was handed exactly the suffix, "ba" the whole stream
+        routed = sum(e.etype in ("A", "B") for e in events[5:])
+        assert len(resumed["ab"].timings) == routed
+        for name, source in (("ab", AB), ("ba", BA)):
+            alone = _alone_per_event(source, events)
+            assert resumed[name].matcher.counters() == alone.matcher.counters()
+            assert resumed[name].subset.signature() == alone.subset.signature()
+            assert resumed[name].checkpoint() == alone.checkpoint()
+
+    def test_batches_seen_counts_slices_of_one_not_events(self):
+        events = _ab_stream()
+        sliced = Pipeline.stream(TRACES)
+        sliced.watch("ab", AB)
+        for event in events:
+            sliced.feed([event])
+        assert sliced.dispatcher.batches_seen == len(events)
+
+        dispatcher = ShardedDispatcher(TRACES)
+        dispatcher.watch("ab", AB)
+        _deliver_singly(dispatcher, events, "on_event")
+        assert dispatcher.batches_seen == 0
+        assert dispatcher.events_seen == len(events)
+
+        # hold-back releases reach the dispatcher as events
+        repaired = Pipeline.stream(TRACES)
+        repaired.with_faults(FaultPlan.delay(0.5, max_delay=3), seed=1)
+        repaired.with_holdback()
+        repaired.watch("ab", AB)
+        for event in events:
+            repaired.feed([event])
+        result = repaired.finish()
+        assert result.holdback.reordered_total > 0, "faults must bite"
+        assert repaired.dispatcher.batches_seen == 0
+        assert repaired.dispatcher.events_seen == len(events)
+
+    def test_a_live_kernel_hands_the_dispatcher_events(self):
+        pipeline = Pipeline.for_case("race", traces=3, seed=0)
+        monitor = pipeline.watch("race", pipeline.case_pattern)
+        result = pipeline.run()
+        assert result.num_events > 0
+        assert monitor.matcher.events_processed == result.num_events
+        assert pipeline.dispatcher.batches_seen == 0
+        assert pipeline.dispatcher.events_seen == result.num_events
 
 
 class TestMonitorStatsFreshness:

@@ -66,13 +66,15 @@ class TestDeterminism:
 
 
 class _Batches(POETClient):
-    """A downstream stage recording each hand-off."""
+    """A downstream stage recording each slice handed off, and each
+    event handed on alone."""
 
     def __init__(self):
         self.batches = []
+        self.events = []
 
     def on_event(self, event):
-        self.on_batch((event,))
+        self.events.append(event)
 
     def on_batch(self, events):
         self.batches.append(list(events))
@@ -97,6 +99,23 @@ class TestSlices:
         assert len(sink.batches) <= len(slices) + 1
         assert [e for batch in sink.batches for e in batch] == per_event
         assert injector.forwarded_total == len(per_event)
+
+    @pytest.mark.parametrize(
+        "plan", [FaultPlan.delay(0.3), FaultPlan.duplicate(0.3)],
+        ids=lambda p: p.kind,
+    )
+    def test_an_event_is_handed_on_as_events(self, plan):
+        """``on_event`` hands its deliveries on through the sink's
+        ``on_event``; only the end-of-stream flush is a slice."""
+        events = _events(steps=80)
+        _, per_event = _inject(plan, events, seed=3)
+        sink = _Batches()
+        injector = FaultInjector(plan, sink, seed=3)
+        for event in events:
+            injector.on_event(event)
+        assert sink.batches == []
+        injector.flush()
+        assert sink.events + [e for b in sink.batches for e in b] == per_event
 
 
 class TestCausalSlack:

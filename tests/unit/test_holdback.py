@@ -55,14 +55,15 @@ def _stream(num_traces=3):
 
 
 class _Sink(POETClient):
-    """A downstream stage recording every event and every hand-off."""
+    """A downstream stage recording every event and every slice
+    handed off (an event handed on alone is no slice)."""
 
     def __init__(self):
         self.events = []
         self.batches = []
 
     def on_event(self, event):
-        self.on_batch((event,))
+        self.events.append(event)
 
     def on_batch(self, events):
         self.batches.append(list(events))
@@ -173,6 +174,23 @@ class TestReordering(_PerEvent):
 
 class TestReorderingSlices(_Slices, TestReordering):
     pass
+
+
+def test_a_single_arrival_hands_its_releases_on_as_events():
+    """``on_event`` hands what it releases on through the sink's
+    ``on_event``, one call per release; only a slice goes out as
+    ``on_batch``."""
+    events = _stream()
+    send_pos = next(i for i, e in enumerate(events) if e.partner) - 1
+    perturbed = list(events)
+    perturbed.insert(send_pos + 1, perturbed.pop(send_pos))
+    sink = _Sink()
+    buf = HoldbackBuffer(3, sink)
+    for event in perturbed:
+        buf.on_event(event)
+    assert buf.stats()["reordered"] == 1
+    assert sink.batches == []
+    assert sink.events == events
 
 
 class TestDuplicates(_PerEvent):

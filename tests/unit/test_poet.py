@@ -2,6 +2,7 @@
 
 import gc
 import json
+import logging
 import tracemalloc
 
 import pytest
@@ -18,7 +19,6 @@ from repro.poet import (
     is_linearization,
     linearize,
     load_events,
-    replay,
 )
 from repro.poet.dumpfile import DumpFormatError
 from repro.poet.server import DeliveryOrderError
@@ -114,7 +114,15 @@ class TestFanOutConsistency:
 
         return Exploding()
 
-    def test_other_clients_still_receive_and_error_propagates(self):
+    def test_other_clients_still_receive_and_error_propagates(self, caplog):
+        self._check_failure_accounting("collect", caplog)
+
+    def test_slice_of_one_accounts_a_client_failure_alike(self, caplog):
+        """``collect_batch([e])`` hands each client a slice of one where
+        ``collect(e)`` hands it the event; the accounting is the same."""
+        self._check_failure_accounting("collect_batch", caplog)
+
+    def _check_failure_accounting(self, entry, caplog):
         _, events = _sample_stream()
         registry = MetricsRegistry()
         server = POETServer(3, verify=True, registry=registry)
@@ -124,10 +132,22 @@ class TestFanOutConsistency:
         server.connect(before)
         server.connect(boom)
         server.connect(after)
+        if entry == "collect":
+            deliver = server.collect
+        else:
+            def deliver(event):
+                server.collect_batch([event])
 
-        server.collect(events[0])
+        caplog.set_level(logging.WARNING, logger="ocep.poet.server")
+        deliver(events[0])
         with pytest.raises(self._Boom):
-            server.collect(events[1])
+            deliver(events[1])
+        failures = [r for r in caplog.records
+                    if r.getMessage() == "client delivery failed"]
+        assert len(failures) == 1
+        assert (failures[0].events, failures[0].first, failures[0].client) == (
+            1, repr(events[1].event_id), "Exploding"
+        )
         # Every healthy client saw both events despite the failure.
         assert before.events == events[:2]
         assert after.events == events[:2]
@@ -342,18 +362,24 @@ class TestRejectedSlice:
         "delivery-order": _event(FRAME, 1, 3, (4, 3, 0)),
     }
 
-    def _run(self, failure, verify, batch):
+    def _run(self, failure, verify, way):
+        """Deliver the prefix and the bad event one of three ways: the
+        whole slice, ``collect`` per event, or ``collect_batch`` of a
+        slice of one per event."""
         registry = MetricsRegistry()
         server = POETServer(3, verify=verify, registry=registry)
         recorder = RecordingClient()
         server.connect(recorder)
         events = self.PREFIX + [self.BAD[failure]]
         with pytest.raises((ValueError, DeliveryOrderError)) as excinfo:
-            if batch:
+            if way == "slice":
                 server.collect_batch(events)
-            else:
+            elif way == "collect":
                 for event in events:
                     server.collect(event)
+            else:
+                for event in events:
+                    server.collect_batch([event])
         error = (type(excinfo.value), str(excinfo.value))
         counted = server.num_events
         server.collect(self.NEXT)  # the next correct event is accepted
@@ -367,9 +393,10 @@ class TestRejectedSlice:
         ("delivery-order", True),
     ])
     def test_batch_agrees_with_per_event(self, failure, verify):
-        batch = self._run(failure, verify, batch=True)
-        single = self._run(failure, verify, batch=False)
-        assert batch == single
+        batch = self._run(failure, verify, "slice")
+        single = self._run(failure, verify, "collect")
+        slices_of_one = self._run(failure, verify, "collect_batch")
+        assert batch == single == slices_of_one
         error, counted, after, delivered, metrics = batch
         if failure == "delivery-order":
             assert error[0] is DeliveryOrderError
@@ -493,7 +520,9 @@ class TestDumpReload:
         _, events = _sample_stream()
         path = tmp_path / "trace.poet"
         dump_events(path, events, 3, ["P0", "P1", "P2"])
-        server = replay(path, verify=True)
+        loaded, num_traces, names = load_events(path)
+        server = POETServer(num_traces, names, verify=True)
+        server.collect_batch(loaded)
         assert server.num_events == len(events)
 
     def test_bad_format_rejected(self, tmp_path):

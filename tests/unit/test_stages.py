@@ -65,11 +65,14 @@ class TestStageLink:
         assert downstream.events == ["e1", "e2"]
         assert telemetry.stage_summary()["dispatcher"]["events"] == 2
 
-    def test_on_event_is_a_slice_of_one(self):
+    def test_on_event_goes_out_as_on_event_of_size_one(self):
+        """An event is handed on as an event, not as a slice, and is
+        observed as a delivery of size 1."""
         telemetry, downstream, link = self._link()
         link.on_event("e1")
         link.on_event("e2")
-        assert downstream.batches == [["e1"], ["e2"]]
+        assert downstream.batches == []
+        assert downstream.events == ["e1", "e2"]
         batch = next(
             m for m in telemetry.registry.metrics()
             if m.name == "ocep_stage_batch_size_events"
