@@ -65,4 +65,4 @@ class OfflineAnalyzer:
     def analyze_dump(self, path) -> OfflineResult:
         """Load a POET dump file and analyze it."""
         events, _, _ = load_events(path)
-        return self.analyze(events)
+        return self.analyze(list(events))

@@ -55,6 +55,7 @@ import contextlib
 import json
 import sys
 import time
+from itertools import islice
 from typing import Optional
 
 from repro.analysis import compute_boxplot, quartile_table
@@ -389,8 +390,7 @@ def cmd_diagram(args: argparse.Namespace) -> int:
     from repro.analysis.export import to_dot
 
     events, num_traces, names = load_events(args.dump)
-    if args.limit:
-        events = events[: args.limit]
+    events = list(islice(events, args.limit or None))
     if args.dot:
         print(to_dot(events, num_traces, names))
     else:
@@ -408,6 +408,7 @@ def cmd_offline(args: argparse.Namespace) -> int:
     with open(args.pattern, "r", encoding="utf-8") as fh:
         pattern_source = fh.read()
     events, num_traces, names = load_events(args.dump)
+    events = list(events)  # post-mortem: the analysis needs the whole log
     analyzer = OfflineAnalyzer.from_source(pattern_source, names)
     result = analyzer.analyze(events)
     for match in result.matches[: args.limit or len(result.matches)]:

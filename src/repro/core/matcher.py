@@ -77,6 +77,8 @@ Match = Dict[int, Event]
 # compared per candidate and constraint; see repro.core.domain on why
 # not ``Constraint.PARTNER`` in place
 _PARTNER = Constraint.PARTNER
+_SEND = EventKind.SEND
+_RECEIVE = EventKind.RECEIVE
 _LIMITED = Constraint.LIMITED
 _LIMITED_REV = Constraint.LIMITED_REV
 
@@ -554,7 +556,7 @@ class OCEPMatcher:
         # Nor can one whose trigger's ``<>`` partner cannot have been
         # delivered yet (see ``_partnered``).
         if trigger_leaf in self._partnered and (
-            trigger_event.kind is not EventKind.RECEIVE
+            trigger_event.kind is not _RECEIVE
             or trigger_event.partner is None
         ):
             return []
@@ -810,7 +812,7 @@ class OCEPMatcher:
         if pinned is None:
             for j in step.partner_levels:
                 assigned = self._assigned[j]
-                if assigned.kind is not EventKind.SEND:
+                if assigned.kind is not _SEND:
                     partner = assigned.partner
                     partner_level = j
                     partner_trace = -1 if partner is None else partner.trace

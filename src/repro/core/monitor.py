@@ -247,8 +247,8 @@ class Monitor(POETClient):
         state (delivered counts, GP/LS index, leaf histories,
         representative subset, counters).  Restore it into a *fresh*
         monitor built for the same pattern via :meth:`restore`, then
-        :meth:`replay_suffix` the recorded stream to converge to the
-        exact state of an uninterrupted run."""
+        feed it the whole recorded stream to converge to the exact
+        state of an uninterrupted run."""
         return self.matcher.checkpoint()
 
     def restore(self, state: dict) -> None:
@@ -265,27 +265,6 @@ class Monitor(POETClient):
         delivery."""
         self.matcher.restore(state)
         self._refresh_size_gauges()
-
-    def delivered_counts(self) -> List[int]:
-        """Events processed so far per trace (the replay watermark)."""
-        matcher = self.matcher
-        if matcher.pinned is not None:
-            return list(matcher.pinned["index"]["lengths"])
-        return [matcher.index.trace_length(t) for t in range(matcher.num_traces)]
-
-    def replay_suffix(self, events: Sequence[Event]) -> int:
-        """Feed a recorded linearization, skipping the prefix already
-        reflected in the matcher state; returns the number of events
-        actually replayed.  ``events`` must be a valid linearization of
-        the computation the checkpoint came from (e.g. a POET
-        dumpfile), so per-trace indices decide membership exactly."""
-        replayed = 0
-        for event in events:
-            if event.index <= self.matcher.index.trace_length(event.trace):
-                continue
-            self.on_event(event)
-            replayed += 1
-        return replayed
 
     # ------------------------------------------------------------------
     # Results

@@ -40,7 +40,8 @@ from __future__ import annotations
 import dataclasses
 import signal
 import threading
-from typing import Dict, List, Optional, Sequence
+from itertools import islice
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.clocks.encoded import EncodedClock, StreamEncoder
 from repro.core.config import MatcherConfig
@@ -163,7 +164,7 @@ class Pipeline:
         #: The one transcoder of this pipeline (see :meth:`feed`).
         self._stream_encoder = StreamEncoder(len(self.trace_names))
         #: The recording :meth:`run` feeds (set by :meth:`replay`).
-        self._events: Optional[List[Event]] = None
+        self._recording: Optional[Iterable[Event]] = None
         self._dispatcher: Optional[ShardedDispatcher] = None
         self._fault_plan: Optional[FaultPlan] = None
         self._fault_seed = 0
@@ -262,7 +263,7 @@ class Pipeline:
     @classmethod
     def replay(
         cls,
-        events: Sequence[Event],
+        events: Iterable[Event],
         trace_names: Sequence[str],
         verify: bool = False,
         registry: Optional[MetricsRegistry] = None,
@@ -270,7 +271,8 @@ class Pipeline:
     ) -> "Pipeline":
         """A :meth:`stream` pipeline holding a recorded stream (a valid
         linearization, e.g. from :meth:`record` or a dump file), which
-        :meth:`run` feeds slice by slice.
+        :meth:`run` feeds slice by slice.  ``events`` is kept as it is
+        and read once: a list or a one-pass iterator both do.
 
         A full-vector recording (a dump file, a
         :class:`~repro.testing.Weaver` stream) is transcoded per slice
@@ -281,7 +283,7 @@ class Pipeline:
         pipeline = cls.stream(
             trace_names, verify=verify, registry=registry, tracer=tracer
         )
-        pipeline._events = list(events)
+        pipeline._recording = events
         return pipeline
 
     @classmethod
@@ -292,8 +294,9 @@ class Pipeline:
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[SpanTracer] = None,
     ) -> "Pipeline":
-        """Load a POET dump file and replay it (the paper's reload
-        methodology)."""
+        """Replay a POET dump file (the paper's reload methodology),
+        read one record at a time as :meth:`run` feeds it: a bad record
+        raises from :meth:`run`, after the slices before it."""
         events, _num_traces, names = load_events(path)
         return cls.replay(
             events, names, verify=verify, registry=registry, tracer=tracer
@@ -749,7 +752,7 @@ class Pipeline:
         size = batch_size if batch_size is not None else DEFAULT_BATCH_SIZE
         if size < 1:
             raise ValueError(f"batch_size must be >= 1, got {size}")
-        if self.kernel is None and self._events is None:
+        if self.kernel is None and self._recording is None:
             raise RuntimeError(
                 "pipeline has no source: a stream() pipeline is driven "
                 "with feed()/finish()"
@@ -763,9 +766,9 @@ class Pipeline:
                 if self.kernel is not None:
                     outcome = self.kernel.run(max_events=max_events)
                 else:
-                    events = self._events[:max_events]
-                    for start in range(0, len(events), size):
-                        self.feed(events[start:start + size])
+                    events = islice(self._recording, max_events)
+                    while batch := list(islice(events, size)):
+                        self.feed(batch)
             except KeyboardInterrupt:
                 interrupted = True
         return self._finalize(outcome, interrupted=interrupted)

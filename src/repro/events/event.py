@@ -201,23 +201,33 @@ class Event:
         return record
 
 
+#: The type :meth:`Event.to_record` writes for each required field.
+_FIELD_TYPES = {"t": int, "i": int, "y": str, "x": str, "c": list, "l": int}
+
+
 def event_from_record(record: dict) -> Event:
     """Rebuild an :class:`Event` from a :meth:`Event.to_record` dict.
 
-    Raises the underlying ``KeyError``/``ValueError``/``TypeError`` on
-    malformed input; callers that read untrusted data (the dump loader,
-    the checkpoint loader) wrap this with their own typed errors.
+    Nothing is coerced: each field must have the type ``to_record``
+    writes, and ``True`` is not an ``int``.  Raises the underlying
+    ``KeyError``/``ValueError``/``TypeError`` on malformed input;
+    callers that read untrusted data (the dump loader, the checkpoint
+    loader) wrap this with their own typed errors.
     """
-    partner = None
-    if "p" in record:
-        partner = EventId(trace=record["p"][0], index=record["p"][1])
+    for key, kind in _FIELD_TYPES.items():
+        if type(record[key]) is not kind:
+            raise TypeError(f"field {key!r}: expected {kind.__name__}, "
+                            f"got {record[key]!r:.40}")
+    partner = record.get("p", ())
+    if any(type(n) is not int for n in (*record["c"], *partner)):
+        raise TypeError("clock and partner entries must be ints")
     return Event(
         trace=record["t"],
         index=record["i"],
-        etype=str(record["y"]),
-        text=str(record["x"]),
+        etype=record["y"],
+        text=record["x"],
         clock=VectorClock(record["c"]),
         kind=EventKind(record["k"]),
-        partner=partner,
+        partner=EventId(*partner) if "p" in record else None,
         lamport=record["l"],
     )

@@ -54,6 +54,27 @@ def as_stage(sink: Union[POETClient, Callable[[Event], None]]):
     return sink if hasattr(sink, "on_batch") else CallbackClient(sink)
 
 
+class Stage(POETClient):
+    """A client that collects what it delivers in ``_outbox`` and hands
+    it to its ``_sink``, counting it on its own ``_handed_counter``
+    (the fault injector, the hold-back buffer)."""
+
+    def _hand_off(self, batch: bool = True) -> None:
+        """Hand the deliveries collected so far downstream, in one
+        ``on_batch`` call or (not ``batch``) one ``on_event`` call
+        each; the list goes with the call, none is kept."""
+        handed = self._outbox
+        if handed:
+            self._outbox = []
+            self._handed_counter.inc(len(handed))
+            if batch:
+                self._sink.on_batch(handed)
+            else:
+                on_event = self._sink.on_event
+                for event in handed:
+                    on_event(event)
+
+
 class RecordingClient(POETClient):
     """Stores every delivered event, in delivery order (for tests)."""
 

@@ -8,24 +8,25 @@ an identical event stream.  The format here is a line of JSON per
 record: a header describing the computation, then one line per event in
 delivery order.
 
-Loading is hardened against corrupt input: any malformed line — broken
-JSON, a missing or mistyped field, an inconsistent clock — raises
+A dump is read as a stream, one record at a time, so a replay holds
+no copy of it.  Reading is hardened against corrupt input: any
+malformed line — bad UTF-8, broken or too deeply nested JSON, a
+missing or mistyped field, an inconsistent clock — raises
 :class:`DumpFormatError` naming the file, line number, and offending
-field instead of leaking a bare ``KeyError``/``IndexError``.  By
-default the loader also re-checks that the reloaded sequence still
-forms a linearization of the partial order, so a truncated or
-hand-edited dump cannot silently feed the matcher a causally broken
-stream.
+field, and nothing else escapes.  Each record is also checked against
+the deliverability rule as it is read, so a truncated or hand-edited
+dump cannot silently feed the matcher a causally broken stream: the
+error names the first record that breaks the order.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import BinaryIO, Iterable, Iterator, List, Sequence, Tuple, Union
 
 from repro.events.event import Event, event_from_record
-from repro.poet.linearize import is_linearization
+from repro.poet.linearize import admit
 
 _FORMAT = "ocep-poet-dump-v1"
 
@@ -75,23 +76,23 @@ def dump_events(
     return count
 
 
-def load_events(
-    path: PathLike, validate_order: bool = True
-) -> Tuple[List[Event], int, List[str]]:
-    """Read a dump file; returns ``(events, num_traces, trace_names)``.
+def load_events(path: PathLike) -> Tuple[Iterator[Event], int, List[str]]:
+    """Open a dump file; returns ``(events, num_traces, trace_names)``.
 
-    With ``validate_order`` (the default) the reloaded sequence is
-    checked to still be a linearization of the partial order; disable
-    it only for deliberately partial dumps.
+    The header is checked here, so a bad header raises at the call.
+    ``events`` is a one-pass iterator: each step parses one record and
+    checks it against the deliverability rule
+    (:func:`~repro.poet.linearize.admit`), so a malformed or
+    out-of-order record raises at its own line when the stream reaches
+    it.  The file is closed when the iterator is exhausted, raises or
+    is closed.  A caller that needs a list builds it.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        header_line = fh.readline()
-        if not header_line:
+    fh = open(path, "rb")
+    try:
+        line = fh.readline()
+        if not line:
             raise DumpFormatError(path, 1, "empty dump file")
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
-            raise DumpFormatError(path, 1, f"unparseable header: {exc}") from exc
+        header = _parse_json(path, 1, line)
         if not isinstance(header, dict):
             raise DumpFormatError(path, 1, "header is not a JSON object")
         if header.get("format") != _FORMAT:
@@ -99,65 +100,68 @@ def load_events(
                 path, 1, f"unknown dump format {header.get('format')!r}",
                 field="format",
             )
-        try:
-            num_traces = int(header["num_traces"])
-            trace_names = [str(n) for n in header["trace_names"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        num_traces = header.get("num_traces")
+        names = header.get("trace_names")
+        if (type(num_traces) is not int or num_traces <= 0
+                or type(names) is not list or len(names) != num_traces):
             raise DumpFormatError(
-                path, 1, f"bad header: {exc!r}", field="num_traces/trace_names"
-            ) from exc
-        if num_traces <= 0 or len(trace_names) != num_traces:
-            raise DumpFormatError(
-                path, 1,
-                f"{len(trace_names)} trace names for {num_traces} traces",
-                field="trace_names",
+                path, 1, "num_traces must be a positive int naming as many "
+                f"trace_names: {num_traces!r:.40}, {names!r:.80}",
+                field="num_traces/trace_names",
             )
+    except BaseException:
+        fh.close()
+        raise
+    events = _read_records(path, fh, num_traces)
+    next(events)  # enter its ``with``: closing the iterator closes the file
+    return events, num_traces, [str(name) for name in names]
 
-        events: List[Event] = []
+
+def _read_records(path: PathLike, fh: BinaryIO, num_traces: int):
+    """The records after the header, one checked event per step; the
+    first step yields ``None`` (``load_events`` takes it)."""
+    delivered = [0] * num_traces
+    with fh:
+        yield None  # primed by load_events
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            events.append(_parse_record_line(path, lineno, line, num_traces))
+            record = _parse_json(path, lineno, line)
+            if not isinstance(record, dict):
+                raise DumpFormatError(path, lineno, "record is not a JSON object")
+            try:
+                event = event_from_record(record)
+            except KeyError as exc:
+                raise DumpFormatError(
+                    path, lineno, "missing record field", field=str(exc.args[0])
+                ) from exc
+            except (IndexError, TypeError, ValueError) as exc:
+                raise DumpFormatError(path, lineno, f"bad record: {exc}") from exc
+            if len(event.clock) != num_traces:
+                raise DumpFormatError(
+                    path, lineno,
+                    f"clock width {len(event.clock)} does not match header "
+                    f"num_traces {num_traces}",
+                    field="c",
+                )
+            if not admit(delivered, event):
+                raise DumpFormatError(
+                    path, lineno,
+                    f"event {event.event_id} breaks the linearization of the "
+                    "partial order: a causal predecessor is missing or comes "
+                    "later (truncated or reordered dump?)",
+                    field="c",
+                )
+            yield event
 
-    if validate_order and not is_linearization(events, num_traces):
-        raise DumpFormatError(
-            path, 0,
-            "reloaded events do not form a linearization of the partial "
-            "order (truncated or reordered dump?)",
-        )
-    return events, num_traces, trace_names
 
-
-def _parse_record_line(
-    path: PathLike, lineno: int, line: str, num_traces: int
-) -> Event:
+def _parse_json(path: PathLike, lineno: int, line: bytes):
+    """One line as JSON; bad UTF-8, bad JSON and nesting too deep for
+    the parser are all a :class:`DumpFormatError` at that line."""
     try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise DumpFormatError(path, lineno, f"unparseable record: {exc}") from exc
-    if not isinstance(record, dict):
-        raise DumpFormatError(path, lineno, "record is not a JSON object")
-    event = _record_to_event(record, path=path, line=lineno)
-    if len(event.clock) != num_traces:
+        return json.loads(line.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        what = "header" if lineno == 1 else "record"
         raise DumpFormatError(
-            path, lineno,
-            f"clock width {len(event.clock)} does not match header "
-            f"num_traces {num_traces}",
-            field="c",
-        )
-    return event
-
-
-def _event_to_record(event: Event) -> dict:
-    return event.to_record()
-
-
-def _record_to_event(record: dict, path: PathLike = "<record>", line: int = 0) -> Event:
-    try:
-        return event_from_record(record)
-    except KeyError as exc:
-        raise DumpFormatError(
-            path, line, "missing record field", field=str(exc.args[0])
+            path, lineno, f"unparseable {what}: {exc!s:.200}"
         ) from exc
-    except (IndexError, TypeError, ValueError) as exc:
-        raise DumpFormatError(path, line, f"bad record: {exc}") from exc

@@ -53,7 +53,7 @@ from repro.events.event import Event, EventId
 from repro.obs.log import get_logger
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.obs.spans import NULL_TRACER, SpanTracer
-from repro.poet.client import POETClient, as_stage
+from repro.poet.client import POETClient, Stage, as_stage
 
 _log = get_logger("poet.holdback")
 
@@ -82,7 +82,7 @@ class HoldbackStallError(RuntimeError):
     """Held-back events can never be released (dropped predecessor)."""
 
 
-class HoldbackBuffer(POETClient):
+class HoldbackBuffer(Stage):
     """Re-linearizes an out-of-order event stream for one consumer.
 
     Parameters
@@ -180,7 +180,7 @@ class HoldbackBuffer(POETClient):
         self._depth_gauge = self.registry.gauge(
             "poet_holdback_pending_events", "events currently held back"
         )
-        self._released_counter = self.registry.counter(
+        self._handed_counter = self.registry.counter(
             "poet_holdback_released_total", "events released downstream"
         )
         self._reordered_counter = self.registry.counter(
@@ -362,21 +362,6 @@ class HoldbackBuffer(POETClient):
         self.released_total += 1
         self.stalled = False
         self._outbox.append(event)
-
-    def _hand_off(self, batch: bool = True) -> None:
-        """Hand the releases collected so far downstream, in one
-        ``on_batch`` call or (not ``batch``) one ``on_event`` call
-        each; the list goes with the call, none is kept."""
-        released = self._outbox
-        if released:
-            self._outbox = []
-            self._released_counter.inc(len(released))
-            if batch:
-                self._sink.on_batch(released)
-            else:
-                on_event = self._sink.on_event
-                for event in released:
-                    on_event(event)
 
     def _drain(self) -> None:
         """Release pending events until none is ready.  Among ready

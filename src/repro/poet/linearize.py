@@ -4,14 +4,15 @@ A linearization of a partial order ``->`` on a set ``X`` is a sequence
 containing each element of ``X`` once such that any ``x`` occurs before
 ``x'`` whenever ``x -> x'`` (paper, Section V-A).  The POET server
 delivers events to clients in such an order; this module both builds
-linearizations from stored events (for dump replay) and verifies that a
-given delivery order is causally consistent (used by the server's debug
-mode and the test suite).
+linearizations from stored events and holds the one deliverability
+rule (:func:`admit`), which the dump reader applies to every record
+and :func:`is_linearization` to a whole delivery order.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from operator import le
+from typing import Iterable, List
 
 from repro.events.event import Event
 
@@ -27,24 +28,28 @@ def linearize(events: Iterable[Event]) -> List[Event]:
     return sorted(events, key=lambda e: (e.lamport, e.trace, e.index))
 
 
-def is_linearization(events: Sequence[Event], num_traces: int) -> bool:
-    """Check that a delivery order is a linearization of happens-before.
-
-    The check is incremental and linear in the total clock width: an
-    event ``e`` on trace ``t`` with clock ``V`` may be delivered only
-    when exactly ``V[t] - 1`` events of trace ``t`` and at least
-    ``V[m]`` events of every other trace ``m`` have been delivered —
-    i.e. all its causal predecessors are already in the prefix.
+def admit(delivered: List[int], event: Event) -> bool:
+    """The deliverability rule, the one copy of it: ``event`` on trace
+    ``t`` with clock ``V`` may follow a prefix holding ``delivered[m]``
+    events of each trace ``m`` only when ``delivered[t] == V[t] - 1``
+    and ``V[m] <= delivered[m]`` for every other trace — all its causal
+    predecessors are in the prefix.  An event that may is counted into
+    ``delivered`` and True is returned; otherwise the counts are left
+    as they were.  Linear in the clock width.
     """
+    clock = event.clock
+    trace = event.trace
+    if len(clock) != len(delivered) or delivered[trace] != clock[trace] - 1:
+        return False
+    delivered[trace] += 1  # its own slot now reads V[t]
+    if all(map(le, clock.components, delivered)):
+        return True
+    delivered[trace] -= 1
+    return False
+
+
+def is_linearization(events: Iterable[Event], num_traces: int) -> bool:
+    """Check that a delivery order is a linearization of happens-before:
+    every event passes :func:`admit` after the ones before it."""
     delivered = [0] * num_traces
-    for event in events:
-        clock = event.clock
-        if len(clock) != num_traces:
-            return False
-        if delivered[event.trace] != clock[event.trace] - 1:
-            return False
-        for trace in range(num_traces):
-            if trace != event.trace and clock[trace] > delivered[trace]:
-                return False
-        delivered[event.trace] += 1
-    return True
+    return all(admit(delivered, event) for event in events)

@@ -33,7 +33,7 @@ from typing import Callable, List, Optional, Sequence, Union
 from repro.events.event import Event, EventId
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.obs.spans import NULL_TRACER, SpanTracer
-from repro.poet.client import POETClient, as_stage
+from repro.poet.client import POETClient, Stage, as_stage
 
 #: The fault kinds a plan can name.
 FAULT_KINDS = ("none", "reorder", "delay", "duplicate", "drop", "crash")
@@ -111,7 +111,7 @@ class FaultPlan:
         return random.Random(f"crash:{seed}").randrange(lo, hi)
 
 
-class FaultInjector(POETClient):
+class FaultInjector(Stage):
     """Perturbs an in-order event stream, deterministically per seed.
 
     Feed the original linearization through :meth:`on_batch` (or one
@@ -170,7 +170,7 @@ class FaultInjector(POETClient):
             "faults injected into the delivery stream",
             labels=kind_labels,
         )
-        self._forwarded_counter = self.registry.counter(
+        self._handed_counter = self.registry.counter(
             "fault_events_forwarded_total",
             "events forwarded downstream by the injector",
             labels=kind_labels,
@@ -252,21 +252,6 @@ class FaultInjector(POETClient):
             self._emit(entry[1])
         self._dup_queue.clear()
         self._hand_off()
-
-    def _hand_off(self, batch: bool = True) -> None:
-        """Hand the deliveries collected so far downstream, in one
-        ``on_batch`` call or (not ``batch``) one ``on_event`` call
-        each; the list goes with the call, none is kept."""
-        emitted = self._outbox
-        if emitted:
-            self._outbox = []
-            self._forwarded_counter.inc(len(emitted))
-            if batch:
-                self._sink.on_batch(emitted)
-            else:
-                on_event = self._sink.on_event
-                for event in emitted:
-                    on_event(event)
 
     # ------------------------------------------------------------------
     # Fault mechanics

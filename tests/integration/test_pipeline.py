@@ -11,7 +11,9 @@ from repro import (
     instrument,
     load_events,
 )
+from repro.engine import Pipeline
 from repro.poet import RecordingClient, is_linearization
+from repro.poet.dumpfile import DumpFormatError
 
 AB = "A := ['', A, '']; B := ['', B, '']; pattern := A -> B;"
 
@@ -82,6 +84,57 @@ class TestDumpReplayEquivalence:
         assert [
             tuple((lid, e.event_id) for lid, e in a) for a in live
         ] == [tuple((lid, e.event_id) for lid, e in a) for a in replayed]
+
+    def test_from_dump_streams_the_recording(self, tmp_path):
+        """``from_dump`` hands the reader's stream to ``replay``: the
+        run equals one over the recorded list, and ``max_events`` cuts
+        the stream without reading past it."""
+        kernel, server = _producer_consumer(seed=5)
+        recorder = RecordingClient()
+        server.connect(recorder)
+        kernel.run()
+        path = tmp_path / "run.poet"
+        dump_events(path, recorder.events, kernel.num_traces,
+                    kernel.trace_names())
+
+        def signature(pipeline, **run):
+            pipeline.watch("ab", AB)
+            result = pipeline.run(**run)
+            return result.num_events, result.signatures()
+
+        assert signature(Pipeline.from_dump(path)) == signature(
+            Pipeline.replay(recorder.events, kernel.trace_names())
+        )
+        read = []
+        stream = (read.append(e) or e for e in recorder.events)
+        cut = signature(Pipeline.replay(stream, kernel.trace_names()),
+                        max_events=7, batch_size=3)
+        assert cut == signature(
+            Pipeline.replay(recorder.events[:7], kernel.trace_names())
+        )
+        assert read == recorder.events[:7]
+
+    def test_corrupt_last_record_raises_from_run_at_its_line(self, tmp_path):
+        """The dump is read as ``run`` feeds it: building the pipeline
+        reads only the header, and the bad record raises at its own
+        line after every record before it was delivered."""
+        kernel, server = _producer_consumer(seed=5)
+        recorder = RecordingClient()
+        server.connect(recorder)
+        kernel.run()
+        path = tmp_path / "run.poet"
+        dump_events(path, recorder.events, kernel.num_traces,
+                    kernel.trace_names())
+        lines = path.read_text().splitlines()
+        lines[-1] = lines[-1][: len(lines[-1]) // 2]  # cut mid-record
+        path.write_text("\n".join(lines) + "\n")
+
+        pipeline = Pipeline.from_dump(path)
+        pipeline.watch("ab", AB)
+        with pytest.raises(DumpFormatError) as excinfo:
+            pipeline.run(batch_size=1)
+        assert excinfo.value.line == len(lines)
+        assert pipeline.server.num_events == len(recorder.events) - 1
 
     def test_replay_is_deterministic_across_repetitions(self, tmp_path):
         kernel, server = _producer_consumer(seed=9)

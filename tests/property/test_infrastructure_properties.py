@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.core import CausalIndex, RepresentativeSubset
 from repro.events.event import EventKind
 from repro.poet import dump_events, is_linearization, load_events
+from repro.poet.dumpfile import DumpFormatError
 from repro.simulation import Kernel
 from repro.poet import RecordingClient, instrument
 from repro.testing import CLOCK_BACKENDS, Weaver, random_computation
@@ -185,6 +186,7 @@ class TestDumpRoundTrip:
             names = [f"P{i}" for i in range(weaver.num_traces)]
             dump_events(path, weaver.events, weaver.num_traces, names)
             events, num_traces, loaded_names = load_events(path)
+            events = list(events)
             assert num_traces == weaver.num_traces
             assert loaded_names == names
             assert events == weaver.events  # identity = (trace, index)
@@ -193,6 +195,103 @@ class TestDumpRoundTrip:
                 assert original.etype == restored.etype
                 assert original.kind == restored.kind
                 assert original.partner == restored.partner
+
+
+def _sample_dump_lines():
+    """A small valid dump, as its lines of bytes (header first)."""
+    import os
+    import tempfile
+
+    w = Weaver(3)
+    w.local(0, "A", text="a")
+    send, _ = w.message(0, 1)
+    w.local(1, "B")
+    w.message(1, 2)
+    w.recv(2, w.send(0))
+    w.local(2, "C", text="c")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "dump.poet")
+        dump_events(path, w.events, 3, ["P0", "P1", "P2"])
+        with open(path, "rb") as fh:
+            return fh.read().splitlines()
+
+
+_SAMPLE_DUMP = _sample_dump_lines()
+_ODD_VALUES = [
+    b'"1"', b"1.5", b"-1", b"0", b"true", b"null", b"Infinity", b"NaN",
+    b"[]", b"{}", b'"send"', b"[1, 2]", b"[0, 0, 0, 0]", b"1e400",
+    b"123456789012345678901234567890", b"[" * 3000 + b"]" * 3000,
+]
+_FIELDS = [b'"t"', b'"i"', b'"y"', b'"x"', b'"c"', b'"k"', b'"l"', b'"p"',
+           b'"format"', b'"num_traces"', b'"trace_names"']
+
+
+@st.composite
+def mutated_dumps(draw):
+    """The sample dump after one to three line-level mutations:
+    truncate, delete, swap, retype a field, insert garbage bytes."""
+    lines = list(_SAMPLE_DUMP)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        if not lines:
+            break
+        at = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        op = draw(st.sampled_from(
+            ["truncate", "delete", "swap", "retype", "garbage"]
+        ))
+        line = lines[at]
+        if op == "truncate":
+            lines[at] = line[: draw(st.integers(0, len(line)))]
+        elif op == "delete":
+            del lines[at]
+        elif op == "swap":
+            other = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+            lines[at], lines[other] = lines[other], lines[at]
+        elif op == "retype":
+            field = draw(st.sampled_from(_FIELDS))
+            start = line.find(field + b": ")
+            if start >= 0:
+                start += len(field) + 2
+                depth, end = 0, start
+                while end < len(line):  # the value: up to , or } at depth 0
+                    ch = line[end:end + 1]
+                    if ch in b"[{":
+                        depth += 1
+                    elif ch in b"]}":
+                        if depth == 0:
+                            break
+                        depth -= 1
+                    elif ch == b"," and depth == 0:
+                        break
+                    end += 1
+                value = draw(st.sampled_from(_ODD_VALUES))
+                lines[at] = line[:start] + value + line[end:]
+        else:
+            cut = draw(st.integers(0, len(line)))
+            junk = draw(st.binary(min_size=1, max_size=8))
+            lines[at] = line[:cut] + junk + line[cut:]
+    return b"\n".join(lines) + b"\n"
+
+
+class TestDumpReaderFuzz:
+    """Whatever a damaged dump holds, reading it to the end either
+    finishes or raises ``DumpFormatError``: no other type escapes."""
+
+    @given(mutated_dumps())
+    @settings(max_examples=150, deadline=None)
+    def test_damaged_dump_reads_or_raises_dump_format_error(self, data):
+        import os
+        import tempfile
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "dump.poet")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            try:
+                events, num_traces, _ = load_events(path)
+                consumed = list(events)
+            except DumpFormatError:
+                return
+        assert is_linearization(consumed, num_traces)
 
 
 class TestSimulationDelivery:

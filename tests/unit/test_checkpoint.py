@@ -79,7 +79,9 @@ class TestRoundTrip:
 
             recovered = _fed(source, names, ())
             recovered.restore(state)
-            assert recovered.replay_suffix(events) == len(events) - cut, name
+            for event in events:  # the whole stream: the front skips
+                recovered.on_event(event)  # the delivered prefix
+            assert recovered.matcher.events_processed == len(events), name
             assert recovered.subset.signature() == oracle.subset.signature(), name
             assert first.reports + recovered.reports == oracle.reports, name
             assert recovered.matcher.counters() == oracle.matcher.counters(), name
@@ -94,7 +96,8 @@ class TestRoundTrip:
         recovered = _fed(source, names, ())
         recovered.restore(state)
         assert recovered.matcher._plans == {}
-        recovered.replay_suffix(events)
+        for event in events:
+            recovered.on_event(event)
         assert first.reports + recovered.reports == oracle.reports
         counters = recovered.matcher.counters()
         assert counters.pop("plans_computed") == oracle.matcher.plans_computed + 1
@@ -139,21 +142,12 @@ class TestRoundTrip:
         assert state["format"] == CHECKPOINT_FORMAT
         json.dumps(state)  # must not raise
 
-    def test_delivered_counts_match_stream(self):
+    def test_checkpoint_delivered_matches_stream(self):
         events = _events()
         monitor = _run(events)
-        counts = monitor.delivered_counts()
-        for trace in range(3):
-            assert counts[trace] == sum(
-                1 for e in events if e.trace == trace
-            )
-        assert monitor.checkpoint()["delivered"] == counts
-
-    def test_replay_suffix_skips_delivered_prefix(self):
-        events = _events()
-        monitor = _run(events)
-        # Replaying the whole stream over a caught-up monitor is a no-op.
-        assert monitor.replay_suffix(events) == 0
+        assert monitor.checkpoint()["delivered"] == [
+            sum(1 for e in events if e.trace == trace) for trace in range(3)
+        ]
 
     def test_restore_preserves_multileaf_state(self):
         events = _events(seed=2, steps=120)
@@ -172,7 +166,8 @@ class TestRoundTrip:
             ABC, ["P0", "P1", "P2"], record_timings=False
         )
         recovered.restore(json.loads(json.dumps(first.checkpoint())))
-        recovered.replay_suffix(events)
+        for e in events:
+            recovered.on_event(e)
         assert recovered.subset.signature() == oracle.subset.signature()
 
 
@@ -204,6 +199,21 @@ class TestValidation:
         state = _run(_events()).checkpoint()
         state["index"]["lengths"] = "garbage"
         with pytest.raises(CheckpointError):
+            _monitor().restore(state)
+
+    @pytest.mark.parametrize("lamport", ["1", 1.5, float("inf"), True])
+    def test_non_int_lamport_time_rejected(self, lamport):
+        """Checkpoints share the dump's event codec, which coerces no
+        field: a history event whose Lamport time is not an int fails."""
+        state = _run(_events()).checkpoint()
+        records = [
+            record
+            for leaf in state["history"]["leaves"]
+            for entry in leaf["traces"]
+            for record in entry["events"]
+        ]
+        records[0]["l"] = lamport
+        with pytest.raises(CheckpointError, match="expected int"):
             _monitor().restore(state)
 
     def test_last_append_naming_no_leaf_rejected(self):

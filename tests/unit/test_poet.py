@@ -498,13 +498,19 @@ class TestLinearize:
         assert is_linearization([], 3)
 
 
+def _read(path):
+    """Load a dump and consume its stream (record errors surface here)."""
+    events, num_traces, names = load_events(path)
+    return list(events), num_traces, names
+
+
 class TestDumpReload:
     def test_round_trip(self, tmp_path):
         _, events = _sample_stream()
         path = tmp_path / "trace.poet"
         written = dump_events(path, events, 3, ["P0", "P1", "P2"])
         assert written == len(events)
-        loaded, num_traces, names = load_events(path)
+        loaded, num_traces, names = _read(path)
         assert num_traces == 3
         assert names == ["P0", "P1", "P2"]
         assert len(loaded) == len(events)
@@ -520,7 +526,7 @@ class TestDumpReload:
         _, events = _sample_stream()
         path = tmp_path / "trace.poet"
         dump_events(path, events, 3, ["P0", "P1", "P2"])
-        loaded, num_traces, names = load_events(path)
+        loaded, num_traces, names = _read(path)
         server = POETServer(num_traces, names, verify=True)
         server.collect_batch(loaded)
         assert server.num_events == len(events)
@@ -537,9 +543,61 @@ class TestDumpReload:
         with pytest.raises(ValueError):
             load_events(path)
 
+    def test_events_are_a_one_pass_stream(self, tmp_path):
+        """The reader holds no list: records are parsed as the stream is
+        consumed, and a consumed stream is empty."""
+        _, events = _sample_stream()
+        path = tmp_path / "trace.poet"
+        dump_events(path, events, 3, ["P0", "P1", "P2"])
+        loaded, _, _ = load_events(path)
+        assert iter(loaded) is loaded
+        assert next(loaded) == events[0]
+        assert list(loaded) == events[1:]
+        assert list(loaded) == []
+
+    @pytest.mark.parametrize(
+        "end", ["exhausted", "raises", "closed", "header raises"]
+    )
+    def test_file_is_closed_when_the_stream_ends(self, tmp_path, monkeypatch,
+                                                 end):
+        from repro.poet import dumpfile
+
+        _, events = _sample_stream()
+        path = tmp_path / "trace.poet"
+        dump_events(path, events, 3, ["P0", "P1", "P2"])
+        if end == "raises":
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write("{broken\n")
+        elif end == "header raises":
+            path.write_text('{"format": "something-else"}\n')
+        opened = []
+
+        def tracking_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(dumpfile, "open", tracking_open, raising=False)
+        if end == "header raises":
+            with pytest.raises(DumpFormatError):
+                load_events(path)
+            assert opened[0].closed
+            return
+        loaded, _, _ = load_events(path)
+        assert not opened[0].closed
+        if end == "exhausted":
+            assert len(list(loaded)) == len(events)
+        elif end == "raises":
+            with pytest.raises(DumpFormatError):
+                list(loaded)
+        else:
+            loaded.close()  # never read from
+        assert opened[0].closed
+
 
 class TestDumpFormatErrors:
-    """Corrupt dumps raise DumpFormatError naming file, line, field."""
+    """Corrupt dumps raise DumpFormatError naming file, line, field —
+    a header error at the call, a record error when the stream reaches
+    that record."""
 
     def _dump(self, tmp_path):
         _, events = _sample_stream()
@@ -547,12 +605,22 @@ class TestDumpFormatErrors:
         dump_events(path, events, 3, ["P0", "P1", "P2"])
         return path, path.read_text().splitlines()
 
+    def _retyped(self, tmp_path, field, value):
+        """The sample dump with ``field`` of its first record set to
+        the JSON text ``value``."""
+        path, lines = self._dump(tmp_path)
+        record = json.loads(lines[1])
+        record[field] = "@"
+        lines[1] = json.dumps(record).replace('"@"', value)
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
     def test_broken_json_record_names_line(self, tmp_path):
         path, lines = self._dump(tmp_path)
         lines[2] = '{"t": 0, "i":'  # truncated JSON on line 3
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DumpFormatError) as excinfo:
-            load_events(path)
+            _read(path)
         assert excinfo.value.line == 3
         assert "unparseable record" in str(excinfo.value)
 
@@ -563,7 +631,7 @@ class TestDumpFormatErrors:
         lines[1] = json.dumps(record)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DumpFormatError) as excinfo:
-            load_events(path)
+            _read(path)
         assert excinfo.value.line == 2
         assert excinfo.value.field == "c"
 
@@ -574,17 +642,44 @@ class TestDumpFormatErrors:
         lines[1] = json.dumps(record)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DumpFormatError, match="clock width"):
-            load_events(path)
+            _read(path)
 
     def test_mistyped_field_rejected(self, tmp_path):
+        path = self._retyped(tmp_path, "i", '"not-an-int"')
+        with pytest.raises(DumpFormatError) as excinfo:
+            _read(path)
+        assert excinfo.value.line == 2
+
+    @pytest.mark.parametrize("value", ['"1"', "1.5", "Infinity", "true"])
+    def test_lamport_time_must_be_an_int(self, tmp_path, value):
+        path = self._retyped(tmp_path, "l", value)
+        with pytest.raises(DumpFormatError, match="expected int") as excinfo:
+            _read(path)
+        assert excinfo.value.line == 2
+
+    def test_infinite_clock_component_rejected(self, tmp_path):
+        path = self._retyped(tmp_path, "c", "[Infinity, 0, 0]")
+        with pytest.raises(DumpFormatError) as excinfo:
+            _read(path)
+        assert excinfo.value.line == 2
+
+    def test_invalid_utf8_names_line(self, tmp_path):
         path, lines = self._dump(tmp_path)
-        record = json.loads(lines[1])
-        record["i"] = "not-an-int"
-        lines[1] = json.dumps(record)
+        data = [line.encode() for line in lines]
+        data[2] = data[2].replace(b'"y": "', b'"y": "\xff\xfe')
+        path.write_bytes(b"\n".join(data) + b"\n")
+        with pytest.raises(DumpFormatError) as excinfo:
+            _read(path)
+        assert excinfo.value.line == 3
+
+    @pytest.mark.parametrize("line", [0, 2])
+    def test_deeply_nested_json_names_line(self, tmp_path, line):
+        path, lines = self._dump(tmp_path)
+        lines[line] = "[" * 100_000 + "]" * 100_000
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DumpFormatError) as excinfo:
-            load_events(path)
-        assert excinfo.value.line == 2
+            _read(path)
+        assert excinfo.value.line == line + 1
 
     def test_header_name_count_mismatch_rejected(self, tmp_path):
         path, lines = self._dump(tmp_path)
@@ -598,29 +693,38 @@ class TestDumpFormatErrors:
 
     def test_truncated_dump_fails_order_validation(self, tmp_path):
         path, lines = self._dump(tmp_path)
-        # Drop an early record: later clocks now reference a hole.
+        # Drop an early record: the next record of its trace now skips
+        # an index.
         del lines[1]
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DumpFormatError, match="linearization"):
-            load_events(path)
+        with pytest.raises(DumpFormatError, match="linearization") as excinfo:
+            _read(path)
+        assert excinfo.value.line == 2
+        assert excinfo.value.field == "c"
 
-    def test_validate_order_false_allows_partial_dump(self, tmp_path):
-        path, lines = self._dump(tmp_path)
-        del lines[1]
-        path.write_text("\n".join(lines) + "\n")
-        events, num_traces, _ = load_events(path, validate_order=False)
-        assert num_traces == 3
-        assert not is_linearization(events, 3)
+    def test_receive_before_send_names_the_receive(self, tmp_path):
+        """The order is checked record by record: the error names the
+        receive's own line, not line 0 after the whole file."""
+        w = Weaver(2)
+        w.local(0, "A")
+        w.local(1, "B")
+        send, receive = w.message(0, 1)
+        w.local(1, "C")
+        reordered = w.events[:2] + [receive, send] + w.events[4:]
+        path = tmp_path / "reordered.poet"
+        dump_events(path, reordered, 2, ["P0", "P1"])
+        events, _, _ = load_events(path)
+        assert [next(events), next(events)] == w.events[:2]
+        with pytest.raises(DumpFormatError, match="linearization") as excinfo:
+            next(events)
+        assert excinfo.value.line == 4  # header, A, B, then the receive
+        assert excinfo.value.field == "c"
 
-    def test_corrupted_dump_trips_verifying_server(self, tmp_path):
-        """A causally broken stream fed to POETServer(verify=True)
-        raises DeliveryOrderError (load with validation off to get the
-        broken stream through)."""
-        path, lines = self._dump(tmp_path)
-        del lines[1]
-        path.write_text("\n".join(lines) + "\n")
-        events, num_traces, _ = load_events(path, validate_order=False)
-        server = POETServer(num_traces, verify=True)
+    def test_corrupted_dump_trips_verifying_server(self):
+        """A causally broken stream (its first event missing) fed to
+        POETServer(verify=True) raises DeliveryOrderError."""
+        _, events = _sample_stream()
+        server = POETServer(3, verify=True)
         with pytest.raises(DeliveryOrderError):
-            for event in events:
+            for event in events[1:]:
                 server.collect(event)
