@@ -77,9 +77,10 @@ class RepresentativeSubset:
         for leaf_id, events in groups:
             for event in events:
                 slots.add((leaf_id, event.trace))
-        new_slots = tuple(sorted(slots - self._covered))
-        if not new_slots:
+        new = slots - self._covered
+        if not new:
             return ()
+        new_slots = tuple(sorted(new))
         self._covered.update(new_slots)
         self._matches.append(
             StoredMatch(

@@ -56,11 +56,6 @@ from repro.obs.profile import (
     SamplingProfiler,
     stage_of_stack,
 )
-from repro.obs.server import (
-    DEFAULT_SPANS_LIMIT,
-    ObsServer,
-    PROMETHEUS_CONTENT_TYPE,
-)
 from repro.obs.spans import (
     MONITOR_PID,
     NULL_TRACER,
@@ -79,6 +74,22 @@ from repro.obs.stages import (
     attach_telemetry,
 )
 from repro.obs.trace import KINDS, SearchTrace, TraceRecord
+
+#: Names served by :mod:`repro.obs.server`, imported on first use: it
+#: pulls in ``http.server`` (and with it ``http.client``, ``ssl``,
+#: ``email``), which only a pipeline with a scrape server needs.
+_SERVER_NAMES = frozenset(
+    ("ObsServer", "DEFAULT_SPANS_LIMIT", "PROMETHEUS_CONTENT_TYPE")
+)
+
+
+def __getattr__(name: str):
+    if name in _SERVER_NAMES:
+        from repro.obs import server
+
+        return getattr(server, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Counter",

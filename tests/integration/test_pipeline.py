@@ -136,6 +136,31 @@ class TestDumpReplayEquivalence:
         assert excinfo.value.line == len(lines)
         assert pipeline.server.num_events == len(recorder.events) - 1
 
+    def test_corrupt_record_mid_slice_delivers_the_records_before_it(
+        self, tmp_path
+    ):
+        """A bad record inside a slice: ``run`` delivers the records of
+        that slice read before it, then re-raises the reader's error."""
+        kernel, server = _producer_consumer(seed=5)
+        recorder = RecordingClient()
+        server.connect(recorder)
+        kernel.run()
+        path = tmp_path / "run.poet"
+        dump_events(path, recorder.events, kernel.num_traces,
+                    kernel.trace_names())
+        lines = path.read_text().splitlines()
+        good = len(recorder.events) // 2
+        bad_line = len(lines) - len(recorder.events) + good + 1
+        lines[bad_line - 1] = "not a record"
+        path.write_text("\n".join(lines) + "\n")
+
+        pipeline = Pipeline.from_dump(path)
+        pipeline.watch("ab", AB)
+        with pytest.raises(DumpFormatError) as excinfo:
+            pipeline.run()  # one default-size slice holds the bad record
+        assert excinfo.value.line == bad_line
+        assert pipeline.server.num_events == good > 0
+
     def test_replay_is_deterministic_across_repetitions(self, tmp_path):
         kernel, server = _producer_consumer(seed=9)
         recorder = RecordingClient()

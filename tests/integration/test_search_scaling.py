@@ -12,6 +12,12 @@ pattern implies, the ``WITHIN`` bound and the negation bound, so a
 courier's ``Drop`` meets its own job's ``Pickup`` and a worker's
 ``Commit`` its own unvalidated ``Request``, not every older one.
 Counted off the matcher's own counters.
+
+Nor must the work a search does before its first candidate: a plan's
+levels are built once per plan, not once per search, and what the
+bound events fix for a level (its pinned trace) is resolved once per
+activation, not once per ``goForward`` call.  Counted by wrapping the
+level constructor and ``EventClass.pinned_trace``.
 """
 
 from __future__ import annotations
@@ -19,7 +25,9 @@ from __future__ import annotations
 import tracemalloc
 
 from repro.core import Monitor
+from repro.core import matcher as matcher_module
 from repro.engine import Pipeline
+from repro.patterns.classes import EventClass
 from repro.workloads import (
     absence_pattern,
     build_absence,
@@ -116,3 +124,58 @@ def test_absence_candidates_per_search_stay_flat_when_stream_doubles():
     # older Request of its worker: ~25 -> ~50 per search; floored by
     # the newest Validate before it, ~0.04
     assert large <= 1.25 * small and large < 1, (small, large)
+
+
+def search_setup_calls(monkeypatch, size):
+    """``(level constructions, pinned_trace calls, activations of
+    trace-pinned levels, matcher)`` of one pass of the message-race
+    pattern over a stream of ``size`` messages per sender."""
+    pipeline = Pipeline.for_workload(
+        build_message_race(num_traces=6, seed=3, messages_per_sender=size)
+    )
+    recorder = pipeline.record()
+    pipeline.run()
+    monitor = Monitor.from_source(
+        message_race_pattern(), list(pipeline.trace_names), record_timings=False
+    )
+    matcher = monitor.matcher
+    calls = {"levels": 0, "pinned": 0, "entered": 0}
+    plain_level = matcher_module._Level.__init__
+    plain_pinned = EventClass.pinned_trace
+    plain_enter = matcher._enter
+
+    def counting_level(self, *args):
+        calls["levels"] += 1
+        plain_level(self, *args)
+
+    def counting_pinned(self, bindings):
+        calls["pinned"] += 1
+        return plain_pinned(self, bindings)
+
+    def counting_enter(level, *args):
+        calls["entered"] += level.pins_trace
+        plain_enter(level, *args)
+
+    matcher._enter = counting_enter
+    with monkeypatch.context() as patch:
+        patch.setattr(matcher_module._Level, "__init__", counting_level)
+        patch.setattr(EventClass, "pinned_trace", counting_pinned)
+        for event in recorder.events:
+            monitor.on_event(event)
+    assert matcher.matches_found > 0
+    return calls["levels"], calls["pinned"], calls["entered"], matcher
+
+
+def test_search_setup_stays_flat_when_stream_doubles(monkeypatch):
+    runs = [search_setup_calls(monkeypatch, size) for size in (80, 160)]
+    (_, small_pinned, _, small), (_, large_pinned, _, large) = runs
+    assert large.searches_run >= 1.9 * small.searches_run
+    for levels, pinned, entered, matcher in runs:
+        # one level list per plan computed, not one per search
+        assert levels <= matcher.plans_computed * matcher.pattern.num_leaves
+        # the pinned trace resolved once per activation of a pinned
+        # level, not once per goForward call on it
+        assert 0 < pinned == entered, (pinned, entered)
+    small_rate = small_pinned / small.searches_run
+    large_rate = large_pinned / large.searches_run
+    assert large_rate <= 1.1 * small_rate, (small_rate, large_rate)

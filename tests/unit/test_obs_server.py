@@ -10,6 +10,9 @@ writer mutates them.
 """
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -51,6 +54,28 @@ def _ab_stream(repeat=1):
 def _get(url):
     with urllib.request.urlopen(url, timeout=5) as response:
         return response.status, dict(response.headers), response.read().decode()
+
+
+class TestLazyImport:
+    def test_importing_the_engine_loads_no_http_stack(self):
+        """Only a pipeline with a scrape server needs ``http.server``
+        (and the ``ssl``, ``http.client`` and ``email`` it pulls in):
+        importing the library does not load it, and the server's names
+        still resolve from :mod:`repro.obs` on first use."""
+        probe = (
+            "import sys, repro, repro.engine\n"
+            "print(sorted(m for m in ('http.server', 'ssl')"
+            " if m in sys.modules))\n"
+            "from repro.obs import ObsServer, PROMETHEUS_CONTENT_TYPE\n"
+            "print(ObsServer.__module__, 'http.server' in sys.modules)\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert done.stdout.splitlines() == ["[]", "repro.obs.server True"]
 
 
 class TestEndpoints:
