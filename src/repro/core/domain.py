@@ -225,6 +225,14 @@ def lamport_range(
     return None if lo is None else (lo, hi)
 
 
+#: What membership of an ``exact`` :func:`restrict` interval leaves
+#: undecided of a candidate, so its caller checks these pairs one by one
+#: even then: ``<>`` identity (against a send the interval is only the
+#: send's successors) and ``~>`` immediacy (no event of the earlier
+#: leaf's class in between).
+UNDECIDED = (Constraint.PARTNER, Constraint.LIMITED, Constraint.LIMITED_REV)
+
+
 def satisfies(constraint: Constraint, assigned: Event, candidate: Event) -> bool:
     """Direct causal verification of a pairwise constraint: what a
     caller of :func:`restrict` owes each candidate of an interval that
